@@ -11,9 +11,11 @@ modulus-m transformation identities for m = 2..8.
 """
 from __future__ import annotations
 
+import functools
 import time
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .cyclotomic import CycloNum, zeta_power
 from .dissect import DissectionSpec, closed_form_parts
@@ -147,6 +149,9 @@ def make_identity(name: str, lhs: Expr, rhs: Expr, paper_ref: str,
 
 @dataclass(frozen=True)
 class Report:
+    """Outcome of one verification. lhs and rhs hold the two evaluated
+    series (None on error); they are not serialized or compared."""
+
     name: str
     paper_ref: str
     degree: int
@@ -156,6 +161,8 @@ class Report:
     rhs_terms: int
     millis: float
     error: Optional[str] = None
+    lhs: Optional[LaurentSeries] = field(default=None, compare=False, repr=False)
+    rhs: Optional[LaurentSeries] = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         doc = {
@@ -196,9 +203,10 @@ def verify_identity(identity: Identity, degree: int) -> Report:
     except EngineError as exc:
         status = "error"
         error = "%s: %s" % (type(exc).__name__, exc)
+        lhs = rhs = None
     millis = (time.perf_counter() - start) * 1000.0
     return Report(identity.name, identity.paper_ref, degree, status,
-                  mismatch, lhs_terms, rhs_terms, millis, error)
+                  mismatch, lhs_terms, rhs_terms, millis, error, lhs, rhs)
 
 
 def summarize(reports) -> dict:
@@ -276,8 +284,10 @@ def _transform_identity(m: int) -> Identity:
     )
 
 
-def builtin_catalog() -> list[Identity]:
-    """The built-in identities, each carrying its notebook reference string.
+@functools.cache
+def catalog_by_name() -> Mapping[str, Identity]:
+    """The built-in identities by name, each carrying its notebook reference
+    string. Built on first use and shared, so the mapping is read-only.
 
     The m=4 entries use the argument pairs produced by the closed form
     (second argument B_4 (ab)^(-4k)); see remark_im_parts for the negative
@@ -393,11 +403,12 @@ def builtin_catalog() -> list[Identity]:
     ]
     for m in range(2, 9):
         entries.append(_transform_identity(m))
-    return entries
+    return MappingProxyType({identity.name: identity for identity in entries})
 
 
-def catalog_by_name() -> dict[str, Identity]:
-    return {identity.name: identity for identity in builtin_catalog()}
+def builtin_catalog() -> tuple[Identity, ...]:
+    """Every built-in identity, in catalog order."""
+    return tuple(catalog_by_name().values())
 
 
 def get_identity(name: str) -> Identity:

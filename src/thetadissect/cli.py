@@ -6,7 +6,8 @@ contract:
 
   0  success / verified / all agree
   1  an identity failed (or a catalog/dissection run had failures)
-  2  parse or usage errors (bad flags, unknown catalog names, bad m/k)
+  2  parse or usage errors (bad flags, unknown catalog names, bad m/k,
+     an --out path that cannot be written)
   3  evaluation errors (non-convergent theta arguments, non-monomial
      arguments, order problems)
 """
@@ -14,9 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,7 +37,6 @@ class RunConfig:
     order: Optional[int] = None
     format: str = "text"
     out: Optional[str] = None
-    jobs: int = 1
 
     @property
     def effective_degree(self) -> int:
@@ -48,14 +46,7 @@ class RunConfig:
 def _config_from(args) -> RunConfig:
     if args.degree is not None and args.degree < 0:
         raise ValueError("--degree must be >= 0, got %d" % args.degree)
-    if args.jobs == "auto":
-        jobs = os.cpu_count() or 1
-    else:
-        try:
-            jobs = int(args.jobs)
-        except ValueError:
-            raise ValueError("--jobs must be an integer or 'auto'")
-    return RunConfig(args.degree, args.order, args.format, args.out, max(jobs, 1))
+    return RunConfig(args.degree, args.order, args.format, args.out)
 
 
 def _add_common(sp: argparse.ArgumentParser):
@@ -66,8 +57,6 @@ def _add_common(sp: argparse.ArgumentParser):
     sp.add_argument("--format", choices=("text", "json"), default="text",
                     help="output format (default text)")
     sp.add_argument("--out", default=None, help="write output to this path instead of stdout")
-    sp.add_argument("--jobs", default="1",
-                    help="worker threads for catalog/dissection grids: integer or 'auto'")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -203,13 +192,7 @@ def _cmd_catalog(args, config: RunConfig) -> int:
     def degree_for(ident: cat.Identity) -> int:
         return config.degree if config.degree is not None else ident.default_degree
 
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            reports = list(pool.map(
-                lambda ident: cat.verify_identity(ident, degree_for(ident)), identities))
-    else:
-        reports = [cat.verify_identity(ident, degree_for(ident)) for ident in identities]
-    reports = sorted(reports, key=lambda r: r.name)
+    reports = [cat.verify_identity(ident, degree_for(ident)) for ident in identities]
 
     if config.format == "json":
         doc = {
@@ -220,14 +203,11 @@ def _cmd_catalog(args, config: RunConfig) -> int:
     else:
         lines = []
         show_series = not run_all
-        for report, ident in zip(reports, identities):
+        for report in reports:
             lines.append(_report_line(report))
             if show_series and report.status != "error":
-                degree = degree_for(ident)
-                lhs = cat.evaluate(ident.lhs, degree, ident.required_root_order)
-                rhs = cat.evaluate(ident.rhs, degree, ident.required_root_order)
-                lines.append("  lhs: %s" % lhs.render())
-                lines.append("  rhs: %s" % rhs.render())
+                lines.append("  lhs: %s" % report.lhs.render())
+                lines.append("  rhs: %s" % report.rhs.render())
         summary = cat.summarize(reports)
         lines.append("summary: total=%(total)d verified=%(verified)d "
                      "failed=%(failed)d error=%(error)d" % summary)
@@ -254,11 +234,7 @@ def _cmd_dissect(args, config: RunConfig) -> int:
             entry["mismatch"] = entry["filter"].first_mismatch(entry["closed"], degree)
         return entry
 
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            entries = list(pool.map(run, residues))
-    else:
-        entries = [run(k) for k in residues]
+    entries = [run(k) for k in residues]
 
     all_agree = all(entry.get("mismatch") is None for entry in entries)
     if config.format == "json":
@@ -321,7 +297,10 @@ def main(argv=None) -> int:
         config = _config_from(args)
     except ValueError as exc:
         return _fail(str(exc), 2)
-    return _COMMANDS[args.command](args, config)
+    try:
+        return _COMMANDS[args.command](args, config)
+    except OSError as exc:  # writing the result is the only I/O a command does
+        return _fail("cannot write output: %s" % exc, 2)
 
 
 def entrypoint():

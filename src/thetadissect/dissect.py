@@ -38,7 +38,6 @@ def _half(x: int) -> int:
 class DissectionSpec:
     m: int
     k: int
-    zeta_exponent: int = 1
 
     def __post_init__(self):
         if self.m < 1:

@@ -83,11 +83,17 @@ def tokenize(text: str) -> list[Token]:
 
 _CALLS = {"Re": RealPart, "Im": ImagPart, "specq": SpecializeQ}
 
+# Deepest nesting of parenthesized subexpressions (including f(...), Re(...)
+# and the like). Parsing, evaluation and printing all recurse once or more per
+# level, so the cap keeps every stage well inside Python's recursion limit.
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -106,11 +112,16 @@ class _Parser:
 
     # expr := term (("+"|"-") term)*
     def expr(self) -> Expr:
+        if self.depth > MAX_NESTING:
+            raise ParseError("expression nested more than %d levels deep" % MAX_NESTING,
+                             self.peek().offset)
+        self.depth += 1
         items = [self.term()]
         while self.peek().kind in ("plus", "minus"):
             op = self.advance()
             t = self.term()
             items.append(t if op.kind == "plus" else _negate(t))
+        self.depth -= 1
         return sum_of(items)
 
     # term := factor ("*" factor)*

@@ -162,13 +162,15 @@ class LaurentSeries:
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
         return self + (-other)
 
+    def _known_min_degree(self) -> int:
+        # an empty series may still hide terms of degree validity + 1 and up
+        return self.min_total_degree() if self.terms else self.validity + 1
+
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
         self._check_order(other)
-        if not self.terms or not other.terms:
-            return LaurentSeries.zero(min(self.validity, other.validity), self.order)
         validity = min(
-            self.validity + other.min_total_degree(),
-            other.validity + self.min_total_degree(),
+            self.validity + other._known_min_degree(),
+            other.validity + self._known_min_degree(),
         )
         acc: dict[Monomial, CycloNum] = {}
         for m1, c1 in self.terms.items():

@@ -3,6 +3,10 @@ import os
 import subprocess
 import sys
 
+from thetadissect.catalog import builtin_catalog
+from thetadissect.cli import main
+from thetadissect.exprlang import print_expr
+
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(TESTS_DIR)
 
@@ -166,11 +170,40 @@ def test_out_file_and_quiet_stdout(tmp_path):
     assert doc["summary"]["verified"] == 1
 
 
-def test_parallel_catalog_output_is_byte_identical():
-    base = run_cli("catalog", "all", "--degree", "10", "--jobs", "1")
-    fanned = run_cli("catalog", "all", "--degree", "10", "--jobs", "4")
-    assert base.returncode == fanned.returncode == 0
-    assert base.stdout == fanned.stdout
+def test_out_unwritable_path_exits_2(tmp_path):
+    target = tmp_path / "missing" / "x.txt"
+    proc = run_cli("expand", "f(a,b)", "--degree", "4", "--out", str(target))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert "cannot write output" in proc.stderr
+
+
+def test_expand_deep_nesting_exits_2():
+    proc = run_cli("expand", "(" * 3000 + "a" + ")" * 3000)
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert "nested more than" in proc.stderr
+
+
+def test_verify_product_with_empty_operand_is_not_verified():
+    # (f(a,b) - 1) is empty through degree 0, yet times a^-3 it contributes
+    # a^-2 + a^-3*b, both within degree 0
+    proc = run_cli("verify", "(a^-3+1)*(f(a,b)-1) = 0", "--degree", "0")
+    assert proc.returncode == 3
+    assert "ValidityExceeded" in proc.stderr
+
+
+def test_catalog_series_lines_match_expand(capsys):
+    degree = "10"
+    for identity in builtin_catalog():
+        assert main(["catalog", identity.name, "--degree", degree]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        order = str(identity.required_root_order)
+        for line, label, side in ((lines[1], "lhs", identity.lhs), (lines[2], "rhs", identity.rhs)):
+            assert main(["expand", print_expr(side), "--degree", degree, "--order", order]) == 0
+            expanded = capsys.readouterr().out.splitlines()[0]
+            assert line == "  %s: %s" % (label, expanded), (identity.name, label)
 
 
 def test_order_override_must_be_multiple():

@@ -63,10 +63,31 @@ def test_mul_validity_with_negative_min_degree():
 
 
 def test_mul_with_empty_operand():
+    # the empty operand may hide terms of degree 4 and up, so the product
+    # is known through min(5 + 4, 3 + 1) = 4
     x = make_series({(1, 0): 1}, 5)
     z = LaurentSeries.zero(3)
     prod = x * z
-    assert prod.is_zero() and prod.validity == 3
+    assert prod.is_zero() and prod.validity == 4
+    # one completion of z: b^4 was cut off at 3, and a*b^4 lies above 4
+    assert (x * make_series({(0, 4): 1}, 10)).equal_through(prod, 4)
+
+
+def test_mul_of_two_empty_operands():
+    prod = LaurentSeries.zero(3) * LaurentSeries.zero(5)
+    assert prod.is_zero() and prod.validity == 3 + 5 + 1
+
+
+def test_mul_empty_operand_with_negative_min_degree():
+    # shrunk example of the truncate-before-or-after property: q = {a^2*b^4}
+    # truncated at 5 is empty, and b^-1 * a^2*b^4 = a^2*b^3 has degree 5
+    huge = 10 ** 6
+    p_exact = make_series({(0, -1): 1}, huge)
+    q_exact = make_series({(2, 4): 1}, huge)
+    truncated = p_exact.truncate(5) * q_exact.truncate(5)
+    assert truncated.validity == 4
+    exact = p_exact * q_exact
+    assert truncated.equal_through(exact.truncate(truncated.validity), truncated.validity)
 
 
 def test_scale_examples():
