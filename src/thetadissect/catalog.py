@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .cyclotomic import CycloNum, zeta_power
 from .dissect import DissectionSpec, closed_form_parts
-from .errors import EngineError, NonInvertible, NonMonomialArgument, UnknownIdentityName
+from .errors import (
+    EngineError, IncompatibleOrders, NonInvertible, NonMonomialArgument, UnknownIdentityName,
+)
 from .expr import (
     Expr, ImagPart, Negate, Power, Product, RationalConst, RealPart,
     RootOfUnity, SpecializeQ, Sum, ThetaCall, Var, product_of, rational,
@@ -39,12 +40,13 @@ def fold_scaled_monomial(node: Expr, order: int) -> ScaledMonomial:
     if isinstance(node, RationalConst):
         if node.value == 0:
             raise NonMonomialArgument("zero cannot be a theta-argument coefficient")
-        return ScaledMonomial(CycloNum.from_rational(node.value, order), Monomial(0, 0))
+        return ScaledMonomial(node.value, 0, order, Monomial(0, 0))
     if isinstance(node, RootOfUnity):
-        coeff = zeta_power(node.order, node.exponent).embed(order)
-        return ScaledMonomial(coeff, Monomial(0, 0))
+        if order % node.order != 0:
+            raise IncompatibleOrders("order %d does not divide %d" % (node.order, order))
+        return ScaledMonomial(1, node.exponent * (order // node.order), order, Monomial(0, 0))
     if isinstance(node, Var):
-        return ScaledMonomial(CycloNum.one(order), _VAR_MONOMIALS[node.name])
+        return ScaledMonomial(1, 0, order, _VAR_MONOMIALS[node.name])
     if isinstance(node, Negate):
         return -fold_scaled_monomial(node.item, order)
     if isinstance(node, Product):

@@ -59,12 +59,22 @@ def _add_common(sp: argparse.ArgumentParser):
     sp.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """Every subcommand option but -h starts with "--", so a token such as
+    "-f(a,b)" is read as an expression (None marks a positional)."""
+
+    def _parse_optional(self, arg_string):
+        if arg_string[:2] != "--" and arg_string not in self._option_string_actions:
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thetadissect",
         description="Exact theta-series expansion and dissection-identity verification.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
     sp = sub.add_parser("expand", help="expand an expression as a truncated series")
     sp.add_argument("expr", help="expression in the identity language")

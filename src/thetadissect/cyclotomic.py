@@ -5,9 +5,7 @@ L-th cyclotomic polynomial, with Fraction coefficients. The representation is
 canonical, so equality is plain coefficient comparison and no normalization
 pass is ever needed. Floating point is deliberately absent from this module.
 
-Only ring operations plus scaling by rationals are provided; the one partial
-inverse (`try_inverse`) covers scaled roots of unity, which is everything a
-monomial coefficient can be.
+Only ring operations plus scaling by rationals are provided.
 """
 from __future__ import annotations
 
@@ -15,7 +13,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import IncompatibleOrders, NonInvertible, OrderMismatch, OrderNotDivisibleBy4
+from .errors import IncompatibleOrders, OrderMismatch, OrderNotDivisibleBy4
 
 
 def euler_phi(n: int) -> int:
@@ -127,13 +125,11 @@ def cyclotomic_polynomial(m: int) -> IntPolynomial:
 
 @functools.lru_cache(maxsize=None)
 def _reduction_rows(order: int) -> tuple[tuple[int, ...], ...]:
-    """Row j is the power-basis expansion of zeta^j, for j up to where products
-    and raw exponents can reach: max(2*phi-2, order-1)."""
+    """Row j is the power-basis expansion of zeta^j, for 0 <= j < order."""
     phi = euler_phi(order)
     modulus = cyclotomic_polynomial(order).coeffs  # monic, degree phi
-    top = max(2 * phi - 2, order - 1, phi - 1)
     rows: list[tuple[int, ...]] = []
-    for j in range(top + 1):
+    for j in range(order):
         if j < phi:
             row = tuple(1 if i == j else 0 for i in range(phi))
         else:
@@ -150,7 +146,18 @@ def _reduction_rows(order: int) -> tuple[tuple[int, ...], ...]:
 
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+
+def _combine(order: int, values, step: int = 1) -> "CycloNum":
+    """The sum of values[j] * zeta_order^(j*step), in the power basis."""
+    rows = _reduction_rows(order)
+    out = [_ZERO] * len(rows[0])
+    for j, c in enumerate(values):
+        if c:
+            for i, v in enumerate(rows[j * step % order]):
+                if v:
+                    out[i] += c * v
+    return CycloNum(order, tuple(out))
 
 
 @dataclass(frozen=True)
@@ -232,24 +239,13 @@ class CycloNum:
                 for j, b in enumerate(other.coeffs):
                     if b:
                         conv[i + j] += a * b
-        rows = _reduction_rows(self.order)
-        out = [_ZERO] * phi
-        for j, c in enumerate(conv):
-            if c:
-                row = rows[j]
-                for i in range(phi):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return CycloNum(self.order, tuple(out))
+        return _combine(self.order, conv)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "CycloNum":
         if n < 0:
-            inv = self.try_inverse()
-            if inv is None:
-                raise NonInvertible("no inverse available for %s" % self)
-            return inv ** (-n)
+            raise ValueError("CycloNum powers need n >= 0, got %d" % n)
         result = CycloNum.one(self.order)
         base = self
         while n:
@@ -268,31 +264,11 @@ class CycloNum:
             raise IncompatibleOrders("order %d does not divide %d" % (m, target_order))
         if target_order == m:
             return self
-        step = target_order // m
-        rows = _reduction_rows(target_order)
-        phi_t = euler_phi(target_order)
-        out = [_ZERO] * phi_t
-        for j, c in enumerate(self.coeffs):
-            if c:
-                row = rows[(j * step) % target_order]
-                for i in range(phi_t):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return CycloNum(target_order, tuple(out))
+        return _combine(target_order, self.coeffs, target_order // m)
 
     def conjugate(self) -> "CycloNum":
         """The automorphism zeta -> zeta^(-1): complex conjugation, an involution."""
-        L = self.order
-        rows = _reduction_rows(L)
-        phi = len(self.coeffs)
-        out = [_ZERO] * phi
-        for j, c in enumerate(self.coeffs):
-            if c:
-                row = rows[(L - j) % L]
-                for i in range(phi):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return CycloNum(self.order, tuple(out))
+        return _combine(self.order, self.coeffs, self.order - 1)
 
     def real_imag(self) -> tuple["CycloNum", "CycloNum"]:
         """Split x = re + i*im with re, im fixed by conjugation; needs 4 | order."""
@@ -304,17 +280,6 @@ class CycloNum:
         # 1/(2i) = -i/2
         im = (self - conj) * (-i_unit) * Fraction(1, 2)
         return re, im
-
-    def try_inverse(self):
-        """Inverse when self * conj(self) is a nonzero rational (covers every
-        rational multiple of a root of unity); None otherwise."""
-        norm = self * self.conjugate()
-        if not norm.is_rational():
-            return None
-        r = norm.as_rational()
-        if r == 0:
-            return None
-        return self.conjugate() * (1 / r)
 
     # -- rendering -----------------------------------------------------------
 
@@ -340,10 +305,18 @@ class CycloNum:
         return "".join(parts)
 
 
+@functools.lru_cache(maxsize=None)
+def _zeta_powers(order: int) -> tuple[CycloNum, ...]:
+    """zeta_order^j for 0 <= j < order, shared: CycloNum is immutable."""
+    fractions: dict[int, Fraction] = {}
+    return tuple(
+        CycloNum(order, tuple(fractions.setdefault(v, Fraction(v)) for v in row))
+        for row in _reduction_rows(order)
+    )
+
+
 def zeta_power(order: int, exponent: int) -> CycloNum:
     """zeta_order^(exponent mod order), reduced to the power basis."""
     if order < 1:
         raise ValueError("root order must be >= 1")
-    rows = _reduction_rows(order)
-    row = rows[exponent % order]
-    return CycloNum(order, tuple(Fraction(v) for v in row))
+    return _zeta_powers(order)[exponent % order]

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cyclotomic import CycloNum, zeta_power
+from .cyclotomic import CycloNum
 from .laurent import LaurentSeries, Monomial, ScaledMonomial
 from .theta import ThetaArgs, theta_expand
 
@@ -30,7 +30,8 @@ from .theta import ThetaArgs, theta_expand
 def _half(x: int) -> int:
     # the proof divides by 2; the division must be exact
     q, r = divmod(x, 2)
-    assert r == 0, "odd value where an even one was promised: %d" % x
+    if r:
+        raise ValueError("odd value where an even one was promised: %d" % x)
     return q
 
 
@@ -62,8 +63,8 @@ def closed_form_parts(spec: DissectionSpec) -> tuple[Monomial, ThetaArgs]:
     a_m, b_m = boundary_monomials(m)
     shift = Monomial(m * k, m * k)
     args = ThetaArgs(
-        ScaledMonomial(CycloNum.one(), a_m * shift),
-        ScaledMonomial(CycloNum.one(), b_m * shift ** -1),
+        ScaledMonomial(1, 0, 1, a_m * shift),
+        ScaledMonomial(1, 0, 1, b_m * shift ** -1),
     )
     return prefix, args
 
@@ -90,7 +91,7 @@ def dissect_closed(spec: DissectionSpec, bound: int) -> LaurentSeries:
     through the requested bound, which the final truncate restores."""
     prefix, args = closed_form_parts(spec)
     inner = theta_expand(args, bound - prefix.total_degree)
-    return inner.scale(ScaledMonomial(CycloNum.one(), prefix)).truncate(bound)
+    return inner.scale(ScaledMonomial(1, 0, 1, prefix)).truncate(bound)
 
 
 def transform_lhs(m: int, zeta_exponent: int, bound: int) -> LaurentSeries:
@@ -98,10 +99,9 @@ def transform_lhs(m: int, zeta_exponent: int, bound: int) -> LaurentSeries:
     coefficient is zeta^(n^2)."""
     if m < 1:
         raise ValueError("modulus m must be >= 1")
-    zeta = zeta_power(m, zeta_exponent)
     args = ThetaArgs(
-        ScaledMonomial(zeta, Monomial(1, 0)),
-        ScaledMonomial(zeta, Monomial(0, 1)),
+        ScaledMonomial(1, zeta_exponent, m, Monomial(1, 0)),
+        ScaledMonomial(1, zeta_exponent, m, Monomial(0, 1)),
     )
     return theta_expand(args, bound)
 
@@ -113,5 +113,5 @@ def transform_rhs(m: int, zeta_exponent: int, bound: int) -> LaurentSeries:
     total = LaurentSeries.zero(bound, m)
     for k in range(m):
         piece = dissect_closed(DissectionSpec(m, k), bound).embed(m)
-        total = total + piece.scale_coeff(zeta_power(m, zeta_exponent * k * k))
+        total = total + piece.scale(ScaledMonomial(1, zeta_exponent * k * k, m, Monomial(0, 0)))
     return total

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .cyclotomic import CycloNum
+from .cyclotomic import CycloNum, zeta_power
 from .errors import EmptySeries, OrderMismatch, ValidityExceeded
 
 
@@ -49,33 +49,56 @@ def _term_key(mono: Monomial) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class ScaledMonomial:
-    """c * a^p * b^q with c a nonzero CycloNum; the only legal theta argument."""
+    """r * zeta_order^e * a^p * b^q with r a nonzero rational: the only legal
+    theta argument. Products, powers and negation are rational and exponent
+    arithmetic. The form is canonical (0 <= e < order, and r > 0 when order is
+    even, since -1 = zeta^(order/2)), so equal values compare equal."""
 
-    coeff: CycloNum
+    ratio: Fraction
+    exponent: int
+    order: int
     mono: Monomial
 
     def __post_init__(self):
-        if self.coeff.is_zero():
+        if self.ratio == 0:
             raise ValueError("scaled monomial coefficient must be nonzero")
+        half = self.order // 2 if self.ratio < 0 and self.order % 2 == 0 else 0
+        object.__setattr__(self, "ratio", Fraction(-self.ratio if half else self.ratio))
+        object.__setattr__(self, "exponent", (self.exponent + half) % self.order)
 
     @staticmethod
     def make(coeff, p: int, q: int, order: int = 1) -> "ScaledMonomial":
-        if isinstance(coeff, (int, Fraction)):
-            coeff = CycloNum.from_rational(coeff, order)
-        return ScaledMonomial(coeff, Monomial(p, q))
+        """coeff is an int, a Fraction (taken in Q(zeta_order)), or a CycloNum
+        that is a rational multiple of a root of unity (in its own order)."""
+        if not isinstance(coeff, CycloNum):
+            return ScaledMonomial(coeff, 0, order, Monomial(p, q))
+        for e in range(coeff.order):
+            ratio = (coeff * zeta_power(coeff.order, -e)).coeffs[0]
+            if ratio and zeta_power(coeff.order, e) * ratio == coeff:
+                return ScaledMonomial(ratio, e, coeff.order, Monomial(p, q))
+        raise ValueError("%s is not a nonzero rational multiple of a root of unity" % coeff)
+
+    @property
+    def coeff(self) -> CycloNum:
+        """r * zeta_order^e as an element of Q(zeta_order)."""
+        root = zeta_power(self.order, self.exponent)
+        return root if self.ratio == 1 else root * self.ratio
 
     @property
     def total_degree(self) -> int:
         return self.mono.total_degree
 
     def __mul__(self, other: "ScaledMonomial") -> "ScaledMonomial":
-        return ScaledMonomial(self.coeff * other.coeff, self.mono * other.mono)
+        if self.order != other.order:
+            raise OrderMismatch("orders differ: %d vs %d" % (self.order, other.order))
+        return ScaledMonomial(self.ratio * other.ratio, self.exponent + other.exponent,
+                              self.order, self.mono * other.mono)
 
     def __pow__(self, n: int) -> "ScaledMonomial":
-        return ScaledMonomial(self.coeff ** n, self.mono ** n)
+        return ScaledMonomial(self.ratio ** n, self.exponent * n, self.order, self.mono ** n)
 
     def __neg__(self) -> "ScaledMonomial":
-        return ScaledMonomial(-self.coeff, self.mono)
+        return ScaledMonomial(-self.ratio, self.exponent, self.order, self.mono)
 
 
 class Mismatch(NamedTuple):
@@ -122,7 +145,7 @@ class LaurentSeries:
 
     @staticmethod
     def from_scaled_monomial(s: ScaledMonomial, validity: int) -> "LaurentSeries":
-        return LaurentSeries.make([(s.mono, s.coeff)], validity, s.coeff.order)
+        return LaurentSeries.make([(s.mono, s.coeff)], validity, s.order)
 
     # -- basic queries --------------------------------------------------------
 
@@ -188,17 +211,14 @@ class LaurentSeries:
 
     def scale(self, s: ScaledMonomial) -> "LaurentSeries":
         """Multiply by a single scaled monomial; validity rises with its degree."""
-        if s.coeff.order != self.order:
-            raise OrderMismatch("scalar order %d != series order %d" % (s.coeff.order, self.order))
+        if s.order != self.order:
+            raise OrderMismatch("scalar order %d != series order %d" % (s.order, self.order))
         validity = self.validity + s.total_degree
-        entries = {}
-        for m, c in self.terms.items():
-            entries[m * s.mono] = c * s.coeff
-        pruned = {m: c for m, c in entries.items() if not c.is_zero()}
-        return LaurentSeries(pruned, validity, self.order)
-
-    def scale_coeff(self, c: CycloNum) -> "LaurentSeries":
-        return self.scale(ScaledMonomial(c, Monomial(0, 0)))
+        factor = s.coeff if s.exponent else s.ratio
+        unit = factor == 1
+        # a nonzero factor keeps every (nonzero) term nonzero
+        entries = {m * s.mono: c if unit else c * factor for m, c in self.terms.items()}
+        return LaurentSeries(entries, validity, self.order)
 
     def map_coeffs(self, fn: Callable[[CycloNum], CycloNum]) -> "LaurentSeries":
         """Coefficientwise map (order-preserving); zeros produced are pruned."""

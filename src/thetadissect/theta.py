@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import CycloNum
+from .cyclotomic import CycloNum, zeta_power
 from .errors import NonConvergent, OrderMismatch
 from .laurent import LaurentSeries, Monomial, ScaledMonomial
 
@@ -35,10 +35,10 @@ class ThetaArgs:
     second: ScaledMonomial
 
     def __post_init__(self):
-        if self.first.coeff.order != self.second.coeff.order:
+        if self.first.order != self.second.order:
             raise OrderMismatch(
                 "theta argument coefficient orders differ: %d vs %d"
-                % (self.first.coeff.order, self.second.coeff.order)
+                % (self.first.order, self.second.order)
             )
         if self.first.total_degree + self.second.total_degree <= 0:
             raise NonConvergent(
@@ -48,7 +48,7 @@ class ThetaArgs:
 
     @property
     def order(self) -> int:
-        return self.first.coeff.order
+        return self.first.order
 
 
 def term_degree(args: ThetaArgs, n: int) -> int:
@@ -84,22 +84,16 @@ def theta_expand(args: ThetaArgs, bound: int) -> LaurentSeries:
     argument has negative degree, and dissection budgets exploit that.
     """
     order = args.order
-    c1, c2 = args.first.coeff, args.second.coeff
-    m1, m2 = args.first.mono, args.second.mono
-    trivial1 = c1.is_one()
-    trivial2 = c2.is_one()
+    x, y = args.first, args.second
+    rational = x.ratio != 1 or y.ratio != 1
     entries = []
     for n in theta_index_range(args, bound):
         t, u = _tri_up(n), _tri_down(n)
-        coeff = None
-        if not trivial1:
-            coeff = c1 ** t
-        if not trivial2:
-            c = c2 ** u
-            coeff = c if coeff is None else coeff * c
-        if coeff is None:
-            coeff = CycloNum.one(order)
-        entries.append((m1 ** t * m2 ** u, coeff))
+        # (r1 zeta^e1)^t (r2 zeta^e2)^u = r1^t r2^u zeta^(e1 t + e2 u)
+        coeff = zeta_power(order, x.exponent * t + y.exponent * u)
+        if rational:
+            coeff = coeff * (x.ratio ** t * y.ratio ** u)
+        entries.append((x.mono ** t * y.mono ** u, coeff))
     return LaurentSeries.make(entries, bound, order)
 
 
@@ -113,9 +107,9 @@ def pochhammer_expand(x: ScaledMonomial, qq: ScaledMonomial, bound: int) -> Laur
     """
     if qq.total_degree <= 0:
         raise NonConvergent("Pochhammer ratio degree %d must be positive" % qq.total_degree)
-    if x.coeff.order != qq.coeff.order:
+    if x.order != qq.order:
         raise OrderMismatch("Pochhammer coefficient orders differ")
-    order = x.coeff.order
+    order = x.order
     result = LaurentSeries.one(bound, order)
     term = x
     while term.total_degree <= bound:

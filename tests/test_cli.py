@@ -212,3 +212,24 @@ def test_order_override_must_be_multiple():
     ok = run_cli("expand", "f(i*a, i*b)", "--order", "12", "--degree", "4")
     assert ok.returncode == 0
     assert "zeta12^3" in ok.stdout
+
+
+def test_expand_expression_with_leading_minus():
+    # argparse would read "-f(a,b)" as an unknown option
+    proc = run_cli("expand", "-f(a,b)", "--degree", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["-1 - a - b", "validity: 2"]
+
+
+def test_leading_minus_argument_after_options(capsys):
+    assert main(["expand", "--degree", "2", "-a*f(a,b)"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["-a - a^2 - a*b", "validity: 3"]
+    assert main(["expand", "-a", "--degree", "-1"]) == 2
+    assert "--degree must be >= 0" in capsys.readouterr().err
+
+
+def test_verify_identity_with_leading_minus(capsys):
+    assert main(["verify", "-f(a,b)=-1-a-b", "--degree", "2"]) == 0
+    assert capsys.readouterr().out.startswith("user: verified (degree 2,")
+    assert main(["verify", "-f(a,b)=-1-a", "--degree", "2"]) == 1
+    assert capsys.readouterr().out.startswith("user: failed at b (lhs -1, rhs 0;")

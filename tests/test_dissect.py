@@ -2,7 +2,7 @@ import pytest
 
 from conftest import make_series, plain_theta_args
 from thetadissect.dissect import (
-    DissectionSpec, boundary_monomials, closed_form_parts, dissect_closed,
+    DissectionSpec, _half, boundary_monomials, closed_form_parts, dissect_closed,
     dissect_filter, transform_lhs, transform_rhs,
 )
 from thetadissect.laurent import Monomial, ScaledMonomial
@@ -13,6 +13,13 @@ def test_boundary_monomials():
     assert boundary_monomials(2) == (Monomial(3, 1), Monomial(1, 3))
     assert boundary_monomials(3) == (Monomial(6, 3), Monomial(3, 6))
     assert boundary_monomials(4) == (Monomial(10, 6), Monomial(6, 10))
+
+
+def test_half_rejects_odd_values():
+    # a raised error, not an assert, so the check holds under python -O
+    assert _half(-6) == -3
+    with pytest.raises(ValueError, match="odd value"):
+        _half(3)
 
 
 def test_spec_validation():
