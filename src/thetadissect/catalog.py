@@ -22,7 +22,7 @@ from .errors import (
     EngineError, IncompatibleOrders, NonInvertible, NonMonomialArgument, UnknownIdentityName,
 )
 from .expr import (
-    Expr, ImagPart, Negate, Power, Product, RationalConst, RealPart,
+    I_UNIT, OMEGA, Expr, ImagPart, Negate, Power, Product, RationalConst, RealPart,
     RootOfUnity, SpecializeQ, Sum, ThetaCall, Var, product_of, rational,
     required_order, sum_of,
 )
@@ -141,12 +141,10 @@ class Identity:
     rhs: Expr
     required_root_order: int
     paper_ref: str
-    default_degree: int = 60
 
 
-def make_identity(name: str, lhs: Expr, rhs: Expr, paper_ref: str,
-                  default_degree: int = 60) -> Identity:
-    return Identity(name, lhs, rhs, required_order(lhs, rhs), paper_ref, default_degree)
+def make_identity(name: str, lhs: Expr, rhs: Expr, paper_ref: str) -> Identity:
+    return Identity(name, lhs, rhs, required_order(lhs, rhs), paper_ref)
 
 
 @dataclass(frozen=True)
@@ -228,11 +226,9 @@ def summarize(reports) -> dict:
 _A = Var("a")
 _B = Var("b")
 _Q = Var("q")
-_I = RootOfUnity(4, 1)
-_OMEGA = RootOfUnity(3, 1)
 _F_AB = ThetaCall(_A, _B)
 _F_NEG = ThetaCall(Negate(_A), Negate(_B))
-_F_II = ThetaCall(product_of([_I, _A]), product_of([_I, _B]))
+_F_II = ThetaCall(product_of([I_UNIT, _A]), product_of([I_UNIT, _B]))
 
 
 def _mono_factors(p: int, q: int) -> list[Expr]:
@@ -322,10 +318,10 @@ def catalog_by_name() -> Mapping[str, Identity]:
         ),
         make_identity(
             "entry7",
-            ThetaCall(product_of([_OMEGA, _A]), product_of([_OMEGA, _B])),
+            ThetaCall(product_of([OMEGA, _A]), product_of([OMEGA, _B])),
             sum_of([
-                product_of([_OMEGA, _F_AB]),
-                product_of([sum_of([rational(1), Negate(_OMEGA)]), _theta_ast(6, 3, 3, 6)]),
+                product_of([OMEGA, _F_AB]),
+                product_of([sum_of([rational(1), Negate(OMEGA)]), _theta_ast(6, 3, 3, 6)]),
             ]),
             "Berndt, Ramanujan's Notebooks IV, p. 144, Entry 7",
         ),
@@ -336,7 +332,7 @@ def catalog_by_name() -> Mapping[str, Identity]:
                 _theta_ast(10, 6, 6, 10),
                 product_of([*_mono_factors(3, 1), _theta_ast(18, 14, -2, 2)]),
                 product_of([
-                    _I,
+                    I_UNIT,
                     sum_of([
                         product_of([_A, _theta_ast(14, 10, 2, 6)]),
                         product_of([*_mono_factors(6, 3), _theta_ast(22, 18, -6, -2)]),
@@ -349,8 +345,8 @@ def catalog_by_name() -> Mapping[str, Identity]:
             "entry9b",
             _F_II,
             sum_of([
-                product_of([rational(1, 2), sum_of([rational(1), _I]), _F_AB]),
-                product_of([rational(1, 2), sum_of([rational(1), Negate(_I)]), _F_NEG]),
+                product_of([rational(1, 2), sum_of([rational(1), I_UNIT]), _F_AB]),
+                product_of([rational(1, 2), sum_of([rational(1), Negate(I_UNIT)]), _F_NEG]),
             ]),
             "Berndt, Ramanujan's Notebooks IV, p. 146, Entry 9: compact form",
         ),

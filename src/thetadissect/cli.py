@@ -14,10 +14,9 @@ contract:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from . import catalog as cat
 from .dissect import DissectionSpec, dissect_closed, dissect_filter
@@ -28,32 +27,12 @@ from .exprlang import parse_expr, parse_identity, print_expr
 DEFAULT_DEGREE = 60
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated common flags. degree None means the default: 60, or a
-    catalog identity's own default_degree."""
-
-    degree: Optional[int] = None
-    order: Optional[int] = None
-    format: str = "text"
-    out: Optional[str] = None
-
-    @property
-    def effective_degree(self) -> int:
-        return self.degree if self.degree is not None else DEFAULT_DEGREE
-
-
-def _config_from(args) -> RunConfig:
-    if args.degree is not None and args.degree < 0:
-        raise ValueError("--degree must be >= 0, got %d" % args.degree)
-    return RunConfig(args.degree, args.order, args.format, args.out)
-
-
-def _add_common(sp: argparse.ArgumentParser):
-    sp.add_argument("--degree", type=int, default=None,
+def _add_common(sp: argparse.ArgumentParser, order: bool = False):
+    sp.add_argument("--degree", type=int, default=DEFAULT_DEGREE,
                     help="truncation total degree (default %d)" % DEFAULT_DEGREE)
-    sp.add_argument("--order", type=int, default=None,
-                    help="override the cyclotomic working order L")
+    if order:
+        sp.add_argument("--order", type=int, default=None,
+                        help="override the cyclotomic working order L")
     sp.add_argument("--format", choices=("text", "json"), default="text",
                     help="output format (default text)")
     sp.add_argument("--out", default=None, help="write output to this path instead of stdout")
@@ -69,7 +48,9 @@ class _SubcommandParser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later call."""
     parser = argparse.ArgumentParser(
         prog="thetadissect",
         description="Exact theta-series expansion and dissection-identity verification.",
@@ -78,29 +59,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("expand", help="expand an expression as a truncated series")
     sp.add_argument("expr", help="expression in the identity language")
-    _add_common(sp)
+    _add_common(sp, order=True)
+    sp.set_defaults(run=_cmd_expand)
 
     sp = sub.add_parser("verify", help="verify an identity 'lhs = rhs'")
     sp.add_argument("identity", help="identity in the identity language")
-    _add_common(sp)
+    _add_common(sp, order=True)
+    sp.set_defaults(run=_cmd_verify)
 
     sp = sub.add_parser("catalog", help="verify built-in identities")
     sp.add_argument("names", nargs="*",
                     help="catalog entry names, or 'all' / nothing for every entry")
     _add_common(sp)
+    sp.set_defaults(run=_cmd_catalog)
 
     sp = sub.add_parser("dissect", help="residue-class dissection S_k of f(a, b)")
     sp.add_argument("--m", type=int, required=True, help="modulus (>= 1)")
     sp.add_argument("--k", type=int, default=None, help="residue class (default: all)")
     sp.add_argument("--mode", choices=("filter", "closed", "both"), default="both")
     _add_common(sp)
+    sp.set_defaults(run=_cmd_dissect)
 
     return parser
 
 
-def _emit(text: str, config: RunConfig):
-    if config.out:
-        with open(config.out, "w") as handle:
+def _emit(text: str, args):
+    if args.out:
+        with open(args.out, "w") as handle:
             handle.write(text + "\n")
     else:
         print(text)
@@ -123,24 +108,23 @@ def _resolve_order(requested, *exprs) -> int:
     return requested
 
 
-def _cmd_expand(args, config: RunConfig) -> int:
-    degree = config.effective_degree
+def _cmd_expand(args) -> int:
     try:
         ast = parse_expr(args.expr)
     except ParseError as exc:
         return _fail("parse error: %s" % exc, 2)
     try:
-        order = _resolve_order(config.order, ast)
+        order = _resolve_order(args.order, ast)
     except ValueError as exc:
         return _fail(str(exc), 2)
     try:
-        series = cat.evaluate(ast, degree, order)
+        series = cat.evaluate(ast, args.degree, order)
     except EngineError as exc:
         return _fail("evaluation error: %s: %s" % (type(exc).__name__, exc), 3)
-    if config.format == "json":
+    if args.format == "json":
         doc = {
             "expr": print_expr(ast),
-            "degree": degree,
+            "degree": args.degree,
             "order": order,
             "validity": series.validity,
             "terms": [
@@ -148,27 +132,27 @@ def _cmd_expand(args, config: RunConfig) -> int:
                 for mono, coeff in series.sorted_terms()
             ],
         }
-        _emit(json.dumps(doc, indent=2), config)
+        _emit(json.dumps(doc, indent=2), args)
     else:
-        _emit("%s\nvalidity: %d" % (series.render(), series.validity), config)
+        _emit("%s\nvalidity: %d" % (series.render(), series.validity), args)
     return 0
 
 
-def _cmd_verify(args, config: RunConfig) -> int:
+def _cmd_verify(args) -> int:
     try:
         lhs, rhs = parse_identity(args.identity)
     except ParseError as exc:
         return _fail("parse error: %s" % exc, 2)
     try:
-        order = _resolve_order(config.order, lhs, rhs)
+        order = _resolve_order(args.order, lhs, rhs)
     except ValueError as exc:
         return _fail(str(exc), 2)
     identity = cat.Identity("user", lhs, rhs, order, "user-supplied identity")
-    report = cat.verify_identity(identity, config.effective_degree)
-    if config.format == "json":
-        _emit(json.dumps(report.to_dict(), indent=2), config)
+    report = cat.verify_identity(identity, args.degree)
+    if args.format == "json":
+        _emit(json.dumps(report.to_dict(), indent=2), args)
     else:
-        _emit(_report_line(report), config)
+        _emit(_report_line(report), args)
     if report.status == "verified":
         return 0
     if report.status == "failed":
@@ -188,7 +172,7 @@ def _report_line(report: cat.Report) -> str:
     return "%s: error (%s)" % (report.name, report.error)
 
 
-def _cmd_catalog(args, config: RunConfig) -> int:
+def _cmd_catalog(args) -> int:
     run_all = not args.names or "all" in args.names
     try:
         if run_all:
@@ -198,18 +182,14 @@ def _cmd_catalog(args, config: RunConfig) -> int:
     except UnknownIdentityName as exc:
         return _fail(str(exc), 2)
     identities = sorted(identities, key=lambda ident: ident.name)
+    reports = [cat.verify_identity(ident, args.degree) for ident in identities]
 
-    def degree_for(ident: cat.Identity) -> int:
-        return config.degree if config.degree is not None else ident.default_degree
-
-    reports = [cat.verify_identity(ident, degree_for(ident)) for ident in identities]
-
-    if config.format == "json":
+    if args.format == "json":
         doc = {
             "reports": [r.to_dict() for r in reports],
             "summary": cat.summarize(reports),
         }
-        _emit(json.dumps(doc, indent=2), config)
+        _emit(json.dumps(doc, indent=2), args)
     else:
         lines = []
         show_series = not run_all
@@ -221,94 +201,68 @@ def _cmd_catalog(args, config: RunConfig) -> int:
         summary = cat.summarize(reports)
         lines.append("summary: total=%(total)d verified=%(verified)d "
                      "failed=%(failed)d error=%(error)d" % summary)
-        _emit("\n".join(lines), config)
+        _emit("\n".join(lines), args)
     return 0 if all(r.status == "verified" for r in reports) else 1
 
 
-def _cmd_dissect(args, config: RunConfig) -> int:
-    degree = config.effective_degree
-    if args.m < 1:
-        return _fail("modulus m must be >= 1, got %d" % args.m, 2)
-    if args.k is not None and not 0 <= args.k < args.m:
-        return _fail("residue k=%d out of range [0, %d)" % (args.k, args.m), 2)
-    residues = [args.k] if args.k is not None else list(range(args.m))
+def _cmd_dissect(args) -> int:
+    m, degree, mode = args.m, args.degree, args.mode
+    if m < 1:
+        return _fail("modulus m must be >= 1, got %d" % m, 2)
+    if args.k is not None and not 0 <= args.k < m:
+        return _fail("residue k=%d out of range [0, %d)" % (args.k, m), 2)
 
-    def run(k: int) -> dict:
-        spec = DissectionSpec(args.m, k)
+    entries = []  # the JSON document's entries; the text lines are read off them
+    for k in [args.k] if args.k is not None else range(m):
+        spec = DissectionSpec(m, k)
         entry: dict = {"k": k}
-        if args.mode in ("filter", "both"):
-            entry["filter"] = dissect_filter(spec, degree)
-        if args.mode in ("closed", "both"):
-            entry["closed"] = dissect_closed(spec, degree)
-        if args.mode == "both":
-            entry["mismatch"] = entry["filter"].first_mismatch(entry["closed"], degree)
-        return entry
+        if mode != "closed":
+            filtered = dissect_filter(spec, degree)
+            entry["filter"] = filtered.render()
+        if mode != "filter":
+            closed = dissect_closed(spec, degree)
+            entry["closed"] = closed.render()
+        if mode == "both":
+            mm = filtered.first_mismatch(closed, degree)
+            entry["agree"] = mm is None
+            if mm is not None:
+                entry["mismatch"] = {
+                    "monomial": mm.monomial.render(),
+                    "filter": str(mm.left),
+                    "closed": str(mm.right),
+                }
+        entries.append(entry)
+    all_agree = all(entry.get("agree", True) for entry in entries)
 
-    entries = [run(k) for k in residues]
-
-    all_agree = all(entry.get("mismatch") is None for entry in entries)
-    if config.format == "json":
-        doc_entries = []
-        for entry in entries:
-            item: dict = {"k": entry["k"]}
-            if "filter" in entry:
-                item["filter"] = entry["filter"].render()
-            if "closed" in entry:
-                item["closed"] = entry["closed"].render()
-            if args.mode == "both":
-                item["agree"] = entry["mismatch"] is None
-                if entry["mismatch"] is not None:
-                    mm = entry["mismatch"]
-                    item["mismatch"] = {
-                        "monomial": mm.monomial.render(),
-                        "filter": str(mm.left),
-                        "closed": str(mm.right),
-                    }
-            doc_entries.append(item)
-        doc = {"m": args.m, "degree": degree, "mode": args.mode, "entries": doc_entries}
-        if args.mode == "both":
+    if args.format == "json":
+        doc = {"m": m, "degree": degree, "mode": mode, "entries": entries}
+        if mode == "both":
             doc["all_agree"] = all_agree
-        _emit(json.dumps(doc, indent=2), config)
+        _emit(json.dumps(doc, indent=2), args)
     else:
         lines = []
         for entry in entries:
-            tag = "m=%d k=%d" % (args.m, entry["k"])
-            if "filter" in entry:
-                lines.append("%s filter: %s" % (tag, entry["filter"].render()))
-            if "closed" in entry:
-                lines.append("%s closed: %s" % (tag, entry["closed"].render()))
-            if args.mode == "both":
-                if entry["mismatch"] is None:
-                    lines.append("%s: agree" % tag)
-                else:
-                    mm = entry["mismatch"]
-                    lines.append("%s: disagree at %s (filter %s, closed %s)"
-                                 % (tag, mm.monomial.render(), mm.left, mm.right))
-        if args.mode == "both":
+            tag = "m=%d k=%d" % (m, entry["k"])
+            lines.extend("%s %s: %s" % (tag, side, entry[side])
+                         for side in ("filter", "closed") if side in entry)
+            if "mismatch" in entry:
+                mm = entry["mismatch"]
+                lines.append("%s: disagree at %s (filter %s, closed %s)"
+                             % (tag, mm["monomial"], mm["filter"], mm["closed"]))
+            elif "agree" in entry:
+                lines.append("%s: agree" % tag)
+        if mode == "both":
             lines.append("all agree" if all_agree else "disagreement found")
-        _emit("\n".join(lines), config)
-    if args.mode == "both":
-        return 0 if all_agree else 1
-    return 0
-
-
-_COMMANDS = {
-    "expand": _cmd_expand,
-    "verify": _cmd_verify,
-    "catalog": _cmd_catalog,
-    "dissect": _cmd_dissect,
-}
+        _emit("\n".join(lines), args)
+    return 0 if all_agree else 1
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if args.degree < 0:
+        return _fail("--degree must be >= 0, got %d" % args.degree, 2)
     try:
-        config = _config_from(args)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
-    try:
-        return _COMMANDS[args.command](args, config)
+        return args.run(args)
     except OSError as exc:  # writing the result is the only I/O a command does
         return _fail("cannot write output: %s" % exc, 2)
 

@@ -117,53 +117,29 @@ def rational(num, den=1) -> RationalConst:
     return RationalConst(Fraction(num, den))
 
 
+# the roots the surface syntax names i and omega
 I_UNIT = RootOfUnity(4, 1)
 OMEGA = RootOfUnity(3, 1)
-
-
-def root_orders(expr: Expr) -> set[int]:
-    """Orders of every RootOfUnity node in the tree."""
-    found: set[int] = set()
-
-    def walk(node):
-        if isinstance(node, RootOfUnity):
-            found.add(node.order)
-        elif isinstance(node, (Sum, Product)):
-            for item in node.items:
-                walk(item)
-        elif isinstance(node, Power):
-            walk(node.base)
-        elif isinstance(node, ThetaCall):
-            walk(node.first)
-            walk(node.second)
-        elif isinstance(node, (Negate, RealPart, ImagPart, SpecializeQ)):
-            walk(node.item)
-
-    walk(expr)
-    return found
-
-
-def uses_real_imag(expr: Expr) -> bool:
-    if isinstance(expr, (RealPart, ImagPart)):
-        return True
-    if isinstance(expr, (Sum, Product)):
-        return any(uses_real_imag(i) for i in expr.items)
-    if isinstance(expr, Power):
-        return uses_real_imag(expr.base)
-    if isinstance(expr, ThetaCall):
-        return uses_real_imag(expr.first) or uses_real_imag(expr.second)
-    if isinstance(expr, (Negate, SpecializeQ)):
-        return uses_real_imag(expr.item)
-    return False
 
 
 def required_order(*exprs: Expr) -> int:
     """lcm of all root orders appearing in the given expressions (at least 1),
     bumped to a multiple of 4 when a real/imaginary split appears."""
     order = 1
-    for e in exprs:
-        for o in root_orders(e):
-            order = math.lcm(order, o)
-        if uses_real_imag(e):
+    pending = list(exprs)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, RootOfUnity):
+            order = math.lcm(order, node.order)
+        elif isinstance(node, (Sum, Product)):
+            pending.extend(node.items)
+        elif isinstance(node, Power):
+            pending.append(node.base)
+        elif isinstance(node, ThetaCall):
+            pending += (node.first, node.second)
+        elif isinstance(node, (RealPart, ImagPart)):
             order = math.lcm(order, 4)
+            pending.append(node.item)
+        elif isinstance(node, (Negate, SpecializeQ)):
+            pending.append(node.item)
     return order

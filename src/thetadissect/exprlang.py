@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .errors import ExponentNotInteger, MissingEquals, MultipleEquals, ParseError
 from .expr import (
-    Expr, ImagPart, Negate, Power, Product, RationalConst, RealPart,
+    I_UNIT, OMEGA, Expr, ImagPart, Negate, Power, Product, RationalConst, RealPart,
     RootOfUnity, SpecializeQ, Sum, ThetaCall, Var, product_of, sum_of,
 )
 
@@ -82,6 +82,8 @@ def tokenize(text: str) -> list[Token]:
 
 
 _CALLS = {"Re": RealPart, "Im": ImagPart, "specq": SpecializeQ}
+_NAMED_ROOTS = {"i": I_UNIT, "omega": OMEGA}
+_ROOT_NAMES = {root: name for name, root in _NAMED_ROOTS.items()}
 
 # Deepest nesting of parenthesized subexpressions (including f(...), Re(...)
 # and the like). Parsing, evaluation and printing all recurse once or more per
@@ -161,19 +163,20 @@ class _Parser:
                 {"integer"},
             )
         self.advance()
-        return sign * int(tok.text)
+        return sign * _int(tok)
 
     def atom(self) -> Expr:
         tok = self.peek()
         if tok.kind == "integer":
             self.advance()
-            num = int(tok.text)
+            num = _int(tok)
             if self.peek().kind == "slash":
                 self.advance()
                 den_tok = self.expect("integer")
-                if int(den_tok.text) == 0:
+                den = _int(den_tok)
+                if den == 0:
                     raise ParseError("zero denominator", den_tok.offset)
-                return RationalConst(Fraction(num, int(den_tok.text)))
+                return RationalConst(Fraction(num, den))
             return RationalConst(Fraction(num))
         if tok.kind == "lparen":
             self.advance()
@@ -191,19 +194,18 @@ class _Parser:
         name = tok.text
         if name in ("a", "b", "q"):
             return Var(name)
-        if name == "i":
-            return RootOfUnity(4, 1)
-        if name == "omega":
-            return RootOfUnity(3, 1)
+        if name in _NAMED_ROOTS:
+            return _NAMED_ROOTS[name]
         if name == "zeta":
             self.expect("lparen")
             m_tok = self.expect("integer")
-            if int(m_tok.text) < 1:
+            m = _int(m_tok)
+            if m < 1:
                 raise ParseError("root order must be >= 1", m_tok.offset)
             self.expect("comma")
-            e_tok = self.expect("integer")
+            e = _int(self.expect("integer"))
             self.expect("rparen")
-            return RootOfUnity(int(m_tok.text), int(e_tok.text))
+            return RootOfUnity(m, e)
         if name == "f":
             self.expect("lparen")
             first = self.expr()
@@ -221,6 +223,17 @@ class _Parser:
             tok.offset,
             {"a", "b", "q", "i", "omega", "zeta", "f", "Re", "Im", "specq"},
         )
+
+
+def _int(tok: Token) -> int:
+    # the tokenizer takes every str.isdigit() character, some of which int()
+    # rejects (such as "²"), and int() rejects more than
+    # sys.get_int_max_str_digits() digits
+    try:
+        return int(tok.text)
+    except ValueError:
+        what = "has too many digits" if tok.text.isdecimal() else "is not decimal"
+        raise ParseError("integer literal %s" % what, tok.offset) from None
 
 
 def _describe(tok: Token) -> str:
@@ -317,11 +330,7 @@ def _render(node: Expr, min_level: int) -> str:
     if isinstance(node, Var):
         return node.name
     if isinstance(node, RootOfUnity):
-        if (node.order, node.exponent) == (4, 1):
-            return "i"
-        if (node.order, node.exponent) == (3, 1):
-            return "omega"
-        return "zeta(%d,%d)" % (node.order, node.exponent)
+        return _ROOT_NAMES.get(node) or "zeta(%d,%d)" % (node.order, node.exponent)
     if isinstance(node, RationalConst):
         return str(node.value)
     raise TypeError("not an expression node: %r" % (node,))

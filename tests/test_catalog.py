@@ -7,6 +7,7 @@ from thetadissect.catalog import (
     Identity, builtin_catalog, catalog_by_name, evaluate, fold_scaled_monomial,
     get_identity, make_identity, summarize, verify_identity,
 )
+from thetadissect.cli import DEFAULT_DEGREE
 from thetadissect.cyclotomic import zeta_power
 from thetadissect.errors import (
     NonConvergent, NonInvertible, NonMonomialArgument, OrderNotDivisibleBy4,
@@ -97,8 +98,7 @@ def test_catalog_orders_are_lcms_of_root_orders():
 
 def test_every_entry_verifies_at_its_default_degree():
     for identity in builtin_catalog():
-        assert identity.default_degree >= 40
-        report = verify_identity(identity, identity.default_degree)
+        report = verify_identity(identity, DEFAULT_DEGREE)
         assert report.status == "verified", (identity.name, report)
 
 

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from thetadissect.catalog import builtin_catalog
 from thetadissect.cli import main
 from thetadissect.exprlang import print_expr
@@ -233,3 +235,36 @@ def test_verify_identity_with_leading_minus(capsys):
     assert capsys.readouterr().out.startswith("user: verified (degree 2,")
     assert main(["verify", "-f(a,b)=-1-a", "--degree", "2"]) == 1
     assert capsys.readouterr().out.startswith("user: failed at b (lhs -1, rhs 0;")
+
+
+def test_order_is_rejected_where_it_is_not_read():
+    for args in (("catalog", "entry7", "--order", "5"), ("dissect", "--m", "2", "--order", "7")):
+        proc = run_cli(*args)
+        assert proc.returncode == 2, args
+        assert proc.stdout == ""
+        assert "unrecognized arguments: --order" in proc.stderr
+
+
+def test_non_decimal_digit_exits_2():
+    proc = run_cli("expand", "a^²")
+    assert proc.returncode == 2
+    assert proc.stderr == "parse error: integer literal is not decimal at offset 2\n"
+
+
+def test_over_long_integer_literal_exits_2():
+    proc = run_cli("expand", "1" * 5000)
+    assert proc.returncode == 2
+    assert proc.stderr == "parse error: integer literal has too many digits at offset 0\n"
+
+
+def test_usage_error_leaves_the_shared_parser_as_fresh(capsys):
+    good = ("dissect", "--m", "3", "--k", "1", "--degree", "12")
+    fresh = run_cli(*good)
+    for bad in (["catalog", "entry7", "--order", "5"], ["dissect", "--k", "1"],
+                ["expand", "f(a,b)", "--format", "xml"], ["verify"]):
+        with pytest.raises(SystemExit) as info:
+            main(bad)
+        assert info.value.code == 2, bad
+        capsys.readouterr()
+        assert main(list(good)) == fresh.returncode == 0
+        assert capsys.readouterr() == (fresh.stdout, fresh.stderr), bad

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from thetadissect.errors import (
 )
 from thetadissect.expr import (
     ImagPart, Negate, Power, Product, RationalConst, RealPart, RootOfUnity,
-    SpecializeQ, Sum, ThetaCall, Var,
+    SpecializeQ, Sum, ThetaCall, Var, required_order,
 )
 from thetadissect.exprlang import (
     parse_expr, parse_identity, print_expr, print_identity, tokenize,
@@ -169,3 +170,69 @@ def test_roundtrip_random_asts(ast):
 def test_print_is_stable_after_one_parse(ast):
     text = print_expr(ast)
     assert print_expr(parse_expr(text)) == text
+
+
+def _orders_by_recursion(node):
+    """Every root order in the tree, and 4 under Re/Im: the reference for
+    required_order, which walks the tree once without recursion."""
+    if isinstance(node, RootOfUnity):
+        return {node.order}
+    children = {
+        Sum: lambda n: n.items, Product: lambda n: n.items,
+        Power: lambda n: (n.base,), ThetaCall: lambda n: (n.first, n.second),
+        Negate: lambda n: (n.item,), SpecializeQ: lambda n: (n.item,),
+        RealPart: lambda n: (n.item,), ImagPart: lambda n: (n.item,),
+    }.get(type(node), lambda n: ())(node)
+    found = {4} if isinstance(node, (RealPart, ImagPart)) else set()
+    for child in children:
+        found |= _orders_by_recursion(child)
+    return found
+
+
+@given(ast_exprs, ast_exprs)
+@settings(max_examples=200, deadline=None)
+def test_required_order_is_lcm_of_orders(lhs, rhs):
+    expected = math.lcm(1, *_orders_by_recursion(lhs), *_orders_by_recursion(rhs))
+    assert required_order(lhs, rhs) == expected
+
+
+# --- arbitrary text -------------------------------------------------------------
+
+# The grammar's own characters, digits int() does not read, and a few others,
+# so that generated text often gets past the tokenizer.
+_GRAMMAR_TEXT = st.text(
+    alphabet="ab qfiomegztRIspc()=,+-*/^0123456789\u00b2\u0663\u00e9\t", max_size=40)
+
+
+@given(st.one_of(st.text(max_size=40), _GRAMMAR_TEXT))
+@settings(max_examples=400, deadline=None)
+def test_parsing_arbitrary_text_returns_or_raises_parse_error(text):
+    for parse in (parse_expr, parse_identity):
+        try:
+            parse(text)
+        except ParseError:
+            pass
+
+
+@pytest.mark.parametrize("text, offset", [
+    ("a^\u00b2", 2),
+    ("\u00b2/3", 0),
+    ("1/\u00b2", 2),
+    ("zeta(\u00b9,1)", 5),
+    ("zeta(3,\u00b2)", 7),
+])
+def test_non_decimal_digits_are_parse_errors(text, offset):
+    with pytest.raises(ParseError) as info:
+        parse_expr(text)
+    assert info.value.offset == offset
+    assert "not decimal" in str(info.value)
+
+
+@pytest.mark.parametrize("template", ["{}", "a^{}", "1/{}", "zeta({},1)", "zeta(3,{})"])
+def test_over_long_integer_literals_are_parse_errors(template):
+    with pytest.raises(ParseError, match="too many digits"):
+        parse_expr(template.format("1" * 5000))
+
+
+def test_decimal_digits_of_other_scripts_read_as_integers():
+    assert parse_expr("\u0663*a") == Product((RationalConst(Fraction(3)), A))
