@@ -71,10 +71,7 @@ def evaluate(node: Expr, degree: int, order: int) -> LaurentSeries:
     """Evaluate to a series exact through at least `degree` (catalog shapes);
     the result's validity field carries the honest bound either way."""
     if isinstance(node, Sum):
-        result = evaluate(node.items[0], degree, order)
-        for item in node.items[1:]:
-            result = result + evaluate(item, degree, order)
-        return result
+        return LaurentSeries.sum([evaluate(item, degree, order) for item in node.items])
     if isinstance(node, Product):
         folded: list[ScaledMonomial] = []
         series_items: list[Expr] = []

@@ -16,6 +16,7 @@ from fractions import Fraction
 from .errors import IncompatibleOrders, OrderMismatch, OrderNotDivisibleBy4
 
 
+@functools.lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     """Euler's totient, by trial-division factorization (n stays small here)."""
     if n < 1:
@@ -148,16 +149,31 @@ def _reduction_rows(order: int) -> tuple[tuple[int, ...], ...]:
 _ZERO = Fraction(0)
 
 
-def _combine(order: int, values, step: int = 1) -> "CycloNum":
-    """The sum of values[j] * zeta_order^(j*step), in the power basis."""
+def reduce_powers(order: int, values, zero, step: int = 1) -> list:
+    """Power-basis coefficients of the sum of values[j] * zeta_order^(j*step).
+
+    The values may be ints or Fractions; zero is the start of each sum. Row
+    j*step mod order of the reduction table expands that power; a row below
+    phi(order) is a unit vector, so its value is added straight in.
+    """
     rows = _reduction_rows(order)
-    out = [_ZERO] * len(rows[0])
+    phi = len(rows[0])
+    out = [zero] * phi
     for j, c in enumerate(values):
         if c:
-            for i, v in enumerate(rows[j * step % order]):
-                if v:
-                    out[i] += c * v
-    return CycloNum(order, tuple(out))
+            idx = j * step % order
+            if idx < phi:
+                out[idx] += c
+            else:
+                for i, v in enumerate(rows[idx]):
+                    if v:
+                        out[i] += c * v
+    return out
+
+
+def _combine(order: int, values, step: int = 1) -> "CycloNum":
+    """The sum of values[j] * zeta_order^(j*step), as an element of Q(zeta_order)."""
+    return CycloNum(order, tuple(reduce_powers(order, values, _ZERO, step)))
 
 
 @dataclass(frozen=True)

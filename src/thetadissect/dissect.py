@@ -110,8 +110,8 @@ def transform_rhs(m: int, zeta_exponent: int, bound: int) -> LaurentSeries:
     """Sum over k of zeta^(k^2) times the closed form of S_k, in Q(zeta_m)."""
     if m < 1:
         raise ValueError("modulus m must be >= 1")
-    total = LaurentSeries.zero(bound, m)
-    for k in range(m):
-        piece = dissect_closed(DissectionSpec(m, k), bound).embed(m)
-        total = total + piece.scale(ScaledMonomial(1, zeta_exponent * k * k, m, Monomial(0, 0)))
-    return total
+    return LaurentSeries.sum([
+        dissect_closed(DissectionSpec(m, k), bound).embed(m)
+        .scale(ScaledMonomial(1, zeta_exponent * k * k, m, Monomial(0, 0)))
+        for k in range(m)
+    ])

@@ -9,14 +9,26 @@ past it. This is what keeps products involving negative-degree monomials
 Term order everywhere (rendering, mismatch reports) is total degree ascending,
 then a-exponent descending, matching the usual way theta expansions are
 written: 1 + a + b + a^3*b + a*b^3 + ...
+
+Products run on integers. Each operand becomes integer power-basis vectors
+over one positive common denominator, keeping only the terms that can reach
+the product's validity bound. Dense operands are multiplied by Kronecker
+substitution: every entry of a^p*b^q*zeta^j becomes one fixed-width digit of
+a Python int, and one big-int multiply forms all the convolutions at once.
+Sparse operands are convolved pair by pair in a dict. The choice compares the
+bytes of the packed product with the pairs of terms the sparse path would
+visit (`_PACKED_BYTES_PER_PAIR`). Each convolution is then reduced modulo
+Phi_L on the rows `CycloNum` uses, and each output coefficient is built once
+as a Fraction over the product of the two denominators.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .cyclotomic import CycloNum, zeta_power
+from .cyclotomic import CycloNum, reduce_powers, zeta_power
 from .errors import EmptySeries, OrderMismatch, ValidityExceeded
 
 
@@ -173,11 +185,18 @@ class LaurentSeries:
 
     # -- ring operations -------------------------------------------------------
 
+    @staticmethod
+    def sum(items: Sequence["LaurentSeries"]) -> "LaurentSeries":
+        """The sum of one or more series, normalized once; its validity is the
+        least of theirs."""
+        first = items[0]
+        for other in items[1:]:
+            first._check_order(other)
+        entries = [term for s in items for term in s.terms.items()]
+        return LaurentSeries.make(entries, min(s.validity for s in items), first.order)
+
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        self._check_order(other)
-        validity = min(self.validity, other.validity)
-        entries = list(self.terms.items()) + list(other.terms.items())
-        return LaurentSeries.make(entries, validity, self.order)
+        return LaurentSeries.sum((self, other))
 
     def __neg__(self) -> "LaurentSeries":
         return LaurentSeries({m: -c for m, c in self.terms.items()}, self.validity, self.order)
@@ -195,19 +214,13 @@ class LaurentSeries:
             self.validity + other._known_min_degree(),
             other.validity + self._known_min_degree(),
         )
-        acc: dict[Monomial, CycloNum] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = m1 * m2
-                if mono.total_degree > validity:
-                    continue
-                prod = c1 * c2
-                if mono in acc:
-                    acc[mono] = acc[mono] + prod
-                else:
-                    acc[mono] = prod
-        pruned = {m: c for m, c in acc.items() if not c.is_zero()}
-        return LaurentSeries(pruned, validity, self.order)
+        if not self.terms or not other.terms:
+            return LaurentSeries({}, validity, self.order)
+        xs, x_den = _integer_rows(self.terms, validity - other.min_total_degree())
+        ys, y_den = _integer_rows(other.terms, validity - self.min_total_degree())
+        convolve = _kronecker_convolution if _is_dense(xs, ys) else _sparse_convolution
+        terms = _reduced_terms(convolve(xs, ys, validity), x_den * y_den, self.order)
+        return LaurentSeries(terms, validity, self.order)
 
     def scale(self, s: ScaledMonomial) -> "LaurentSeries":
         """Multiply by a single scaled monomial; validity rises with its degree."""
@@ -291,6 +304,166 @@ class LaurentSeries:
 
     def __str__(self) -> str:
         return self.render()
+
+
+# -- the product kernel ---------------------------------------------------------
+#
+# A row is (p, q, numerators): the term a^p*b^q with its power-basis vector
+# scaled by the common denominator of its operand. A convolution maps (p, q)
+# to the unreduced vector of length 2*phi - 1 whose entry j multiplies zeta^j.
+
+_ZERO = Fraction(0)
+
+# Kronecker substitution is taken when the packed product holds at most this
+# many bytes per pair of terms and basis element. Its cost is one CPython
+# big-int multiply, which grows faster than the bytes (Karatsuba), plus a
+# decode; a pair on the sparse path costs a dict update and up to phi^2
+# integer products. Timed on CPython 3.11, the packed path won on every
+# product of f(q,q)^k and specq(f(a,b)^k) at or below 0.57 bytes per pair,
+# by up to 3x, and lost on the triple product's bivariate factors from 0.61
+# up, by 2x on the 817,216-pair product at degree 200. The bound also caps
+# the packed buffer at a fixed multiple of the work the sparse path would do.
+_PACKED_BYTES_PER_PAIR = 0.5
+
+
+def _integer_rows(terms: dict, through: int) -> tuple[list, int]:
+    """The terms of total degree <= through as rows over one positive common
+    denominator, and that denominator."""
+    kept = [(m, c.coeffs) for m, c in terms.items() if m.p + m.q <= through]
+    den = math.lcm(*{x.denominator for _, coeffs in kept for x in coeffs})
+    rows = [(m.p, m.q, tuple(x.numerator * (den // x.denominator) for x in coeffs))
+            for m, coeffs in kept]
+    return rows, den
+
+
+def _spans(rows: list) -> tuple[int, int, int, int]:
+    """Least and greatest total degree, least and greatest b-exponent."""
+    degrees = [p + q for p, q, _ in rows]
+    qs = [q for _, q, _ in rows]
+    return min(degrees), max(degrees), min(qs), max(qs)
+
+
+def _packing(xs: list, ys: list) -> tuple[int, int, int]:
+    """The b-exponent span, the bytes per slot and the slot count of the
+    packed product of two nonempty row lists."""
+    phi = len(xs[0][2])
+    dx0, dx1, qx0, qx1 = _spans(xs)
+    dy0, dy1, qy0, qy1 = _spans(ys)
+    q_span = qx1 + qy1 - qx0 - qy0 + 1
+    # a slot of the product sums at most min(n1, n2) * phi products of
+    # entries; 8*size - 1 bits hold that bound and one more bit the sign
+    largest = (max(abs(c) for _, _, v in xs for c in v)
+               * max(abs(c) for _, _, v in ys for c in v))
+    size = (min(len(xs), len(ys)) * phi * largest).bit_length() // 8 + 1
+    return q_span, size, (dx1 + dy1 - dx0 - dy0 + 1) * q_span * (2 * phi - 1)
+
+
+def _is_dense(xs: list, ys: list) -> bool:
+    _, size, slots = _packing(xs, ys)
+    return slots * size <= _PACKED_BYTES_PER_PAIR * len(xs) * len(ys) * len(xs[0][2])
+
+
+def _sparse_convolution(xs: list, ys: list, validity: int) -> dict:
+    """The convolution by pairwise products of the nonzero entries."""
+    if not xs or not ys:
+        return {}
+    width = 2 * len(xs[0][2]) - 1
+    right = [(p, q, p + q, [(j, c) for j, c in enumerate(v) if c]) for p, q, v in ys]
+    acc: dict[tuple[int, int], list[int]] = {}
+    for p1, q1, v1 in xs:
+        left = [(i, c) for i, c in enumerate(v1) if c]
+        room = validity - p1 - q1
+        for p2, q2, d2, nonzero in right:
+            if d2 > room:
+                continue
+            key = (p1 + p2, q1 + q2)
+            conv = acc.get(key)
+            if conv is None:
+                conv = acc[key] = [0] * width
+            for i, a in left:
+                for j, b in nonzero:
+                    conv[i + j] += a * b
+    return acc
+
+
+def _pack(rows: list, d0: int, q0: int, q_span: int, width: int, size: int) -> int:
+    """sum of c * 2^(8*size*slot) over the entries c of rows, where the entry j
+    of a^p*b^q sits in slot ((p + q - d0) * q_span + q - q0) * width + j."""
+    cells = max((p + q - d0) * q_span + q - q0 for p, q, _ in rows) + 1
+    positive = bytearray(cells * width * size)
+    negative = bytearray(cells * width * size)
+    for p, q, v in rows:
+        at = ((p + q - d0) * q_span + q - q0) * width * size
+        for c in v:
+            if c > 0:
+                positive[at:at + size] = c.to_bytes(size, "little")
+            elif c < 0:
+                negative[at:at + size] = (-c).to_bytes(size, "little")
+            at += size
+    return int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
+
+
+def _kronecker_convolution(xs: list, ys: list, validity: int) -> dict:
+    """The convolution from one big-int product (Kronecker substitution).
+
+    Each operand is packed in slots of `size` bytes, indexed by total degree,
+    then b-exponent, then power of zeta, so that exponents add when the two
+    integers multiply. Adding 2^(8*size - 1) to every slot of the product
+    makes each digit nonnegative and below 2^(8*size), so no slot borrows
+    from the next, and each signed digit is read back exactly by subtracting
+    it again.
+    """
+    if not xs or not ys:
+        return {}
+    width = 2 * len(xs[0][2]) - 1
+    q_span, size, _ = _packing(xs, ys)
+    dx0, _, qx0, _ = _spans(xs)
+    dy0, _, qy0, _ = _spans(ys)
+    product = (_pack(xs, dx0, qx0, q_span, width, size)
+               * _pack(ys, dy0, qy0, q_span, width, size))
+    # only cells of total degree <= validity are read
+    cells = max(validity - dx0 - dy0 + 1, 0) * q_span
+    half = 1 << (8 * size - 1)
+    zero_slot = half.to_bytes(size, "little")
+    length = cells * width * size
+    bias = int.from_bytes(zero_slot * (cells * width), "little")
+    digits = ((product + bias) & ((1 << (8 * length)) - 1)).to_bytes(length, "little")
+    stride = width * size
+    empty_cell = zero_slot * width
+    acc = {}
+    for cell in range(cells):
+        at = cell * stride
+        if digits[at:at + stride] == empty_cell:
+            continue
+        d, q = divmod(cell, q_span)
+        q += qx0 + qy0
+        acc[(d + dx0 + dy0 - q, q)] = [int.from_bytes(digits[i:i + size], "little") - half
+                                       for i in range(at, at + stride, size)]
+    return acc
+
+
+class _Quotients(dict):
+    """x -> Fraction(x, den), each built once: dense products repeat values."""
+
+    def __init__(self, den: int):
+        super().__init__({0: _ZERO})
+        self.den = den
+
+    def __missing__(self, x: int) -> Fraction:
+        value = self[x] = Fraction(x, self.den)
+        return value
+
+
+def _reduced_terms(conv: dict, den: int, order: int) -> dict:
+    """Reduce each convolution modulo Phi_order and divide by den, dropping zeros."""
+    quotients = _Quotients(den)
+    terms = {}
+    for (p, q), values in conv.items():
+        # at phi = 1 a convolution has one entry and nothing to reduce
+        vec = values if len(values) == 1 else reduce_powers(order, values, 0)
+        if any(vec):
+            terms[Monomial(p, q)] = CycloNum(order, tuple([quotients[x] for x in vec]))
+    return terms
 
 
 def _render_term(mono: Monomial, coeff: CycloNum) -> tuple[bool, str]:

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_series
-from thetadissect.cyclotomic import CycloNum, zeta_power
+from thetadissect import laurent
+from thetadissect.cyclotomic import CycloNum, euler_phi, zeta_power
 from thetadissect.errors import EmptySeries, OrderMismatch, ValidityExceeded
 from thetadissect.laurent import LaurentSeries, Monomial, ScaledMonomial
 
@@ -204,3 +205,112 @@ def test_specialize_is_linear_and_multiplicative(x, y):
     prod_spec = (x * y).specialize_q()
     spec_prod = x.specialize_q() * y.specialize_q()
     assert prod_spec.equal_through(spec_prod, min(prod_spec.validity, spec_prod.validity))
+
+
+# --- the integer product kernel against the Fraction schoolbook product --------
+
+
+def schoolbook_terms(x, y, validity):
+    """The Fraction double loop the integer kernel replaced, kept as the reference."""
+    acc = {}
+    for m1, c1 in x.terms.items():
+        for m2, c2 in y.terms.items():
+            mono = m1 * m2
+            if mono.total_degree > validity:
+                continue
+            prod = c1 * c2
+            acc[mono] = acc[mono] + prod if mono in acc else prod
+    return {m: c for m, c in acc.items() if not c.is_zero()}
+
+
+def kernel_terms(convolve, x, y, validity):
+    """One middle of the kernel on every term of x and y, with the shared
+    front and back ends."""
+    everything = 10 ** 9
+    xs, x_den = laurent._integer_rows(x.terms, everything)
+    ys, y_den = laurent._integer_rows(y.terms, everything)
+    return laurent._reduced_terms(convolve(xs, ys, validity), x_den * y_den, x.order)
+
+
+# Orders with 2*phi - 1 > L (the primes >= 5, 9, 15) make the convolution
+# reach past zeta^(L-1), where reduction must index its rows by j mod L.
+_KERNEL_ORDERS = (1, 2, 3, 4, 5, 7, 8, 9, 12, 15)
+# numerators at the edges of the k-byte signed digits for the array widths
+# 1, 2, 4, 8, the rounded width 3 and the big-int width 9, their square
+# roots, and numbers near +-10^30
+_EDGES = [s * (2 ** (8 * k - 1) + d) for k in (1, 2, 3, 4, 8, 9) for d in (-1, 0, 1) for s in (1, -1)]
+_EDGES += [s * 2 ** (4 * k - 1) for k in (1, 2, 4, 8, 9) for s in (1, -1)]  # squares at the edges
+_numerators = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from(_EDGES),
+    st.integers(-3, 3).map(lambda d: 10 ** 30 + d),
+    st.integers(-3, 3).map(lambda d: -10 ** 30 + d),
+)
+_denominators = st.sampled_from((1, 1, 1, 2, 3, 7, 12, 10 ** 30 + 1))
+
+
+@st.composite
+def kernel_operands(draw):
+    order = draw(st.sampled_from(_KERNEL_ORDERS))
+    phi = euler_phi(order)
+
+    def operand():
+        entries = {}
+        for mono in draw(st.lists(st.tuples(st.integers(-4, 6), st.integers(-4, 6)),
+                                  max_size=8, unique=True)):
+            coeffs = tuple(Fraction(draw(_numerators), draw(_denominators))
+                           if draw(st.booleans()) else Fraction(0) for _ in range(phi))
+            entries[mono] = CycloNum(order, coeffs)
+        return make_series(entries, draw(st.integers(-6, 14)), order)
+
+    x, y = operand(), operand()
+    # from below every term (-9 < -4 + -4) to above every pair
+    return x, y, draw(st.integers(-9, 14))
+
+
+@given(kernel_operands())
+@settings(max_examples=200, deadline=None)
+def test_kernel_middles_match_schoolbook_product(case):
+    x, y, validity = case
+    expected = schoolbook_terms(x, y, validity)
+    assert kernel_terms(laurent._sparse_convolution, x, y, validity) == expected
+    assert kernel_terms(laurent._kronecker_convolution, x, y, validity) == expected
+
+
+@given(kernel_operands())
+@settings(max_examples=100, deadline=None)
+def test_mul_matches_schoolbook_product(case):
+    x, y, _ = case
+    prod = x * y
+    assert prod.terms == schoolbook_terms(x, y, prod.validity)
+
+
+def test_kronecker_digit_edges_are_exact():
+    def check(x, y):
+        assert kernel_terms(laurent._kronecker_convolution, x, y, 5) == schoolbook_terms(x, y, 5)
+
+    for k in (1, 2, 3, 4, 8, 9):
+        # one term each, phi = 1: the product's one digit is the bound itself
+        for c in (2 ** (8 * k - 1) - 1, 2 ** (8 * k - 1), 2 ** (8 * k - 1) + 1):
+            for sign in (1, -1):
+                x = make_series({(1, 0): sign * c}, 5)
+                check(x, make_series({(0, 1): 1}, 5))
+                check(x, make_series({(0, 1): -1, (0, 2): 3}, 5))
+        # (c + c*a)^2: the digit of a is 2*c^2 = 2^(8k - 1), one past k bytes,
+        # so the slot must count the two products that meet in it
+        for sign in (1, -1):
+            c = sign * 2 ** (4 * k - 1)
+            x = make_series({(0, 0): c, (1, 0): c}, 5)
+            check(x, x)
+            check(x, -x)
+
+
+def test_kernel_density_rule():
+    # f(q,q)^2-like univariate operands pack densely; a sparse high-degree
+    # theta sum does not
+    dense = make_series({(n, 0): n % 5 + 1 for n in range(40)}, 40)
+    xs, _ = laurent._integer_rows(dense.terms, 40)
+    assert laurent._is_dense(xs, xs)
+    sparse = make_series({(n * (n + 1) // 2, n * (n - 1) // 2): 1 for n in range(-20, 21)}, 400)
+    ys, _ = laurent._integer_rows(sparse.terms, 400)
+    assert not laurent._is_dense(ys, ys)

@@ -77,6 +77,11 @@ def test_triple_product_matches_theta_at_9():
     assert triple_product_rhs(args, 9) == theta_expand(args, 9)
 
 
+def test_triple_product_matches_theta_at_200():
+    args = plain_theta_args()
+    assert triple_product_rhs(args, 200) == theta_expand(args, 200)
+
+
 def test_triple_product_matches_theta_scaled_args_16():
     args = args_of(1, 3, 1, 1, 1, 3)
     lhs = theta_expand(args, 16)
