@@ -12,6 +12,7 @@ modulus-m transformation identities for m = 2..8.
 from __future__ import annotations
 
 import functools
+import itertools
 import time
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -85,9 +86,7 @@ def evaluate(node: Expr, degree: int, order: int) -> LaurentSeries:
             prefix = s if prefix is None else prefix * s
         if not series_items:
             return _monomial_series(prefix, degree)
-        result = evaluate(series_items[0], degree, order)
-        for item in series_items[1:]:
-            result = result * evaluate(item, degree, order)
+        result = LaurentSeries.product([evaluate(item, degree, order) for item in series_items])
         if prefix is not None:
             result = result.scale(prefix)
         return result
@@ -100,11 +99,8 @@ def evaluate(node: Expr, degree: int, order: int) -> LaurentSeries:
             raise NonInvertible("negative power needs a monomial base")
         if node.exponent == 0:
             return LaurentSeries.one(degree, order)
-        base = evaluate(node.base, degree, order)
-        result = base
-        for _ in range(node.exponent - 1):
-            result = result * base
-        return result
+        return LaurentSeries.product(itertools.repeat(evaluate(node.base, degree, order),
+                                                      node.exponent))
     if isinstance(node, ThetaCall):
         args = ThetaArgs(
             fold_scaled_monomial(node.first, order),

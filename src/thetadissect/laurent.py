@@ -19,10 +19,15 @@ Sparse operands are convolved pair by pair in a dict. The choice compares the
 bytes of the packed product with the pairs of terms the sparse path would
 visit (`_PACKED_BYTES_PER_PAIR`). Each convolution is then reduced modulo
 Phi_L on the rows `CycloNum` uses, and each output coefficient is built once
-as a Fraction over the product of the two denominators.
+as a Fraction over the product of the two denominators. A chain of products
+(`LaurentSeries.product`: Pochhammer ladders, powers, products) keeps the
+running product in integer rows between steps, cut to each step's bound and
+over its least denominator, so each operand is converted once and Fractions
+are built once, at the end.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -208,19 +213,41 @@ class LaurentSeries:
         # an empty series may still hide terms of degree validity + 1 and up
         return self.min_total_degree() if self.terms else self.validity + 1
 
+    @staticmethod
+    def product(items: Iterable["LaurentSeries"]) -> "LaurentSeries":
+        """The product of one or more series, multiplied left to right.
+
+        Each step applies the binary validity rule: the running product
+        (validity V, least degree m) times a series (V', m') is exact through
+        min(V + m', V' + m), an empty series counting from its validity + 1.
+        Between steps the running product stays as integer rows over one
+        denominator, so each operand is converted once and coefficients are
+        built once, at the end. Items are read one at a time, so a power may
+        pass `itertools.repeat`.
+        """
+        items = iter(items)
+        first = next(items)
+        second = next(items, None)
+        if second is None:
+            return first
+        order = first.order
+        validity = first.validity
+        rows, den = _integer_rows(first.terms, validity)
+        for other in itertools.chain((second,), items):
+            first._check_order(other)
+            low = min(p + q for p, q, _ in rows) if rows else validity + 1
+            validity = min(validity + other._known_min_degree(), other.validity + low)
+            if not rows or not other.terms:
+                rows, den = [], 1
+                continue
+            xs, x_den = _truncated_rows(rows, den, validity - other.min_total_degree())
+            ys, y_den = _integer_rows(other.terms, validity - low)
+            convolve = _kronecker_convolution if _is_dense(xs, ys) else _sparse_convolution
+            rows, den = _reduced_rows(convolve(xs, ys, validity), order), x_den * y_den
+        return LaurentSeries(_fraction_terms(rows, den, order), validity, order)
+
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
-        self._check_order(other)
-        validity = min(
-            self.validity + other._known_min_degree(),
-            other.validity + self._known_min_degree(),
-        )
-        if not self.terms or not other.terms:
-            return LaurentSeries({}, validity, self.order)
-        xs, x_den = _integer_rows(self.terms, validity - other.min_total_degree())
-        ys, y_den = _integer_rows(other.terms, validity - self.min_total_degree())
-        convolve = _kronecker_convolution if _is_dense(xs, ys) else _sparse_convolution
-        terms = _reduced_terms(convolve(xs, ys, validity), x_den * y_den, self.order)
-        return LaurentSeries(terms, validity, self.order)
+        return LaurentSeries.product((self, other))
 
     def scale(self, s: ScaledMonomial) -> "LaurentSeries":
         """Multiply by a single scaled monomial; validity rises with its degree."""
@@ -334,6 +361,17 @@ def _integer_rows(terms: dict, through: int) -> tuple[list, int]:
     rows = [(m.p, m.q, tuple(x.numerator * (den // x.denominator) for x in coeffs))
             for m, coeffs in kept]
     return rows, den
+
+
+def _truncated_rows(rows: list, den: int, through: int) -> tuple[list, int]:
+    """The rows of total degree <= through over the least denominator: what
+    `_integer_rows` builds from the same values as Fractions, since the
+    least common denominator of the fractions x/den is den / gcd(den, x, ...)."""
+    kept = [row for row in rows if row[0] + row[1] <= through]
+    g = math.gcd(den, *(x for _, _, v in kept for x in v))
+    if g == 1:
+        return kept, den
+    return [(p, q, tuple(x // g for x in v)) for p, q, v in kept], den // g
 
 
 def _spans(rows: list) -> tuple[int, int, int, int]:
@@ -454,16 +492,22 @@ class _Quotients(dict):
         return value
 
 
-def _reduced_terms(conv: dict, den: int, order: int) -> dict:
-    """Reduce each convolution modulo Phi_order and divide by den, dropping zeros."""
-    quotients = _Quotients(den)
-    terms = {}
+def _reduced_rows(conv: dict, order: int) -> list:
+    """Reduce each convolution modulo Phi_order, dropping zeros."""
+    rows = []
     for (p, q), values in conv.items():
         # at phi = 1 a convolution has one entry and nothing to reduce
         vec = values if len(values) == 1 else reduce_powers(order, values, 0)
         if any(vec):
-            terms[Monomial(p, q)] = CycloNum(order, tuple([quotients[x] for x in vec]))
-    return terms
+            rows.append((p, q, tuple(vec)))
+    return rows
+
+
+def _fraction_terms(rows: list, den: int, order: int) -> dict:
+    """The series terms of nonzero rows over den."""
+    quotients = _Quotients(den)
+    return {Monomial(p, q): CycloNum(order, tuple([quotients[x] for x in v]))
+            for p, q, v in rows}
 
 
 def _render_term(mono: Monomial, coeff: CycloNum) -> tuple[bool, str]:

@@ -110,15 +110,15 @@ def pochhammer_expand(x: ScaledMonomial, qq: ScaledMonomial, bound: int) -> Laur
     if x.order != qq.order:
         raise OrderMismatch("Pochhammer coefficient orders differ")
     order = x.order
-    result = LaurentSeries.one(bound, order)
+    # one(bound) first: it sets the validity the product starts from
+    factors = [LaurentSeries.one(bound, order)]
     term = x
     while term.total_degree <= bound:
-        factor = LaurentSeries.make(
+        factors.append(LaurentSeries.make(
             [(Monomial(0, 0), CycloNum.one(order)), (term.mono, -term.coeff)], bound, order
-        )
-        result = result * factor
+        ))
         term = term * qq
-    return result
+    return LaurentSeries.product(factors)
 
 
 def triple_product_rhs(args: ThetaArgs, bound: int) -> LaurentSeries:
@@ -134,4 +134,4 @@ def triple_product_rhs(args: ThetaArgs, bound: int) -> LaurentSeries:
     p1 = pochhammer_expand(-x, xy, bound)
     p2 = pochhammer_expand(-y, xy, bound)
     p3 = pochhammer_expand(xy, xy, bound)
-    return p1 * p2 * p3
+    return LaurentSeries.product((p1, p2, p3))

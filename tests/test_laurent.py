@@ -1,9 +1,10 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_series
+from conftest import known_min_degree, make_series, schoolbook_fold, schoolbook_terms
 from thetadissect import laurent
 from thetadissect.cyclotomic import CycloNum, euler_phi, zeta_power
 from thetadissect.errors import EmptySeries, OrderMismatch, ValidityExceeded
@@ -210,26 +211,14 @@ def test_specialize_is_linear_and_multiplicative(x, y):
 # --- the integer product kernel against the Fraction schoolbook product --------
 
 
-def schoolbook_terms(x, y, validity):
-    """The Fraction double loop the integer kernel replaced, kept as the reference."""
-    acc = {}
-    for m1, c1 in x.terms.items():
-        for m2, c2 in y.terms.items():
-            mono = m1 * m2
-            if mono.total_degree > validity:
-                continue
-            prod = c1 * c2
-            acc[mono] = acc[mono] + prod if mono in acc else prod
-    return {m: c for m, c in acc.items() if not c.is_zero()}
-
-
 def kernel_terms(convolve, x, y, validity):
     """One middle of the kernel on every term of x and y, with the shared
     front and back ends."""
     everything = 10 ** 9
     xs, x_den = laurent._integer_rows(x.terms, everything)
     ys, y_den = laurent._integer_rows(y.terms, everything)
-    return laurent._reduced_terms(convolve(xs, ys, validity), x_den * y_den, x.order)
+    rows = laurent._reduced_rows(convolve(xs, ys, validity), x.order)
+    return laurent._fraction_terms(rows, x_den * y_den, x.order)
 
 
 # Orders with 2*phi - 1 > L (the primes >= 5, 9, 15) make the convolution
@@ -249,23 +238,35 @@ _numerators = st.one_of(
 _denominators = st.sampled_from((1, 1, 1, 2, 3, 7, 12, 10 ** 30 + 1))
 
 
+def _draw_operand(draw, order, exponents, validities):
+    entries = {}
+    for mono in draw(st.lists(st.tuples(exponents, exponents), max_size=8, unique=True)):
+        coeffs = tuple(Fraction(draw(_numerators), draw(_denominators))
+                       if draw(st.booleans()) else Fraction(0) for _ in range(euler_phi(order)))
+        entries[mono] = CycloNum(order, coeffs)
+    return make_series(entries, draw(validities), order)
+
+
 @st.composite
 def kernel_operands(draw):
     order = draw(st.sampled_from(_KERNEL_ORDERS))
-    phi = euler_phi(order)
-
-    def operand():
-        entries = {}
-        for mono in draw(st.lists(st.tuples(st.integers(-4, 6), st.integers(-4, 6)),
-                                  max_size=8, unique=True)):
-            coeffs = tuple(Fraction(draw(_numerators), draw(_denominators))
-                           if draw(st.booleans()) else Fraction(0) for _ in range(phi))
-            entries[mono] = CycloNum(order, coeffs)
-        return make_series(entries, draw(st.integers(-6, 14)), order)
-
-    x, y = operand(), operand()
+    x, y = (_draw_operand(draw, order, st.integers(-4, 6), st.integers(-6, 14)) for _ in range(2))
     # from below every term (-9 < -4 + -4) to above every pair
     return x, y, draw(st.integers(-9, 14))
+
+
+@st.composite
+def chains(draw):
+    """1 to 5 operands over one order: empty ones, negative exponents, and
+    ones whose terms all lie at degree 10 or more, above most running bounds."""
+    order = draw(st.sampled_from(_KERNEL_ORDERS))
+    chain = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            chain.append(_draw_operand(draw, order, st.integers(-4, 6), st.integers(-6, 14)))
+        else:
+            chain.append(_draw_operand(draw, order, st.integers(5, 9), st.integers(10, 20)))
+    return chain
 
 
 @given(kernel_operands())
@@ -283,6 +284,44 @@ def test_mul_matches_schoolbook_product(case):
     x, y, _ = case
     prod = x * y
     assert prod.terms == schoolbook_terms(x, y, prod.validity)
+
+
+@given(chains())
+@settings(max_examples=150, deadline=None)
+def test_product_matches_schoolbook_fold(chain):
+    partials = schoolbook_fold(chain)
+    # each step hands the density rule the rows `_integer_rows` builds from the
+    # Fraction partial product: cut at the step's bound, over the least
+    # common denominator
+    expected = []
+    for acc, other, step in zip(partials, chain[1:], partials[1:]):
+        if acc.terms and other.terms:
+            xs, _ = laurent._integer_rows(acc.terms, step.validity - known_min_degree(other))
+            ys, _ = laurent._integer_rows(other.terms, step.validity - known_min_degree(acc))
+            expected.append((sorted(xs), sorted(ys)))
+    seen = []
+    is_dense = laurent._is_dense
+
+    def density_rule(xs, ys):
+        seen.append((sorted(xs), sorted(ys)))
+        return is_dense(xs, ys)
+
+    with mock.patch.object(laurent, "_is_dense", density_rule):
+        prod = LaurentSeries.product(chain)
+    assert prod.validity == partials[-1].validity
+    assert prod.terms == partials[-1].terms
+    assert seen == expected
+
+
+def test_product_of_one_series_is_itself():
+    x = make_series({(0, 0): 1, (-1, 2): Fraction(1, 3)}, 4)
+    assert LaurentSeries.product([x]) is x
+
+
+def test_product_order_mismatch():
+    with pytest.raises(OrderMismatch):
+        LaurentSeries.product([LaurentSeries.one(3, 3), LaurentSeries.one(3, 3),
+                               LaurentSeries.one(3, 4)])
 
 
 def test_kronecker_digit_edges_are_exact():

@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_series, plain_theta_args
+from conftest import make_series, plain_theta_args, schoolbook_fold
 from thetadissect.cyclotomic import zeta_power
 from thetadissect.errors import NonConvergent
-from thetadissect.laurent import ScaledMonomial
+from thetadissect.laurent import LaurentSeries, Monomial, ScaledMonomial
 from thetadissect.theta import (
     ThetaArgs, pochhammer_expand, term_degree, theta_expand, theta_index_range,
     triple_product_rhs,
@@ -67,6 +67,39 @@ def test_pochhammer_high_degree_argument_is_one():
     assert s == make_series({(0, 0): 1}, 5)
 
 
+def pochhammer_fold(x, qq, bound):
+    """(x; qq) through bound, one factor 1 - x*qq^k at a time on the
+    schoolbook product, starting from 1 exact through bound."""
+    factors = [LaurentSeries.one(bound, x.order)]
+    term = x
+    while term.total_degree <= bound:
+        factors.append(make_series({(0, 0): 1, (term.mono.p, term.mono.q): -term.coeff},
+                                   bound, x.order))
+        term = term * qq
+    return schoolbook_fold(factors)[-1]
+
+
+def test_pochhammer_negative_degree_argument():
+    # factors 1 - a^-1, 1 - b, 1 - a*b^2, 1 - a^2*b^3: the a^-1 lowers the
+    # bound to 5, and the first omitted factor, 1 - a^3*b^4, only touches
+    # degree 6 (a^-1 * a^3*b^4) and up
+    x, qq = ScaledMonomial.make(1, -1, 0), ScaledMonomial.make(1, 1, 1)
+    s = pochhammer_expand(x, qq, 6)
+    expected = pochhammer_fold(x, qq, 6)
+    assert s.validity == expected.validity == 5
+    assert s.terms == expected.terms
+
+
+def test_pochhammer_scaled_root_argument():
+    x = ScaledMonomial(Fraction(1, 2), 5, 12, Monomial(1, 0))  # 1/2 * zeta12^5 * a
+    qq = ScaledMonomial(1, 0, 12, Monomial(1, 1))
+    s = pochhammer_expand(x, qq, 12)
+    expected = pochhammer_fold(x, qq, 12)
+    assert s.validity == expected.validity == 12
+    assert s.terms == expected.terms
+    assert s.coefficient(Monomial(1, 0)) == -x.coeff
+
+
 def test_pochhammer_nonconvergent_ratio():
     with pytest.raises(NonConvergent):
         pochhammer_expand(ScaledMonomial.make(1, 1, 0), ScaledMonomial.make(1, 1, -1), 5)
@@ -77,9 +110,9 @@ def test_triple_product_matches_theta_at_9():
     assert triple_product_rhs(args, 9) == theta_expand(args, 9)
 
 
-def test_triple_product_matches_theta_at_200():
+def test_triple_product_matches_theta_at_300():
     args = plain_theta_args()
-    assert triple_product_rhs(args, 200) == theta_expand(args, 200)
+    assert triple_product_rhs(args, 300) == theta_expand(args, 300)
 
 
 def test_triple_product_matches_theta_scaled_args_16():
