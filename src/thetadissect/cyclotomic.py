@@ -1,15 +1,16 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_L).
 
 Elements are stored in the power basis 1, zeta, ..., zeta^(phi(L)-1) modulo the
-L-th cyclotomic polynomial, with Fraction coefficients. The representation is
-canonical, so equality is plain coefficient comparison and no normalization
-pass is ever needed. Floating point is deliberately absent from this module.
+L-th cyclotomic polynomial, as integer numerators over one denominator in
+lowest terms, so equality is plain comparison and no normalization pass is
+ever needed. Floating point is deliberately absent from this module.
 
 Only ring operations plus scaling by rationals are provided.
 """
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -146,19 +147,16 @@ def _reduction_rows(order: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-_ZERO = Fraction(0)
-
-
-def reduce_powers(order: int, values, zero, step: int = 1) -> list:
+def reduce_powers(order: int, values, step: int = 1) -> list[int]:
     """Power-basis coefficients of the sum of values[j] * zeta_order^(j*step).
 
-    The values may be ints or Fractions; zero is the start of each sum. Row
-    j*step mod order of the reduction table expands that power; a row below
-    phi(order) is a unit vector, so its value is added straight in.
+    The values are integers. Row j*step mod order of the reduction table
+    expands that power; a row below phi(order) is a unit vector, so its value
+    is added straight in.
     """
     rows = _reduction_rows(order)
     phi = len(rows[0])
-    out = [zero] * phi
+    out = [0] * phi
     for j, c in enumerate(values):
         if c:
             idx = j * step % order
@@ -171,26 +169,34 @@ def reduce_powers(order: int, values, zero, step: int = 1) -> list:
     return out
 
 
-def _combine(order: int, values, step: int = 1) -> "CycloNum":
-    """The sum of values[j] * zeta_order^(j*step), as an element of Q(zeta_order)."""
-    return CycloNum(order, tuple(reduce_powers(order, values, _ZERO, step)))
+def _combine(order: int, values, den: int, step: int = 1) -> "CycloNum":
+    """The sum of values[j] * zeta_order^(j*step) / den, in Q(zeta_order)."""
+    return CycloNum(order, tuple(reduce_powers(order, values, step)), den)
 
 
 @dataclass(frozen=True)
 class CycloNum:
-    """An element of Q(zeta_order) in the power basis, Fraction coefficients.
+    """An element of Q(zeta_order) in the power basis: integer numerators
+    nums, of length phi(order), over one denominator den.
 
-    coeffs always has length phi(order); Fractions keep themselves in lowest
-    terms with positive denominator, so dataclass equality is exact equality
-    in the field.
+    Construction puts every value in lowest terms with den > 0 (zero is all
+    zeros over 1), so dataclass equality and hashing are exact in the field.
     """
 
     order: int
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int = 1
 
     def __post_init__(self):
-        if len(self.coeffs) != euler_phi(self.order):
-            raise ValueError("coefficient vector length must equal phi(order)")
+        if len(self.nums) != euler_phi(self.order):
+            raise ValueError("numerator vector length must equal phi(order)")
+        den = self.den
+        if den == 0:
+            raise ZeroDivisionError("CycloNum denominator is zero")
+        g = math.gcd(den, *self.nums) if den > 0 else -math.gcd(den, *self.nums)
+        if g != 1:
+            object.__setattr__(self, "nums", tuple([x // g for x in self.nums]))
+            object.__setattr__(self, "den", den // g)
 
     # -- constructors -------------------------------------------------------
 
@@ -198,7 +204,7 @@ class CycloNum:
     def from_rational(value, order: int = 1) -> "CycloNum":
         value = Fraction(value)
         phi = euler_phi(order)
-        return CycloNum(order, (value,) + (_ZERO,) * (phi - 1))
+        return CycloNum(order, (value.numerator,) + (0,) * (phi - 1), value.denominator)
 
     @staticmethod
     def zero(order: int = 1) -> "CycloNum":
@@ -211,18 +217,18 @@ class CycloNum:
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
+        return self.den == 1 and self.nums[0] == 1 and not any(self.nums[1:])
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("%s is not rational" % self)
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     # -- ring operations -----------------------------------------------------
 
@@ -234,29 +240,30 @@ class CycloNum:
 
     def __add__(self, other: "CycloNum") -> "CycloNum":
         self._check_order(other)
-        return CycloNum(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        d, e = self.den, other.den
+        return CycloNum(self.order, tuple([a * e + b * d for a, b in zip(self.nums, other.nums)]), d * e)
 
     def __sub__(self, other: "CycloNum") -> "CycloNum":
         self._check_order(other)
-        return CycloNum(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        d, e = self.den, other.den
+        return CycloNum(self.order, tuple([a * e - b * d for a, b in zip(self.nums, other.nums)]), d * e)
 
     def __neg__(self) -> "CycloNum":
-        return CycloNum(self.order, tuple(-a for a in self.coeffs))
+        return CycloNum(self.order, tuple([-a for a in self.nums]), self.den)
 
     def __mul__(self, other) -> "CycloNum":
         if isinstance(other, (int, Fraction)):
             s = Fraction(other)
-            return CycloNum(self.order, tuple(a * s for a in self.coeffs))
+            return CycloNum(self.order, tuple([a * s.numerator for a in self.nums]),
+                            self.den * s.denominator)
         self._check_order(other)
-        phi = len(self.coeffs)
-        conv = [_ZERO] * (2 * phi - 1)
-        for i, a in enumerate(self.coeffs):
+        conv = [0] * (2 * len(self.nums) - 1)
+        for i, a in enumerate(self.nums):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(other.nums):
                     if b:
                         conv[i + j] += a * b
-        return _combine(self.order, conv)
-
+        return _combine(self.order, conv, self.den * other.den)
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "CycloNum":
@@ -280,11 +287,11 @@ class CycloNum:
             raise IncompatibleOrders("order %d does not divide %d" % (m, target_order))
         if target_order == m:
             return self
-        return _combine(target_order, self.coeffs, target_order // m)
+        return _combine(target_order, self.nums, self.den, target_order // m)
 
     def conjugate(self) -> "CycloNum":
         """The automorphism zeta -> zeta^(-1): complex conjugation, an involution."""
-        return _combine(self.order, self.coeffs, self.order - 1)
+        return _combine(self.order, self.nums, self.den, self.order - 1)
 
     def real_imag(self) -> tuple["CycloNum", "CycloNum"]:
         """Split x = re + i*im with re, im fixed by conjugation; needs 4 | order."""
@@ -301,7 +308,7 @@ class CycloNum:
 
     def basis_terms(self) -> list[tuple[int, Fraction]]:
         """Nonzero (power, coefficient) pairs, power ascending."""
-        return [(j, c) for j, c in enumerate(self.coeffs) if c != 0]
+        return [(j, Fraction(x, self.den)) for j, x in enumerate(self.nums) if x]
 
     def __str__(self) -> str:
         terms = self.basis_terms()
@@ -324,11 +331,7 @@ class CycloNum:
 @functools.lru_cache(maxsize=None)
 def _zeta_powers(order: int) -> tuple[CycloNum, ...]:
     """zeta_order^j for 0 <= j < order, shared: CycloNum is immutable."""
-    fractions: dict[int, Fraction] = {}
-    return tuple(
-        CycloNum(order, tuple(fractions.setdefault(v, Fraction(v)) for v in row))
-        for row in _reduction_rows(order)
-    )
+    return tuple(CycloNum(order, row) for row in _reduction_rows(order))
 
 
 def zeta_power(order: int, exponent: int) -> CycloNum:

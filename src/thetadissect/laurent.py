@@ -18,12 +18,13 @@ a Python int, and one big-int multiply forms all the convolutions at once.
 Sparse operands are convolved pair by pair in a dict. The choice compares the
 bytes of the packed product with the pairs of terms the sparse path would
 visit (`_PACKED_BYTES_PER_PAIR`). Each convolution is then reduced modulo
-Phi_L on the rows `CycloNum` uses, and each output coefficient is built once
-as a Fraction over the product of the two denominators. A chain of products
+Phi_L on the rows `CycloNum` uses. Coefficients are stored the same way,
+integer numerators over one denominator, so an operand whose denominator is
+the common one enters as it is. A chain of products
 (`LaurentSeries.product`: Pochhammer ladders, powers, products) keeps the
 running product in integer rows between steps, cut to each step's bound and
-over its least denominator, so each operand is converted once and Fractions
-are built once, at the end.
+over its least denominator, so each operand is converted once and
+coefficients are built once, at the end.
 """
 from __future__ import annotations
 
@@ -90,9 +91,9 @@ class ScaledMonomial:
         if not isinstance(coeff, CycloNum):
             return ScaledMonomial(coeff, 0, order, Monomial(p, q))
         for e in range(coeff.order):
-            ratio = (coeff * zeta_power(coeff.order, -e)).coeffs[0]
-            if ratio and zeta_power(coeff.order, e) * ratio == coeff:
-                return ScaledMonomial(ratio, e, coeff.order, Monomial(p, q))
+            rotated = coeff * zeta_power(coeff.order, -e)
+            if rotated.is_rational() and not rotated.is_zero():
+                return ScaledMonomial(rotated.as_rational(), e, coeff.order, Monomial(p, q))
         raise ValueError("%s is not a nonzero rational multiple of a root of unity" % coeff)
 
     @property
@@ -242,9 +243,13 @@ class LaurentSeries:
                 continue
             xs, x_den = _truncated_rows(rows, den, validity - other.min_total_degree())
             ys, y_den = _integer_rows(other.terms, validity - low)
-            convolve = _kronecker_convolution if _is_dense(xs, ys) else _sparse_convolution
-            rows, den = _reduced_rows(convolve(xs, ys, validity), order), x_den * y_den
-        return LaurentSeries(_fraction_terms(rows, den, order), validity, order)
+            packing = _packing(xs, ys)
+            if _is_dense(xs, ys, packing):
+                conv = _kronecker_convolution(xs, ys, validity, packing)
+            else:
+                conv = _sparse_convolution(xs, ys, validity)
+            rows, den = _reduced_rows(conv, order), x_den * y_den
+        return LaurentSeries(_series_terms(rows, den, order), validity, order)
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
         return LaurentSeries.product((self, other))
@@ -339,8 +344,6 @@ class LaurentSeries:
 # scaled by the common denominator of its operand. A convolution maps (p, q)
 # to the unreduced vector of length 2*phi - 1 whose entry j multiplies zeta^j.
 
-_ZERO = Fraction(0)
-
 # Kronecker substitution is taken when the packed product holds at most this
 # many bytes per pair of terms and basis element. Its cost is one CPython
 # big-int multiply, which grows faster than the bytes (Karatsuba), plus a
@@ -356,17 +359,18 @@ _PACKED_BYTES_PER_PAIR = 0.5
 def _integer_rows(terms: dict, through: int) -> tuple[list, int]:
     """The terms of total degree <= through as rows over one positive common
     denominator, and that denominator."""
-    kept = [(m, c.coeffs) for m, c in terms.items() if m.p + m.q <= through]
-    den = math.lcm(*{x.denominator for _, coeffs in kept for x in coeffs})
-    rows = [(m.p, m.q, tuple(x.numerator * (den // x.denominator) for x in coeffs))
-            for m, coeffs in kept]
+    kept = [(m, c) for m, c in terms.items() if m.p + m.q <= through]
+    den = math.lcm(*{c.den for _, c in kept})
+    rows = [(m.p, m.q, c.nums if c.den == den else tuple([x * (den // c.den) for x in c.nums]))
+            for m, c in kept]
     return rows, den
 
 
 def _truncated_rows(rows: list, den: int, through: int) -> tuple[list, int]:
     """The rows of total degree <= through over the least denominator: what
-    `_integer_rows` builds from the same values as Fractions, since the
-    least common denominator of the fractions x/den is den / gcd(den, x, ...)."""
+    `_integer_rows` builds from the same values as canonical CycloNums,
+    since the least common denominator of the fractions x/den is
+    den / gcd(den, x, ...)."""
     kept = [row for row in rows if row[0] + row[1] <= through]
     g = math.gcd(den, *(x for _, _, v in kept for x in v))
     if g == 1:
@@ -381,9 +385,10 @@ def _spans(rows: list) -> tuple[int, int, int, int]:
     return min(degrees), max(degrees), min(qs), max(qs)
 
 
-def _packing(xs: list, ys: list) -> tuple[int, int, int]:
-    """The b-exponent span, the bytes per slot and the slot count of the
-    packed product of two nonempty row lists."""
+def _packing(xs: list, ys: list) -> tuple[int, int, int, int, int, int, int]:
+    """The layout of the packed product of two nonempty row lists: the least
+    total degree and b-exponent of xs and of ys, the b-exponent span, the
+    bytes per slot and the slot count."""
     phi = len(xs[0][2])
     dx0, dx1, qx0, qx1 = _spans(xs)
     dy0, dy1, qy0, qy1 = _spans(ys)
@@ -393,11 +398,12 @@ def _packing(xs: list, ys: list) -> tuple[int, int, int]:
     largest = (max(abs(c) for _, _, v in xs for c in v)
                * max(abs(c) for _, _, v in ys for c in v))
     size = (min(len(xs), len(ys)) * phi * largest).bit_length() // 8 + 1
-    return q_span, size, (dx1 + dy1 - dx0 - dy0 + 1) * q_span * (2 * phi - 1)
+    slots = (dx1 + dy1 - dx0 - dy0 + 1) * q_span * (2 * phi - 1)
+    return dx0, qx0, dy0, qy0, q_span, size, slots
 
 
-def _is_dense(xs: list, ys: list) -> bool:
-    _, size, slots = _packing(xs, ys)
+def _is_dense(xs: list, ys: list, packing: tuple) -> bool:
+    *_, size, slots = packing
     return slots * size <= _PACKED_BYTES_PER_PAIR * len(xs) * len(ys) * len(xs[0][2])
 
 
@@ -441,7 +447,7 @@ def _pack(rows: list, d0: int, q0: int, q_span: int, width: int, size: int) -> i
     return int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
 
 
-def _kronecker_convolution(xs: list, ys: list, validity: int) -> dict:
+def _kronecker_convolution(xs: list, ys: list, validity: int, packing: tuple) -> dict:
     """The convolution from one big-int product (Kronecker substitution).
 
     Each operand is packed in slots of `size` bytes, indexed by total degree,
@@ -451,12 +457,8 @@ def _kronecker_convolution(xs: list, ys: list, validity: int) -> dict:
     from the next, and each signed digit is read back exactly by subtracting
     it again.
     """
-    if not xs or not ys:
-        return {}
     width = 2 * len(xs[0][2]) - 1
-    q_span, size, _ = _packing(xs, ys)
-    dx0, _, qx0, _ = _spans(xs)
-    dy0, _, qy0, _ = _spans(ys)
+    dx0, qx0, dy0, qy0, q_span, size, _ = packing
     product = (_pack(xs, dx0, qx0, q_span, width, size)
                * _pack(ys, dy0, qy0, q_span, width, size))
     # only cells of total degree <= validity are read
@@ -480,34 +482,20 @@ def _kronecker_convolution(xs: list, ys: list, validity: int) -> dict:
     return acc
 
 
-class _Quotients(dict):
-    """x -> Fraction(x, den), each built once: dense products repeat values."""
-
-    def __init__(self, den: int):
-        super().__init__({0: _ZERO})
-        self.den = den
-
-    def __missing__(self, x: int) -> Fraction:
-        value = self[x] = Fraction(x, self.den)
-        return value
-
-
 def _reduced_rows(conv: dict, order: int) -> list:
     """Reduce each convolution modulo Phi_order, dropping zeros."""
     rows = []
     for (p, q), values in conv.items():
         # at phi = 1 a convolution has one entry and nothing to reduce
-        vec = values if len(values) == 1 else reduce_powers(order, values, 0)
+        vec = values if len(values) == 1 else reduce_powers(order, values)
         if any(vec):
             rows.append((p, q, tuple(vec)))
     return rows
 
 
-def _fraction_terms(rows: list, den: int, order: int) -> dict:
+def _series_terms(rows: list, den: int, order: int) -> dict:
     """The series terms of nonzero rows over den."""
-    quotients = _Quotients(den)
-    return {Monomial(p, q): CycloNum(order, tuple([quotients[x] for x in v]))
-            for p, q, v in rows}
+    return {Monomial(p, q): CycloNum(order, v, den) for p, q, v in rows}
 
 
 def _render_term(mono: Monomial, coeff: CycloNum) -> tuple[bool, str]:

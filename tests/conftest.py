@@ -1,6 +1,10 @@
+import math
 import os
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
+
+from hypothesis import strategies as st
 
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(TESTS_DIR)
@@ -8,7 +12,7 @@ SRC = os.path.join(ROOT, "src")
 if SRC not in sys.path:
     sys.path.insert(0, SRC)
 
-from thetadissect.cyclotomic import CycloNum, euler_phi  # noqa: E402
+from thetadissect.cyclotomic import CycloNum, _reduction_rows, euler_phi  # noqa: E402
 from thetadissect.laurent import LaurentSeries, Monomial, ScaledMonomial  # noqa: E402
 from thetadissect.theta import ThetaArgs  # noqa: E402
 
@@ -31,16 +35,98 @@ def plain_theta_args(order=1):
     )
 
 
+# Orders with 2*phi - 1 > L (the primes >= 5, 9, 15) make a product's
+# convolution reach past zeta^(L-1), where reduction must index its rows by
+# j mod L.
+KERNEL_ORDERS = (1, 2, 3, 4, 5, 7, 8, 9, 12, 15)
+# numerators at the edges of the k-byte signed digits for the array widths
+# 1, 2, 4, 8, the rounded width 3 and the big-int width 9, their square
+# roots, and numbers near +-10^30
+_EDGES = [s * (2 ** (8 * k - 1) + d) for k in (1, 2, 3, 4, 8, 9) for d in (-1, 0, 1) for s in (1, -1)]
+_EDGES += [s * 2 ** (4 * k - 1) for k in (1, 2, 4, 8, 9) for s in (1, -1)]  # squares at the edges
+numerators = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from(_EDGES),
+    st.integers(-3, 3).map(lambda d: 10 ** 30 + d),
+    st.integers(-3, 3).map(lambda d: -10 ** 30 + d),
+)
+denominators = st.sampled_from((1, 1, 1, 2, 3, 7, 12, 10 ** 30 + 1))
+
+
+def cyclo_from_pairs(order, pairs):
+    """The element with power-basis coefficients n/d for the (n, d) in pairs."""
+    den = math.lcm(*(d for _, d in pairs))
+    return CycloNum(order, tuple(n * (den // d) for n, d in pairs), den)
+
+
 def rand_cyclo(rng, order, span=9):
-    phi = euler_phi(order)
-    return CycloNum(
-        order,
-        tuple(Fraction(rng.randint(-span, span), rng.randint(1, span)) for _ in range(phi)),
-    )
+    pairs = [(rng.randint(-span, span), rng.randint(1, span)) for _ in range(euler_phi(order))]
+    return cyclo_from_pairs(order, pairs)
+
+
+@dataclass(frozen=True)
+class FractionCyclo:
+    """The Fraction-vector arithmetic of Q(zeta_order) that CycloNum used
+    before it stored integer numerators over one denominator, kept as the
+    reference: coeffs is the power-basis vector of Fractions."""
+
+    order: int
+    coeffs: tuple
+
+    @staticmethod
+    def of(c):
+        return FractionCyclo(c.order, tuple(Fraction(x, c.den) for x in c.nums))
+
+    @staticmethod
+    def combine(order, values, step=1):
+        """The sum of values[j] * zeta_order^(j*step), reduced modulo Phi_order."""
+        rows = _reduction_rows(order)
+        out = [Fraction(0)] * len(rows[0])
+        for j, c in enumerate(values):
+            if c:
+                for i, v in enumerate(rows[j * step % order]):
+                    out[i] += c * v
+        return FractionCyclo(order, tuple(out))
+
+    def __add__(self, other):
+        return FractionCyclo(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __sub__(self, other):
+        return FractionCyclo(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __neg__(self):
+        return FractionCyclo(self.order, tuple(-a for a in self.coeffs))
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return FractionCyclo(self.order, tuple(a * other for a in self.coeffs))
+        conv = [Fraction(0)] * (2 * len(self.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                conv[i + j] += a * b
+        return FractionCyclo.combine(self.order, conv)
+
+    def __pow__(self, n):
+        result = FractionCyclo.combine(self.order, [Fraction(1)])
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def embed(self, target):
+        return FractionCyclo.combine(target, self.coeffs, target // self.order)
+
+    def conjugate(self):
+        return FractionCyclo.combine(self.order, self.coeffs, self.order - 1)
+
+    def real_imag(self):
+        i_unit = FractionCyclo.combine(self.order, [0] * (self.order // 4) + [Fraction(1)])
+        conj = self.conjugate()
+        return (self + conj) * Fraction(1, 2), (self - conj) * (-i_unit) * Fraction(1, 2)
 
 
 def schoolbook_terms(x, y, validity):
-    """The Fraction double loop the integer kernel replaced, kept as the reference."""
+    """The pairwise CycloNum double loop the integer kernel replaced, kept as
+    the reference."""
     acc = {}
     for m1, c1 in x.terms.items():
         for m2, c2 in y.terms.items():

@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import rand_cyclo
+from conftest import KERNEL_ORDERS, FractionCyclo, denominators, numerators, rand_cyclo
 from thetadissect.cyclotomic import (
     CycloNum, IntPolynomial, cyclotomic_polynomial, euler_phi, zeta_power,
 )
@@ -94,7 +96,7 @@ def test_int_polynomial_str():
 def test_zeta_power_examples():
     assert zeta_power(4, 2) == CycloNum.from_rational(-1, 4)          # i^2 = -1
     assert zeta_power(3, 3) == CycloNum.one(3)                        # zeta^3 = 1
-    assert zeta_power(6, 2) == CycloNum(6, (Fraction(-1), Fraction(1)))  # zeta6 - 1
+    assert zeta_power(6, 2) == CycloNum(6, (-1, 1))  # zeta6 - 1
 
 
 def test_zeta_power_negative_exponent_wraps():
@@ -102,12 +104,12 @@ def test_zeta_power_negative_exponent_wraps():
 
 
 def test_arith_examples():
-    half_plus_i = CycloNum(4, (Fraction(1, 2), Fraction(1, 2)))
-    half_minus_i = CycloNum(4, (Fraction(1, 2), Fraction(-1, 2)))
+    half_plus_i = CycloNum(4, (1, 1), 2)
+    half_minus_i = CycloNum(4, (1, -1), 2)
     assert half_plus_i + half_minus_i == CycloNum.one(4)
     w = zeta_power(3, 1)
-    assert w * w == CycloNum(3, (Fraction(-1), Fraction(-1)))  # -1 - zeta3
-    assert zeta_power(4, 1) * Fraction(1, 2) == CycloNum(4, (Fraction(0), Fraction(1, 2)))
+    assert w * w == CycloNum(3, (-1, -1))  # -1 - zeta3
+    assert zeta_power(4, 1) * Fraction(1, 2) == CycloNum(4, (0, 1), 2)
 
 
 def test_order_mismatch_raises():
@@ -135,13 +137,13 @@ def test_embed_multiplicative_on_random_pairs():
 def test_conjugation_examples():
     i = zeta_power(4, 1)
     assert i.conjugate() == -i
-    half_plus_i = CycloNum(4, (Fraction(1, 2), Fraction(1, 2)))
-    half_minus_i = CycloNum(4, (Fraction(1, 2), Fraction(-1, 2)))
+    half_plus_i = CycloNum(4, (1, 1), 2)
+    half_minus_i = CycloNum(4, (1, -1), 2)
     assert half_plus_i.conjugate() == half_minus_i
 
 
 def test_real_imag_examples():
-    half_plus_i = CycloNum(4, (Fraction(1, 2), Fraction(1, 2)))
+    half_plus_i = CycloNum(4, (1, 1), 2)
     re, im = half_plus_i.real_imag()
     assert re == CycloNum.from_rational(Fraction(1, 2), 4)
     assert im == CycloNum.from_rational(Fraction(1, 2), 4)
@@ -214,3 +216,74 @@ def test_str_rendering():
     assert str(zeta_power(6, 2)) == "-1 + zeta6"
     assert str(zeta_power(4, 1) * Fraction(1, 2)) == "1/2*zeta4"
     assert str(CycloNum.zero(8)) == "0"
+
+
+# --- integer numerators over one denominator, against the Fraction reference -----
+
+
+def assert_canonical(c):
+    assert len(c.nums) == euler_phi(c.order)
+    assert c.den > 0 and math.gcd(c.den, *c.nums) == 1
+    if c.is_zero():
+        assert c.nums == (0,) * len(c.nums) and c.den == 1
+
+
+def test_construction_puts_values_in_canonical_form():
+    for raw, canonical in [
+        (CycloNum(4, (2, 4), 4), CycloNum(4, (1, 2), 2)),
+        (CycloNum(4, (1, -2), -3), CycloNum(4, (-1, 2), 3)),
+        (CycloNum(1, (6,), -4), CycloNum(1, (-3,), 2)),
+        (CycloNum(3, (0, 0), -7), CycloNum.zero(3)),
+        (CycloNum(6, (-5, 5), 5), zeta_power(6, 2)),
+    ]:
+        assert raw == canonical and hash(raw) == hash(canonical)
+        assert (raw.nums, raw.den) == (canonical.nums, canonical.den)
+        assert_canonical(raw)
+    assert CycloNum(4, (1, 0), 2) != CycloNum(4, (1, 0), 3)
+    with pytest.raises(ZeroDivisionError):
+        CycloNum(1, (1,), 0)
+    with pytest.raises(ValueError):
+        CycloNum(4, (1,), 1)
+
+
+@st.composite
+def cyclo_values(draw, order):
+    """Values with numerators up to about 10^30 over denominators up to
+    10^30 + 1, built as given or times a common factor, negative ones too."""
+    nums = tuple(draw(numerators) if draw(st.booleans()) else 0 for _ in range(euler_phi(order)))
+    scale = draw(st.sampled_from((1, 1, -1, 6, -10 ** 30 - 1)))
+    return CycloNum(order, tuple(x * scale for x in nums), draw(denominators) * scale)
+
+
+@st.composite
+def arithmetic_cases(draw):
+    order = draw(st.sampled_from(KERNEL_ORDERS))
+    x, y = draw(cyclo_values(order)), draw(cyclo_values(order))
+    scalar = draw(numerators)
+    ratio = Fraction(draw(numerators), draw(denominators))
+    return x, y, scalar, ratio, draw(st.integers(0, 3)), order * draw(st.integers(1, 3))
+
+
+@given(arithmetic_cases())
+@settings(max_examples=200, deadline=None)
+def test_integer_arithmetic_matches_fraction_reference(case):
+    x, y, scalar, ratio, n, target = case
+    ref_x, ref_y = FractionCyclo.of(x), FractionCyclo.of(y)
+    results = [
+        (x + y, ref_x + ref_y),
+        (x - y, ref_x - ref_y),
+        (-x, -ref_x),
+        (x * y, ref_x * ref_y),
+        (x * scalar, ref_x * scalar),
+        (scalar * x, ref_x * scalar),
+        (x * ratio, ref_x * ratio),
+        (ratio * x, ref_x * ratio),
+        (x ** n, ref_x ** n),
+        (x.embed(target), ref_x.embed(target)),
+        (x.conjugate(), ref_x.conjugate()),
+    ]
+    if x.order % 4 == 0:
+        results += zip(x.real_imag(), ref_x.real_imag())
+    for got, expected in results:
+        assert FractionCyclo.of(got) == expected
+        assert_canonical(got)

@@ -1,0 +1,82 @@
+"""CLI outputs against golden files in tests/golden/: the stdout and exit code
+of catalog, dissect, expand and verify stay byte-identical, apart from the
+`millis` timings, which are masked.
+
+The files hold what the code printed when they were written. After an
+intended change of output, write them again from the source tree under test
+and review the diff:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+import contextlib
+import io
+import os
+import re
+
+import pytest
+
+from thetadissect import cli
+
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+_CATALOG_NAMES = (
+    "entry30_ii entry30_iii entry25_i entry25_ii entry7 entry9a entry9b remark_re "
+    "remark_re_parts remark_im remark_im_parts remark_q_re remark_q_im thm_m2 thm_m3 "
+    "thm_m4 thm_m5 thm_m6 thm_m7 thm_m8"
+).split()
+
+# rational, zeta, Re/Im, specq and negative-exponent terms
+_EXPANSIONS = {
+    "rational": ("3/2*f(a,b) - 1/3*f(a^2,b)", 14),
+    "rational-power": ("(2/3*f(a,b))^3", 10),
+    "zeta5": ("f(zeta(5,2)*a, zeta(5,3)*b)", 16),
+    "omega": ("(1 - omega)*f(omega*a, b)", 14),
+    "scaled-zeta12": ("f(-3/2*zeta(12,5)*a, 2*b)", 12),
+    "mixed-coefficient": ("(1 + i)*1/2*f(a, i*b)", 12),
+    "re": ("Re(f(i*a, b))", 16),
+    "im": ("Im(f(zeta(8,1)*a, 1/2*b))", 12),
+    "specq": ("specq(f(a,b)^2)", 30),
+    "specq-zeta3": ("specq(f(zeta(3,1)*a, b))", 30),
+    "negative-exponent": ("f(a^-1*b^2, a^2)", 16),
+    "negative-power": ("a^-2*f(a,b)^2", 12),
+}
+
+CASES = {"catalog-" + name: ["catalog", name, "--degree", "24"] for name in _CATALOG_NAMES}
+CASES.update({"dissect-m%d" % m: ["dissect", "--m", str(m), "--degree", "20", "--format", "json"]
+              for m in range(1, 9)})
+CASES.update({"expand-" + name: ["expand", expr, "--degree", str(degree), "--format", "json"]
+              for name, (expr, degree) in _EXPANSIONS.items()})
+CASES.update({
+    "expand-negated-text": ["expand", "-f(a,b)", "--degree", "6"],
+    "verify-verified": ["verify", "f(a,b) = f(b,a)", "--degree", "12", "--format", "json"],
+    "verify-failed": ["verify", "f(i*a, b) = f(a, i*b)", "--degree", "8", "--format", "json"],
+})
+
+_MILLIS = re.compile(r'"millis": [-+.0-9eE]+')
+
+
+def run(argv) -> str:
+    """Exit code and stdout of one CLI call, millis masked."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return "exit %d\n%s" % (code, _MILLIS.sub('"millis": "*"', out.getvalue()))
+
+
+def golden_path(name: str) -> str:
+    return os.path.join(GOLDEN_DIR, name + ".out")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name):
+    with open(golden_path(name)) as handle:
+        expected = handle.read()
+    assert run(CASES[name]) == expected
+
+
+if __name__ == "__main__":
+    os.makedirs(GOLDEN_DIR, exist_ok=True)
+    for name, argv in sorted(CASES.items()):
+        with open(golden_path(name), "w") as handle:
+            handle.write(run(argv))
+    print("wrote %d cases to %s" % (len(CASES), GOLDEN_DIR))

@@ -4,7 +4,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import known_min_degree, make_series, schoolbook_fold, schoolbook_terms
+from conftest import (KERNEL_ORDERS, cyclo_from_pairs, denominators, known_min_degree,
+                      make_series, numerators, schoolbook_fold, schoolbook_terms)
 from thetadissect import laurent
 from thetadissect.cyclotomic import CycloNum, euler_phi, zeta_power
 from thetadissect.errors import EmptySeries, OrderMismatch, ValidityExceeded
@@ -136,7 +137,7 @@ def test_render_order_and_format():
     assert s.render() == "1 - a + a^3*b + a*b^3"
     zs = LaurentSeries.make(
         [(Monomial(1, 0), zeta_power(4, 1)),
-         (Monomial(0, 0), CycloNum(4, (Fraction(1, 2), Fraction(1, 2))))],
+         (Monomial(0, 0), CycloNum(4, (1, 1), 2))],
         4, 4,
     )
     assert zs.render() == "(1/2 + 1/2*zeta4) + zeta4*a"
@@ -208,7 +209,14 @@ def test_specialize_is_linear_and_multiplicative(x, y):
     assert prod_spec.equal_through(spec_prod, min(prod_spec.validity, spec_prod.validity))
 
 
-# --- the integer product kernel against the Fraction schoolbook product --------
+# --- the integer product kernel against the pairwise schoolbook product --------
+
+
+def kronecker(xs, ys, validity):
+    """The packed convolution, laid out as the product lays it out."""
+    if not xs or not ys:
+        return {}
+    return laurent._kronecker_convolution(xs, ys, validity, laurent._packing(xs, ys))
 
 
 def kernel_terms(convolve, x, y, validity):
@@ -218,38 +226,21 @@ def kernel_terms(convolve, x, y, validity):
     xs, x_den = laurent._integer_rows(x.terms, everything)
     ys, y_den = laurent._integer_rows(y.terms, everything)
     rows = laurent._reduced_rows(convolve(xs, ys, validity), x.order)
-    return laurent._fraction_terms(rows, x_den * y_den, x.order)
-
-
-# Orders with 2*phi - 1 > L (the primes >= 5, 9, 15) make the convolution
-# reach past zeta^(L-1), where reduction must index its rows by j mod L.
-_KERNEL_ORDERS = (1, 2, 3, 4, 5, 7, 8, 9, 12, 15)
-# numerators at the edges of the k-byte signed digits for the array widths
-# 1, 2, 4, 8, the rounded width 3 and the big-int width 9, their square
-# roots, and numbers near +-10^30
-_EDGES = [s * (2 ** (8 * k - 1) + d) for k in (1, 2, 3, 4, 8, 9) for d in (-1, 0, 1) for s in (1, -1)]
-_EDGES += [s * 2 ** (4 * k - 1) for k in (1, 2, 4, 8, 9) for s in (1, -1)]  # squares at the edges
-_numerators = st.one_of(
-    st.integers(-3, 3),
-    st.sampled_from(_EDGES),
-    st.integers(-3, 3).map(lambda d: 10 ** 30 + d),
-    st.integers(-3, 3).map(lambda d: -10 ** 30 + d),
-)
-_denominators = st.sampled_from((1, 1, 1, 2, 3, 7, 12, 10 ** 30 + 1))
+    return laurent._series_terms(rows, x_den * y_den, x.order)
 
 
 def _draw_operand(draw, order, exponents, validities):
     entries = {}
     for mono in draw(st.lists(st.tuples(exponents, exponents), max_size=8, unique=True)):
-        coeffs = tuple(Fraction(draw(_numerators), draw(_denominators))
-                       if draw(st.booleans()) else Fraction(0) for _ in range(euler_phi(order)))
-        entries[mono] = CycloNum(order, coeffs)
+        pairs = [(draw(numerators), draw(denominators)) if draw(st.booleans()) else (0, 1)
+                 for _ in range(euler_phi(order))]
+        entries[mono] = cyclo_from_pairs(order, pairs)
     return make_series(entries, draw(validities), order)
 
 
 @st.composite
 def kernel_operands(draw):
-    order = draw(st.sampled_from(_KERNEL_ORDERS))
+    order = draw(st.sampled_from(KERNEL_ORDERS))
     x, y = (_draw_operand(draw, order, st.integers(-4, 6), st.integers(-6, 14)) for _ in range(2))
     # from below every term (-9 < -4 + -4) to above every pair
     return x, y, draw(st.integers(-9, 14))
@@ -259,7 +250,7 @@ def kernel_operands(draw):
 def chains(draw):
     """1 to 5 operands over one order: empty ones, negative exponents, and
     ones whose terms all lie at degree 10 or more, above most running bounds."""
-    order = draw(st.sampled_from(_KERNEL_ORDERS))
+    order = draw(st.sampled_from(KERNEL_ORDERS))
     chain = []
     for _ in range(draw(st.integers(1, 5))):
         if draw(st.booleans()):
@@ -275,7 +266,7 @@ def test_kernel_middles_match_schoolbook_product(case):
     x, y, validity = case
     expected = schoolbook_terms(x, y, validity)
     assert kernel_terms(laurent._sparse_convolution, x, y, validity) == expected
-    assert kernel_terms(laurent._kronecker_convolution, x, y, validity) == expected
+    assert kernel_terms(kronecker, x, y, validity) == expected
 
 
 @given(kernel_operands())
@@ -291,7 +282,7 @@ def test_mul_matches_schoolbook_product(case):
 def test_product_matches_schoolbook_fold(chain):
     partials = schoolbook_fold(chain)
     # each step hands the density rule the rows `_integer_rows` builds from the
-    # Fraction partial product: cut at the step's bound, over the least
+    # schoolbook partial product: cut at the step's bound, over the least
     # common denominator
     expected = []
     for acc, other, step in zip(partials, chain[1:], partials[1:]):
@@ -302,9 +293,10 @@ def test_product_matches_schoolbook_fold(chain):
     seen = []
     is_dense = laurent._is_dense
 
-    def density_rule(xs, ys):
+    def density_rule(xs, ys, packing):
         seen.append((sorted(xs), sorted(ys)))
-        return is_dense(xs, ys)
+        assert packing == laurent._packing(xs, ys)
+        return is_dense(xs, ys, packing)
 
     with mock.patch.object(laurent, "_is_dense", density_rule):
         prod = LaurentSeries.product(chain)
@@ -326,7 +318,7 @@ def test_product_order_mismatch():
 
 def test_kronecker_digit_edges_are_exact():
     def check(x, y):
-        assert kernel_terms(laurent._kronecker_convolution, x, y, 5) == schoolbook_terms(x, y, 5)
+        assert kernel_terms(kronecker, x, y, 5) == schoolbook_terms(x, y, 5)
 
     for k in (1, 2, 3, 4, 8, 9):
         # one term each, phi = 1: the product's one digit is the bound itself
@@ -349,7 +341,7 @@ def test_kernel_density_rule():
     # theta sum does not
     dense = make_series({(n, 0): n % 5 + 1 for n in range(40)}, 40)
     xs, _ = laurent._integer_rows(dense.terms, 40)
-    assert laurent._is_dense(xs, xs)
+    assert laurent._is_dense(xs, xs, laurent._packing(xs, xs))
     sparse = make_series({(n * (n + 1) // 2, n * (n - 1) // 2): 1 for n in range(-20, 21)}, 400)
     ys, _ = laurent._integer_rows(sparse.terms, 400)
-    assert not laurent._is_dense(ys, ys)
+    assert not laurent._is_dense(ys, ys, laurent._packing(ys, ys))

@@ -70,7 +70,7 @@ def test_negative_power_of_scaled_root():
     with pytest.raises(ValueError):
         ScaledMonomial.make(CycloNum.zero(4), 0, 0)
     with pytest.raises(ValueError):
-        ScaledMonomial.make(CycloNum(4, (Fraction(1, 2), Fraction(1, 2))), 0, 0)
+        ScaledMonomial.make(CycloNum(4, (1, 1), 2), 0, 0)
     with pytest.raises(ValueError):  # only ScaledMonomial takes negative powers
         zeta_power(12, 5) ** -1
 
