@@ -15,8 +15,6 @@ from .dissect import (
     closed_form_parts,
     dissect_closed,
     dissect_filter,
-    transform_lhs,
-    transform_rhs,
 )
 from .expr import (
     ImagPart, Negate, Power, Product, RationalConst, RealPart, RootOfUnity,
@@ -33,6 +31,7 @@ from .catalog import (
     get_identity,
     make_identity,
     summarize,
+    transformation_identity,
     verify_identity,
 )
 
@@ -47,7 +46,7 @@ __all__ = [
     "ThetaArgs", "theta_expand", "pochhammer_expand", "triple_product_rhs",
     # dissect
     "DissectionSpec", "boundary_monomials", "closed_form_parts",
-    "dissect_filter", "dissect_closed", "transform_lhs", "transform_rhs",
+    "dissect_filter", "dissect_closed",
     # expression language
     "Sum", "Product", "Power", "ThetaCall", "Var", "RootOfUnity",
     "RationalConst", "Negate", "RealPart", "ImagPart", "SpecializeQ",
@@ -56,6 +55,6 @@ __all__ = [
     # catalog
     "Identity", "Report", "builtin_catalog", "catalog_by_name", "evaluate",
     "fold_scaled_monomial", "get_identity", "make_identity", "summarize",
-    "verify_identity",
+    "transformation_identity", "verify_identity",
     "__version__",
 ]

@@ -6,8 +6,9 @@ Q(zeta_L)). Theta-call arguments are constant-folded to scaled monomials
 first; anything else under f(,) is a NonMonomialArgument.
 
 The catalog holds the classical m=2/3/4 dissection identities from
-Ramanujan's notebooks (Berndt's editions, Parts III and IV) plus generated
-modulus-m transformation identities for m = 2..8.
+Ramanujan's notebooks (Berndt's editions, Parts III and IV), stated as text
+in the identity language, plus the modulus-m transformation identities for
+m = 2..8, which transformation_identity writes from the closed form.
 """
 from __future__ import annotations
 
@@ -23,10 +24,10 @@ from .errors import (
     EngineError, IncompatibleOrders, NonInvertible, NonMonomialArgument, UnknownIdentityName,
 )
 from .expr import (
-    I_UNIT, OMEGA, Expr, ImagPart, Negate, Power, Product, RationalConst, RealPart,
-    RootOfUnity, SpecializeQ, Sum, ThetaCall, Var, product_of, rational,
-    required_order, sum_of,
+    Expr, ImagPart, Negate, Power, Product, RationalConst, RealPart, RootOfUnity,
+    SpecializeQ, Sum, ThetaCall, Var, required_order,
 )
+from .exprlang import parse_identity
 from .laurent import LaurentSeries, Mismatch, Monomial, ScaledMonomial
 from .theta import ThetaArgs, theta_expand
 
@@ -216,184 +217,85 @@ def summarize(reports) -> dict:
 
 # -- the built-in catalog --------------------------------------------------------
 
-_A = Var("a")
-_B = Var("b")
-_Q = Var("q")
-_F_AB = ThetaCall(_A, _B)
-_F_NEG = ThetaCall(Negate(_A), Negate(_B))
-_F_II = ThetaCall(product_of([I_UNIT, _A]), product_of([I_UNIT, _B]))
+# (name, statement, notebook reference). The m=4 entries use the argument
+# pairs produced by the closed form (second argument B_4 (ab)^(-4k)); see
+# remark_im_parts for the negative exponents that brings in.
+_NOTEBOOK_ENTRIES = (
+    ("entry30_ii",
+     "f(a^3*b, a*b^3) = 1/2*(f(a, b) + f(-a, -b))",
+     "Berndt, Ramanujan's Notebooks III, p. 46, Entry 30(ii)"),
+    ("entry30_iii",
+     "a*f(a^5*b^3, a^-1*b) = 1/2*(f(a, b) - f(-a, -b))",
+     "Berndt, Ramanujan's Notebooks III, p. 46, Entry 30(iii)"),
+    ("entry25_i",
+     "specq(f(a^3*b, a*b^3)) = specq(1/2*(f(a, b) + f(-a, -b)))",
+     "Berndt, Ramanujan's Notebooks III, p. 40, Entry 25(i): a=b=q in Entry 30(ii)"),
+    ("entry25_ii",
+     "specq(a*f(a^5*b^3, a^-1*b)) = specq(1/2*(f(a, b) - f(-a, -b)))",
+     "Berndt, Ramanujan's Notebooks III, p. 40, Entry 25(ii): a=b=q in Entry 30(iii)"),
+    ("entry7",
+     "f(omega*a, omega*b) = omega*f(a, b) + (1 - omega)*f(a^6*b^3, a^3*b^6)",
+     "Berndt, Ramanujan's Notebooks IV, p. 144, Entry 7"),
+    ("entry9a",
+     "f(i*a, i*b) = f(a^10*b^6, a^6*b^10) + a^3*b*f(a^18*b^14, a^-2*b^2)"
+     " + i*(a*f(a^14*b^10, a^2*b^6) + a^6*b^3*f(a^22*b^18, a^-6*b^-2))",
+     "Berndt, Ramanujan's Notebooks IV, p. 146, Entry 9: four-term dissection form"),
+    ("entry9b",
+     "f(i*a, i*b) = 1/2*(1 + i)*f(a, b) + 1/2*(1 - i)*f(-a, -b)",
+     "Berndt, Ramanujan's Notebooks IV, p. 146, Entry 9: compact form"),
+    ("remark_re",
+     "Re(f(i*a, i*b)) = f(a^3*b, a*b^3)",
+     "real part of Entry 9 equals the Entry 30(ii) form"),
+    ("remark_re_parts",
+     "Re(f(i*a, i*b)) = f(a^10*b^6, a^6*b^10) + a^3*b*f(a^18*b^14, a^-2*b^2)",
+     "real part of Entry 9: even dissection components"),
+    ("remark_im",
+     "Im(f(i*a, i*b)) = a*f(a^5*b^3, a^-1*b)",
+     "imaginary part of Entry 9 equals the Entry 30(iii) form"),
+    ("remark_im_parts",
+     "Im(f(i*a, i*b)) = a*f(a^14*b^10, a^2*b^6) + a^6*b^3*f(a^22*b^18, a^-6*b^-2)",
+     "imaginary part of Entry 9: odd dissection components"),
+    ("remark_q_re",
+     "specq(Re(f(i*a, i*b))) = f(q^16, q^16) + q^4*f(q^32, 1)",
+     "a=b=q form of the even split of Entry 9"),
+    ("remark_q_im",
+     "specq(Im(f(i*a, i*b))) = q*f(q^24, q^8) + q^9*f(q^40, q^-8)",
+     "a=b=q form of the odd split of Entry 9"),
+)
 
 
-def _mono_factors(p: int, q: int) -> list[Expr]:
-    items: list[Expr] = []
-    for var, e in ((_A, p), (_B, q)):
-        if e == 0:
-            continue
-        items.append(var if e == 1 else Power(var, e))
-    return items
-
-
-def _mono_ast(p: int, q: int) -> Expr:
-    return product_of(_mono_factors(p, q))
-
-
-def _theta_ast(p1: int, q1: int, p2: int, q2: int) -> ThetaCall:
-    return ThetaCall(_mono_ast(p1, q1), _mono_ast(p2, q2))
-
-
-def _q_theta(e1: int, e2: int) -> ThetaCall:
-    first = _Q if e1 == 1 else Power(_Q, e1)
-    second = rational(1) if e2 == 0 else (_Q if e2 == 1 else Power(_Q, e2))
-    return ThetaCall(first, second)
-
-
-def _half(expr: Expr) -> Expr:
-    return product_of([rational(1, 2), expr])
-
-
-def _transform_identity(m: int) -> Identity:
-    zeta = RootOfUnity(m, 1)
-    lhs = ThetaCall(product_of([zeta, _A]), product_of([zeta, _B]))
+def transformation_identity(m: int, e: int = 1) -> Identity:
+    """f(zeta a, zeta b) = sum over k of zeta^(k^2) S_k(a, b) with zeta = zeta_m^e,
+    each S_k in the closed form of closed_form_parts. zeta may be any m-th
+    root of unity, not only a primitive one; the left side keeps zeta(m,e)
+    even when it is 1, so both sides evaluate in Q(zeta_m)."""
+    if m < 1:
+        raise ValueError("modulus m must be >= 1")
+    e %= m
     pieces = []
     for k in range(m):
         prefix, args = closed_form_parts(DissectionSpec(m, k))
-        factors: list[Expr] = []
-        root = RootOfUnity(m, k * k)
-        if root.exponent != 0:
-            factors.append(root)
-        factors.extend(_mono_factors(prefix.p, prefix.q))
-        factors.append(
-            ThetaCall(
-                _mono_ast(args.first.mono.p, args.first.mono.q),
-                _mono_ast(args.second.mono.p, args.second.mono.q),
-            )
-        )
-        pieces.append(product_of(factors))
-    return make_identity(
-        "thm_m%d" % m, lhs, sum_of(pieces),
-        "modulus-%d root-of-unity transformation" % m,
-    )
+        factors = []
+        if e * k * k % m:
+            factors.append("zeta(%d,%d)" % (m, e * k * k % m))
+        if prefix != Monomial(0, 0):
+            factors.append(prefix.render())
+        factors.append("f(%s, %s)" % (args.first.mono.render(), args.second.mono.render()))
+        pieces.append("*".join(factors))
+    statement = "f(zeta(%d,%d)*a, zeta(%d,%d)*b) = %s" % (m, e, m, e, " + ".join(pieces))
+    name, paper_ref = "thm_m%d" % m, "modulus-%d root-of-unity transformation" % m
+    if e != 1:
+        name, paper_ref = name + "_e%d" % e, paper_ref + " at zeta_%d^%d" % (m, e)
+    return make_identity(name, *parse_identity(statement), paper_ref)
 
 
 @functools.cache
 def catalog_by_name() -> Mapping[str, Identity]:
     """The built-in identities by name, each carrying its notebook reference
-    string. Built on first use and shared, so the mapping is read-only.
-
-    The m=4 entries use the argument pairs produced by the closed form
-    (second argument B_4 (ab)^(-4k)); see remark_im_parts for the negative
-    exponents that brings in.
-    """
-    entries = [
-        make_identity(
-            "entry30_ii",
-            _theta_ast(3, 1, 1, 3),
-            _half(sum_of([_F_AB, _F_NEG])),
-            "Berndt, Ramanujan's Notebooks III, p. 46, Entry 30(ii)",
-        ),
-        make_identity(
-            "entry30_iii",
-            product_of([_A, _theta_ast(5, 3, -1, 1)]),
-            _half(sum_of([_F_AB, Negate(_F_NEG)])),
-            "Berndt, Ramanujan's Notebooks III, p. 46, Entry 30(iii)",
-        ),
-        make_identity(
-            "entry25_i",
-            SpecializeQ(_theta_ast(3, 1, 1, 3)),
-            SpecializeQ(_half(sum_of([_F_AB, _F_NEG]))),
-            "Berndt, Ramanujan's Notebooks III, p. 40, Entry 25(i): a=b=q in Entry 30(ii)",
-        ),
-        make_identity(
-            "entry25_ii",
-            SpecializeQ(product_of([_A, _theta_ast(5, 3, -1, 1)])),
-            SpecializeQ(_half(sum_of([_F_AB, Negate(_F_NEG)]))),
-            "Berndt, Ramanujan's Notebooks III, p. 40, Entry 25(ii): a=b=q in Entry 30(iii)",
-        ),
-        make_identity(
-            "entry7",
-            ThetaCall(product_of([OMEGA, _A]), product_of([OMEGA, _B])),
-            sum_of([
-                product_of([OMEGA, _F_AB]),
-                product_of([sum_of([rational(1), Negate(OMEGA)]), _theta_ast(6, 3, 3, 6)]),
-            ]),
-            "Berndt, Ramanujan's Notebooks IV, p. 144, Entry 7",
-        ),
-        make_identity(
-            "entry9a",
-            _F_II,
-            sum_of([
-                _theta_ast(10, 6, 6, 10),
-                product_of([*_mono_factors(3, 1), _theta_ast(18, 14, -2, 2)]),
-                product_of([
-                    I_UNIT,
-                    sum_of([
-                        product_of([_A, _theta_ast(14, 10, 2, 6)]),
-                        product_of([*_mono_factors(6, 3), _theta_ast(22, 18, -6, -2)]),
-                    ]),
-                ]),
-            ]),
-            "Berndt, Ramanujan's Notebooks IV, p. 146, Entry 9: four-term dissection form",
-        ),
-        make_identity(
-            "entry9b",
-            _F_II,
-            sum_of([
-                product_of([rational(1, 2), sum_of([rational(1), I_UNIT]), _F_AB]),
-                product_of([rational(1, 2), sum_of([rational(1), Negate(I_UNIT)]), _F_NEG]),
-            ]),
-            "Berndt, Ramanujan's Notebooks IV, p. 146, Entry 9: compact form",
-        ),
-        make_identity(
-            "remark_re",
-            RealPart(_F_II),
-            _theta_ast(3, 1, 1, 3),
-            "real part of Entry 9 equals the Entry 30(ii) form",
-        ),
-        make_identity(
-            "remark_re_parts",
-            RealPart(_F_II),
-            sum_of([
-                _theta_ast(10, 6, 6, 10),
-                product_of([*_mono_factors(3, 1), _theta_ast(18, 14, -2, 2)]),
-            ]),
-            "real part of Entry 9: even dissection components",
-        ),
-        make_identity(
-            "remark_im",
-            ImagPart(_F_II),
-            product_of([_A, _theta_ast(5, 3, -1, 1)]),
-            "imaginary part of Entry 9 equals the Entry 30(iii) form",
-        ),
-        make_identity(
-            "remark_im_parts",
-            ImagPart(_F_II),
-            sum_of([
-                product_of([_A, _theta_ast(14, 10, 2, 6)]),
-                product_of([*_mono_factors(6, 3), _theta_ast(22, 18, -6, -2)]),
-            ]),
-            "imaginary part of Entry 9: odd dissection components",
-        ),
-        make_identity(
-            "remark_q_re",
-            SpecializeQ(RealPart(_F_II)),
-            sum_of([
-                _q_theta(16, 16),
-                product_of([Power(_Q, 4), _q_theta(32, 0)]),
-            ]),
-            "a=b=q form of the even split of Entry 9",
-        ),
-        make_identity(
-            "remark_q_im",
-            SpecializeQ(ImagPart(_F_II)),
-            sum_of([
-                product_of([_Q, _q_theta(24, 8)]),
-                product_of([Power(_Q, 9), _q_theta(40, -8)]),
-            ]),
-            "a=b=q form of the odd split of Entry 9",
-        ),
-    ]
-    for m in range(2, 9):
-        entries.append(_transform_identity(m))
+    string. Built on first use and shared, so the mapping is read-only."""
+    entries = [make_identity(name, *parse_identity(statement), paper_ref)
+               for name, statement, paper_ref in _NOTEBOOK_ENTRIES]
+    entries += [transformation_identity(m) for m in range(2, 9)]
     return MappingProxyType({identity.name: identity for identity in entries})
 
 

@@ -175,13 +175,10 @@ def _report_line(report: cat.Report) -> str:
 def _cmd_catalog(args) -> int:
     run_all = not args.names or "all" in args.names
     try:
-        if run_all:
-            identities = cat.builtin_catalog()
-        else:
-            identities = [cat.get_identity(name) for name in args.names]
+        named = [cat.get_identity(name) for name in args.names if name != "all"]
     except UnknownIdentityName as exc:
         return _fail(str(exc), 2)
-    identities = sorted(identities, key=lambda ident: ident.name)
+    identities = sorted(cat.builtin_catalog() if run_all else named, key=lambda ident: ident.name)
     reports = [cat.verify_identity(ident, args.degree) for ident in identities]
 
     if args.format == "json":

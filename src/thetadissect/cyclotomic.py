@@ -56,16 +56,6 @@ class IntPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if self.is_zero() or other.is_zero():
-            return IntPolynomial(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                for j, d in enumerate(other.coeffs):
-                    out[i + j] += c * d
-        return IntPolynomial.make(out)
-
     def exact_div(self, divisor: "IntPolynomial") -> "IntPolynomial":
         """Quotient self / divisor, requiring a zero remainder and exact steps."""
         if divisor.is_zero():

@@ -14,8 +14,8 @@ root-of-unity transformation
 
   f(zeta a, zeta b) = sum over k of zeta^(k^2) * S_k(a, b),
 
-whose two sides transform_lhs / transform_rhs expose. zeta may be any m-th
-root of unity zeta_m^e, not only a primitive one.
+which catalog.transformation_identity states in the identity language for
+any m-th root of unity zeta = zeta_m^e, not only a primitive one.
 """
 from __future__ import annotations
 
@@ -93,25 +93,3 @@ def dissect_closed(spec: DissectionSpec, bound: int) -> LaurentSeries:
     inner = theta_expand(args, bound - prefix.total_degree)
     return inner.scale(ScaledMonomial(1, 0, 1, prefix)).truncate(bound)
 
-
-def transform_lhs(m: int, zeta_exponent: int, bound: int) -> LaurentSeries:
-    """f(zeta a, zeta b) with zeta = zeta_m^e, expanded directly; the index-n
-    coefficient is zeta^(n^2)."""
-    if m < 1:
-        raise ValueError("modulus m must be >= 1")
-    args = ThetaArgs(
-        ScaledMonomial(1, zeta_exponent, m, Monomial(1, 0)),
-        ScaledMonomial(1, zeta_exponent, m, Monomial(0, 1)),
-    )
-    return theta_expand(args, bound)
-
-
-def transform_rhs(m: int, zeta_exponent: int, bound: int) -> LaurentSeries:
-    """Sum over k of zeta^(k^2) times the closed form of S_k, in Q(zeta_m)."""
-    if m < 1:
-        raise ValueError("modulus m must be >= 1")
-    return LaurentSeries.sum([
-        dissect_closed(DissectionSpec(m, k), bound).embed(m)
-        .scale(ScaledMonomial(1, zeta_exponent * k * k, m, Monomial(0, 0)))
-        for k in range(m)
-    ])

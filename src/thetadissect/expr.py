@@ -117,11 +117,6 @@ def rational(num, den=1) -> RationalConst:
     return RationalConst(Fraction(num, den))
 
 
-# the roots the surface syntax names i and omega
-I_UNIT = RootOfUnity(4, 1)
-OMEGA = RootOfUnity(3, 1)
-
-
 def required_order(*exprs: Expr) -> int:
     """lcm of all root orders appearing in the given expressions (at least 1),
     bumped to a multiple of 4 when a real/imaginary split appears."""

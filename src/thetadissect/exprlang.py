@@ -25,8 +25,8 @@ from fractions import Fraction
 
 from .errors import ExponentNotInteger, MissingEquals, MultipleEquals, ParseError
 from .expr import (
-    I_UNIT, OMEGA, Expr, ImagPart, Negate, Power, Product, RationalConst, RealPart,
-    RootOfUnity, SpecializeQ, Sum, ThetaCall, Var, product_of, sum_of,
+    Expr, ImagPart, Negate, Power, Product, RationalConst, RealPart, RootOfUnity,
+    SpecializeQ, Sum, ThetaCall, Var, product_of, sum_of,
 )
 
 _SYMBOLS = {
@@ -82,7 +82,7 @@ def tokenize(text: str) -> list[Token]:
 
 
 _CALLS = {"Re": RealPart, "Im": ImagPart, "specq": SpecializeQ}
-_NAMED_ROOTS = {"i": I_UNIT, "omega": OMEGA}
+_NAMED_ROOTS = {"i": RootOfUnity(4, 1), "omega": RootOfUnity(3, 1)}
 _ROOT_NAMES = {root: name for name, root in _NAMED_ROOTS.items()}
 
 # Deepest nesting of parenthesized subexpressions (including f(...), Re(...)

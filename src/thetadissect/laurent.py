@@ -281,12 +281,6 @@ class LaurentSeries:
         kept = {m: c for m, c in self.terms.items() if m.total_degree <= validity}
         return LaurentSeries(kept, validity, self.order)
 
-    def embed(self, target_order: int) -> "LaurentSeries":
-        if target_order == self.order:
-            return self
-        out = {m: c.embed(target_order) for m, c in self.terms.items()}
-        return LaurentSeries(out, self.validity, target_order)
-
     # -- comparison and specialization ------------------------------------------
 
     def first_mismatch(self, other: "LaurentSeries", through: int) -> Optional[Mismatch]:

@@ -11,11 +11,12 @@ import time
 from fractions import Fraction
 
 from conftest import plain_theta_args, rand_cyclo
-from thetadissect.catalog import builtin_catalog, evaluate, get_identity, make_identity, verify_identity
-from thetadissect.cyclotomic import CycloNum, cyclotomic_polynomial, zeta_power
-from thetadissect.dissect import (
-    DissectionSpec, dissect_closed, dissect_filter, transform_lhs, transform_rhs,
+from thetadissect.catalog import (
+    builtin_catalog, evaluate, get_identity, make_identity, transformation_identity,
+    verify_identity,
 )
+from thetadissect.cyclotomic import CycloNum, cyclotomic_polynomial, zeta_power
+from thetadissect.dissect import DissectionSpec, dissect_closed, dissect_filter
 from thetadissect.expr import (
     ImagPart, Negate, Power, Product, RationalConst, RealPart, RootOfUnity,
     SpecializeQ, Sum, ThetaCall, Var, product_of, rational, sum_of,
@@ -48,15 +49,17 @@ def test_criterion_1_jacobi_triple_product():
 def test_criterion_2_transformation_grid():
     start = time.perf_counter()
     ok = True
-    for m in range(1, 9):
+    for m in range(1, 13):
         for e in range(m):
-            lhs = transform_lhs(m, e, 60)
-            rhs = transform_rhs(m, e, 60)
-            ok = ok and lhs.equal_through(rhs, 60)
+            identity = transformation_identity(m, e)
+            order = identity.required_root_order
+            lhs = evaluate(identity.lhs, 60, order)
+            rhs = evaluate(identity.rhs, 60, order)
+            ok = ok and order == m and lhs.equal_through(rhs, 60)
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 30.0
     _criterion(2, ok, "f(zeta a, zeta b) transformation exact through N=60 for "
-                      "all m<=8 and every exponent e (%.2fs < 30s)" % elapsed)
+                      "all m<=12 and every exponent e (%.2fs < 30s)" % elapsed)
 
 
 def test_criterion_3_dissection_oracle_and_completeness():

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from thetadissect.catalog import (
-    Identity, builtin_catalog, catalog_by_name, evaluate, fold_scaled_monomial,
-    get_identity, make_identity, summarize, verify_identity,
+    _NOTEBOOK_ENTRIES, Identity, builtin_catalog, catalog_by_name, evaluate,
+    fold_scaled_monomial, get_identity, make_identity, summarize, transformation_identity,
+    verify_identity,
 )
 from thetadissect.cli import DEFAULT_DEGREE
 from thetadissect.cyclotomic import zeta_power
@@ -17,7 +18,7 @@ from thetadissect.expr import (
     RationalConst, RealPart, RootOfUnity, SpecializeQ, ThetaCall, Var,
     product_of, rational, sum_of,
 )
-from thetadissect.exprlang import parse_expr, parse_identity
+from thetadissect.exprlang import parse_expr, parse_identity, print_identity
 from thetadissect.laurent import Monomial
 
 A, B, Q = Var("a"), Var("b"), Var("q")
@@ -198,9 +199,25 @@ def test_q_specialization_two_routes_agree():
     assert via_specialize == direct
 
 
-def test_generated_transform_identity_renders_as_expected():
-    from thetadissect.exprlang import print_identity
+def test_notebook_statements_are_in_canonical_printed_form():
+    for name, statement, _ in _NOTEBOOK_ENTRIES:
+        assert print_identity(*parse_identity(statement)) == statement, name
 
+
+def test_transformation_identity_at_a_non_primitive_root():
+    # zeta = zeta_4^2 = -1: zeta^(k^2) is zeta^2 for odd k and 1 for even k
+    identity = transformation_identity(4, 6)
+    assert identity.name == "thm_m4_e2"
+    assert identity.required_root_order == 4
+    assert print_identity(identity.lhs, identity.rhs) == (
+        "f(zeta(4,2)*a, zeta(4,2)*b) = f(a^10*b^6, a^6*b^10) + zeta(4,2)*a*f(a^14*b^10, a^2*b^6)"
+        " + a^3*b*f(a^18*b^14, a^-2*b^2) + zeta(4,2)*a^6*b^3*f(a^22*b^18, a^-6*b^-2)"
+    )
+    with pytest.raises(ValueError):
+        transformation_identity(0)
+
+
+def test_generated_transform_identity_renders_as_expected():
     thm2 = get_identity("thm_m2")
     assert print_identity(thm2.lhs, thm2.rhs) == (
         "f(zeta(2,1)*a, zeta(2,1)*b) = "

@@ -102,6 +102,13 @@ def test_catalog_unknown_name_exits_2():
     assert "no_such_entry" in proc.stderr
 
 
+def test_catalog_all_with_unknown_name_exits_2(capsys):
+    assert main(["catalog", "all", "bogus", "--degree", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no catalog entry named 'bogus'" in captured.err
+
+
 def test_catalog_entry9_pair_rhs_byte_identical():
     proc = run_cli("catalog", "entry9a", "entry9b", "--degree", "60")
     assert proc.returncode == 0

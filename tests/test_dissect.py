@@ -1,9 +1,10 @@
 import pytest
 
 from conftest import make_series, plain_theta_args
+from thetadissect.catalog import evaluate, transformation_identity
 from thetadissect.dissect import (
     DissectionSpec, _half, boundary_monomials, closed_form_parts, dissect_closed,
-    dissect_filter, transform_lhs, transform_rhs,
+    dissect_filter,
 )
 from thetadissect.laurent import Monomial, ScaledMonomial
 from thetadissect.theta import ThetaArgs, theta_expand
@@ -86,30 +87,42 @@ def test_low_bound_keeps_lifted_negative_degree_terms():
     assert dissect_closed(spec, 2) == expected
 
 
+def transformation_sides(m, e, degree):
+    """Both sides of f(zeta a, zeta b) = sum_k zeta^(k^2) S_k with zeta = zeta_m^e,
+    evaluated in the identity's own field."""
+    identity = transformation_identity(m, e)
+    order = identity.required_root_order
+    return evaluate(identity.lhs, degree, order), evaluate(identity.rhs, degree, order)
+
+
 def test_transform_m1_is_f():
-    assert transform_lhs(1, 1, 20) == theta_expand(plain_theta_args(), 20)
-    assert transform_rhs(1, 1, 20) == transform_lhs(1, 1, 20)
+    lhs, rhs = transformation_sides(1, 1, 20)
+    assert lhs == theta_expand(plain_theta_args(), 20)
+    assert rhs == lhs
 
 
 def test_transform_m2_matches_sign_flip():
-    rhs = transform_rhs(2, 1, 9)
+    lhs, rhs = transformation_sides(2, 1, 9)
     assert rhs.render() == "1 - a - b + a^3*b + a*b^3 - a^6*b^3 - a^3*b^6"
-    assert transform_lhs(2, 1, 9) == rhs
+    assert lhs == rhs
 
 
 def test_transform_m3_matches_omega_expansion():
-    assert transform_lhs(3, 1, 9).equal_through(transform_rhs(3, 1, 9), 9)
+    lhs, rhs = transformation_sides(3, 1, 9)
+    assert lhs.equal_through(rhs, 9)
 
 
 def test_transform_m4_lhs_through_4():
-    assert transform_lhs(4, 1, 4).render() == "1 + zeta4*a + zeta4*b + a^3*b + a*b^3"
+    lhs, _ = transformation_sides(4, 1, 4)
+    assert lhs.render() == "1 + zeta4*a + zeta4*b + a^3*b + a*b^3"
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("m", range(1, 13))
 def test_transform_all_exponents(m):
+    # e = 0 (zeta = 1) and the non-primitive e included; both sides live in Q(zeta_m)
     for e in range(m):
-        lhs = transform_lhs(m, e, 30)
-        rhs = transform_rhs(m, e, 30)
+        lhs, rhs = transformation_sides(m, e, 30)
+        assert lhs.order == rhs.order == m, (m, e)
         assert lhs.equal_through(rhs, 30), (m, e)
 
 
