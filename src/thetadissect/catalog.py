@@ -2,8 +2,12 @@
 
 Evaluation is bottom-up into LaurentSeries over a single working order L
 (every root of unity in the expression must live in a field embedding into
-Q(zeta_L)). Theta-call arguments are constant-folded to scaled monomials
-first; anything else under f(,) is a NonMonomialArgument.
+Q(zeta_L)). Theta-call arguments and the monomial factors of a product are
+constant-folded to scaled monomials by one fold that returns, instead of a
+scaled monomial, the first node that stops it: a zero constant or a node
+that is not a monomial. Under f(,) that node is a NonMonomialArgument named
+in the message; in a product it marks an item to evaluate as a series, so
+no exception steers evaluation.
 
 The catalog holds the classical m=2/3/4 dissection identities from
 Ramanujan's notebooks (Berndt's editions, Parts III and IV), stated as text
@@ -34,32 +38,50 @@ from .theta import ThetaArgs, theta_expand
 _VAR_MONOMIALS = {"a": Monomial(1, 0), "b": Monomial(0, 1), "q": Monomial(1, 0)}
 
 
+def _fold(node: Expr, order: int):
+    """The scaled monomial that node folds to; or, when it does not fold, the
+    first node (depth first, left to right) that stops it: a zero
+    RationalConst or a node that is not a monomial. A root of unity whose
+    order does not divide `order` raises IncompatibleOrders."""
+    if isinstance(node, Var):
+        return ScaledMonomial(1, 0, order, _VAR_MONOMIALS[node.name])
+    if isinstance(node, Power):
+        base = _fold(node.base, order)
+        return base ** node.exponent if isinstance(base, ScaledMonomial) else base
+    if isinstance(node, Product):
+        result = None
+        for item in node.items:
+            part = _fold(item, order)
+            if not isinstance(part, ScaledMonomial):
+                return part
+            result = part if result is None else result * part
+        return result
+    if isinstance(node, RootOfUnity):
+        if order % node.order != 0:
+            raise IncompatibleOrders("order %d does not divide %d" % (node.order, order))
+        return ScaledMonomial(1, node.exponent * (order // node.order), order, Monomial(0, 0))
+    if isinstance(node, RationalConst):
+        if node.value == 0:
+            return node
+        return ScaledMonomial(node.value, 0, order, Monomial(0, 0))
+    if isinstance(node, Negate):
+        item = _fold(node.item, order)
+        return -item if isinstance(item, ScaledMonomial) else item
+    return node
+
+
 def fold_scaled_monomial(node: Expr, order: int) -> ScaledMonomial:
     """Constant-fold an expression to c * a^p * b^q, or raise NonMonomialArgument.
 
     q folds to the a-slot (the univariate convention of specialize_q).
     """
-    if isinstance(node, RationalConst):
-        if node.value == 0:
-            raise NonMonomialArgument("zero cannot be a theta-argument coefficient")
-        return ScaledMonomial(node.value, 0, order, Monomial(0, 0))
-    if isinstance(node, RootOfUnity):
-        if order % node.order != 0:
-            raise IncompatibleOrders("order %d does not divide %d" % (node.order, order))
-        return ScaledMonomial(1, node.exponent * (order // node.order), order, Monomial(0, 0))
-    if isinstance(node, Var):
-        return ScaledMonomial(1, 0, order, _VAR_MONOMIALS[node.name])
-    if isinstance(node, Negate):
-        return -fold_scaled_monomial(node.item, order)
-    if isinstance(node, Product):
-        result = fold_scaled_monomial(node.items[0], order)
-        for item in node.items[1:]:
-            result = result * fold_scaled_monomial(item, order)
-        return result
-    if isinstance(node, Power):
-        return fold_scaled_monomial(node.base, order) ** node.exponent
+    folded = _fold(node, order)
+    if isinstance(folded, ScaledMonomial):
+        return folded
+    if isinstance(folded, RationalConst):
+        raise NonMonomialArgument("zero cannot be a theta-argument coefficient")
     raise NonMonomialArgument(
-        "%s does not fold to a scaled monomial" % type(node).__name__
+        "%s does not fold to a scaled monomial" % type(folded).__name__
     )
 
 
@@ -75,16 +97,15 @@ def evaluate(node: Expr, degree: int, order: int) -> LaurentSeries:
     if isinstance(node, Sum):
         return LaurentSeries.sum([evaluate(item, degree, order) for item in node.items])
     if isinstance(node, Product):
-        folded: list[ScaledMonomial] = []
-        series_items: list[Expr] = []
-        for item in node.items:
-            try:
-                folded.append(fold_scaled_monomial(item, order))
-            except NonMonomialArgument:
-                series_items.append(item)
+        # the items that fold form one monomial prefix; the rest are series
         prefix = None
-        for s in folded:
-            prefix = s if prefix is None else prefix * s
+        series_items = []
+        for item in node.items:
+            part = _fold(item, order)
+            if not isinstance(part, ScaledMonomial):
+                series_items.append(item)
+            else:
+                prefix = part if prefix is None else prefix * part
         if not series_items:
             return _monomial_series(prefix, degree)
         result = LaurentSeries.product([evaluate(item, degree, order) for item in series_items])
@@ -92,10 +113,9 @@ def evaluate(node: Expr, degree: int, order: int) -> LaurentSeries:
             result = result.scale(prefix)
         return result
     if isinstance(node, Power):
-        try:
-            return _monomial_series(fold_scaled_monomial(node, order), degree)
-        except NonMonomialArgument:
-            pass
+        folded = _fold(node, order)
+        if isinstance(folded, ScaledMonomial):
+            return _monomial_series(folded, degree)
         if node.exponent < 0:
             raise NonInvertible("negative power needs a monomial base")
         if node.exponent == 0:

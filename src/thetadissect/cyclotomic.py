@@ -137,19 +137,19 @@ def _reduction_rows(order: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def reduce_powers(order: int, values, step: int = 1) -> list[int]:
-    """Power-basis coefficients of the sum of values[j] * zeta_order^(j*step).
+def reduce_powers(order: int, values, step: int = 1, shift: int = 0) -> list[int]:
+    """Power-basis coefficients of the sum of values[j] * zeta_order^(j*step + shift).
 
-    The values are integers. Row j*step mod order of the reduction table
-    expands that power; a row below phi(order) is a unit vector, so its value
-    is added straight in.
+    The values are integers. Row (j*step + shift) mod order of the reduction
+    table expands that power; a row below phi(order) is a unit vector, so its
+    value is added straight in. Zero values cost nothing.
     """
     rows = _reduction_rows(order)
     phi = len(rows[0])
     out = [0] * phi
     for j, c in enumerate(values):
         if c:
-            idx = j * step % order
+            idx = (j * step + shift) % order
             if idx < phi:
                 out[idx] += c
             else:
@@ -159,9 +159,9 @@ def reduce_powers(order: int, values, step: int = 1) -> list[int]:
     return out
 
 
-def _combine(order: int, values, den: int, step: int = 1) -> "CycloNum":
-    """The sum of values[j] * zeta_order^(j*step) / den, in Q(zeta_order)."""
-    return CycloNum(order, tuple(reduce_powers(order, values, step)), den)
+def _combine(order: int, values, den: int, step: int = 1, shift: int = 0) -> "CycloNum":
+    """The sum of values[j] * zeta_order^(j*step + shift) / den, in Q(zeta_order)."""
+    return CycloNum(order, tuple(reduce_powers(order, values, step, shift)), den)
 
 
 @dataclass(frozen=True)
@@ -267,6 +267,12 @@ class CycloNum:
             base = base * base
             n >>= 1
         return result
+
+    def times_zeta(self, exponent: int) -> "CycloNum":
+        """self * zeta_order^exponent: each nonzero entry moves up `exponent`
+        powers, then one reduction, costing the nonzero entries times phi
+        where a product costs phi^2."""
+        return _combine(self.order, self.nums, self.den, 1, exponent)
 
     # -- automorphisms and embeddings ----------------------------------------
 

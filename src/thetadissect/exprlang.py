@@ -20,8 +20,8 @@ Reserved meanings: i = zeta(4,1), omega = zeta(3,1).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ExponentNotInteger, MissingEquals, MultipleEquals, ParseError
 from .expr import (
@@ -42,8 +42,7 @@ _SYMBOLS = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident | integer | slash | plus | minus | star | caret | lparen | rparen | comma | equals | end
     text: str
     offset: int
@@ -51,29 +50,31 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
+    # tuple.__new__ skips the Python-level __new__ that NamedTuple generates
+    new = tuple.__new__
     i = 0
     n = len(text)
     while i < n:
         ch = text[i]
+        if ch in _SYMBOLS:
+            tokens.append(new(Token, (_SYMBOLS[ch], ch, i)))
+            i += 1
+            continue
         if ch.isspace():
             i += 1
             continue
-        if ch in _SYMBOLS:
-            tokens.append(Token(_SYMBOLS[ch], ch, i))
-            i += 1
-            continue
         if ch.isdigit():
-            j = i
+            j = i + 1
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(Token("integer", text[i:j], i))
+            tokens.append(new(Token, ("integer", text[i:j], i)))
             i = j
             continue
         if ch.isalpha():
-            j = i
+            j = i + 1
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(Token("ident", text[i:j], i))
+            tokens.append(new(Token, ("ident", text[i:j], i)))
             i = j
             continue
         raise ParseError("unexpected character %r" % ch, i)

@@ -259,10 +259,13 @@ class LaurentSeries:
         if s.order != self.order:
             raise OrderMismatch("scalar order %d != series order %d" % (s.order, self.order))
         validity = self.validity + s.total_degree
-        factor = s.coeff if s.exponent else s.ratio
-        unit = factor == 1
+        exponent, ratio = s.exponent, s.ratio
         # a nonzero factor keeps every (nonzero) term nonzero
-        entries = {m * s.mono: c if unit else c * factor for m, c in self.terms.items()}
+        entries = {}
+        for m, c in self.terms.items():
+            if exponent:
+                c = c.times_zeta(exponent)
+            entries[m * s.mono] = c if ratio == 1 else c * ratio
         return LaurentSeries(entries, validity, self.order)
 
     def map_coeffs(self, fn: Callable[[CycloNum], CycloNum]) -> "LaurentSeries":

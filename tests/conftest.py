@@ -13,6 +13,11 @@ if SRC not in sys.path:
     sys.path.insert(0, SRC)
 
 from thetadissect.cyclotomic import CycloNum, _reduction_rows, euler_phi  # noqa: E402
+from thetadissect.errors import IncompatibleOrders, NonMonomialArgument, ParseError  # noqa: E402
+from thetadissect.expr import (  # noqa: E402
+    Negate, Power, Product, RationalConst, RootOfUnity, Var,
+)
+from thetadissect.exprlang import _SYMBOLS  # noqa: E402
 from thetadissect.laurent import LaurentSeries, Monomial, ScaledMonomial  # noqa: E402
 from thetadissect.theta import ThetaArgs  # noqa: E402
 
@@ -153,3 +158,68 @@ def schoolbook_fold(items):
                        other.validity + known_min_degree(acc))
         partials.append(LaurentSeries(schoolbook_terms(acc, other, validity), validity, acc.order))
     return partials
+
+
+_VAR_MONOMIALS = {"a": Monomial(1, 0), "b": Monomial(0, 1), "q": Monomial(1, 0)}
+
+
+def reference_fold(node, order):
+    """The fold as it was when every node that does not fold raised
+    NonMonomialArgument on the spot, kept as the reference for the fold that
+    returns that node to its caller instead."""
+    if isinstance(node, RationalConst):
+        if node.value == 0:
+            raise NonMonomialArgument("zero cannot be a theta-argument coefficient")
+        return ScaledMonomial(node.value, 0, order, Monomial(0, 0))
+    if isinstance(node, RootOfUnity):
+        if order % node.order != 0:
+            raise IncompatibleOrders("order %d does not divide %d" % (node.order, order))
+        return ScaledMonomial(1, node.exponent * (order // node.order), order, Monomial(0, 0))
+    if isinstance(node, Var):
+        return ScaledMonomial(1, 0, order, _VAR_MONOMIALS[node.name])
+    if isinstance(node, Negate):
+        return -reference_fold(node.item, order)
+    if isinstance(node, Product):
+        result = reference_fold(node.items[0], order)
+        for item in node.items[1:]:
+            result = result * reference_fold(item, order)
+        return result
+    if isinstance(node, Power):
+        return reference_fold(node.base, order) ** node.exponent
+    raise NonMonomialArgument(
+        "%s does not fold to a scaled monomial" % type(node).__name__
+    )
+
+
+def reference_tokenize(text):
+    """The character loop the tokenizer used when tokens were frozen
+    dataclasses, kept as the reference: (kind, text, offset) triples."""
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in _SYMBOLS:
+            tokens.append((_SYMBOLS[ch], ch, i))
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(("integer", text[i:j], i))
+            i = j
+            continue
+        if ch.isalpha():
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("ident", text[i:j], i))
+            i = j
+            continue
+        raise ParseError("unexpected character %r" % ch, i)
+    tokens.append(("end", "", n))
+    return tokens

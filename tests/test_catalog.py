@@ -2,7 +2,9 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import reference_fold
 from thetadissect.catalog import (
     _NOTEBOOK_ENTRIES, Identity, builtin_catalog, catalog_by_name, evaluate,
     fold_scaled_monomial, get_identity, make_identity, summarize, transformation_identity,
@@ -11,12 +13,12 @@ from thetadissect.catalog import (
 from thetadissect.cli import DEFAULT_DEGREE
 from thetadissect.cyclotomic import zeta_power
 from thetadissect.errors import (
-    NonConvergent, NonInvertible, NonMonomialArgument, OrderNotDivisibleBy4,
-    UnknownIdentityName,
+    EngineError, IncompatibleOrders, NonConvergent, NonInvertible, NonMonomialArgument,
+    OrderNotDivisibleBy4, UnknownIdentityName,
 )
 from thetadissect.expr import (
-    RationalConst, RealPart, RootOfUnity, SpecializeQ, ThetaCall, Var,
-    product_of, rational, sum_of,
+    Negate, Power, Product, RationalConst, RealPart, RootOfUnity, SpecializeQ, Sum,
+    ThetaCall, Var, product_of, rational, sum_of,
 )
 from thetadissect.exprlang import parse_expr, parse_identity, print_identity
 from thetadissect.laurent import Monomial
@@ -74,6 +76,51 @@ def test_evaluate_scaled_product_keeps_requested_validity():
     s = evaluate(parse_expr("q^9*f(q^40, q^-8)"), 9, 1)
     assert s.validity >= 9
     assert s.render() == "a + a^9"
+
+
+# --- folding monomials ----------------------------------------------------------
+
+
+def test_foreign_root_raises_incompatible_orders_on_either_side_of_a_product():
+    # every item of a product is folded before any is evaluated, so the root
+    # of order 3 is met at order 4 wherever it stands
+    for text in ("zeta(3,1)*f(a,b)", "f(a,b)*zeta(3,1)"):
+        with pytest.raises(IncompatibleOrders, match="^order 3 does not divide 4$"):
+            evaluate(parse_expr(text), 3, 4)
+    # the fold itself stops at the first item that does not fold
+    with pytest.raises(IncompatibleOrders):
+        fold_scaled_monomial(parse_expr("zeta(3,1)*f(a,b)"), 4)
+    with pytest.raises(NonMonomialArgument,
+                       match="^ThetaCall does not fold to a scaled monomial$"):
+        fold_scaled_monomial(parse_expr("f(a,b)*zeta(3,1)"), 4)
+
+
+# Orders 1..12 against L in {1, 2, 3, 4, 6, 12}: some divide L, some do not.
+_FOLD_LEAVES = st.one_of(
+    st.sampled_from([Var("a"), Var("b"), Var("q")]),
+    st.builds(lambda n, d: RationalConst(Fraction(n, d)), st.integers(-4, 4), st.integers(1, 4)),
+    st.builds(RootOfUnity, st.integers(1, 12), st.integers(-12, 12)),
+    st.sampled_from([F_AB, Sum((A, B)), RealPart(A)]),
+)
+_MONOMIAL_TREES = st.recursive(_FOLD_LEAVES, lambda children: st.one_of(
+    children.map(Negate),
+    st.lists(children, min_size=2, max_size=4).map(lambda xs: Product(tuple(xs))),
+    st.tuples(children, st.integers(-3, 3)).map(lambda t: Power(*t)),
+), max_leaves=8)
+
+
+def _outcome(fold, node, order):
+    try:
+        return fold(node, order)
+    except EngineError as exc:
+        return type(exc), str(exc)
+
+
+@given(_MONOMIAL_TREES, st.sampled_from([1, 2, 3, 4, 6, 12]))
+@settings(max_examples=400, deadline=None)
+def test_fold_matches_the_raising_reference_fold(node, order):
+    assert _outcome(fold_scaled_monomial, node, order) == _outcome(reference_fold, node, order)
+
 
 
 def test_catalog_size_and_unique_names():

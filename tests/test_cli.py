@@ -275,3 +275,23 @@ def test_usage_error_leaves_the_shared_parser_as_fresh(capsys):
         capsys.readouterr()
         assert main(list(good)) == fresh.returncode == 0
         assert capsys.readouterr() == (fresh.stdout, fresh.stderr), bad
+
+
+@pytest.mark.parametrize("expr, code, out, err", [
+    # a zero factor is a series item, not a theta argument
+    ("0*f(a,b)", 0, "0\nvalidity: 3\n", ""),
+    ("2*0*a*f(a,b)", 0, "0\nvalidity: 4\n", ""),
+    # the error names the innermost node that does not fold
+    ("f(f(a,b), b)", 3, "",
+     "evaluation error: NonMonomialArgument: ThetaCall does not fold to a scaled monomial\n"),
+    ("f(a*f(a,b), b)", 3, "",
+     "evaluation error: NonMonomialArgument: ThetaCall does not fold to a scaled monomial\n"),
+    ("f(0*a, b)", 3, "",
+     "evaluation error: NonMonomialArgument: zero cannot be a theta-argument coefficient\n"),
+    ("(2*a)^-2*f(a,b)", 0, "1/4*a^-2 + 1/4*a^-1 + 1/4*a^-2*b\nvalidity: 1\n", ""),
+    ("f(-1/2*a^2*zeta(6,1), b)^2", 0,
+     "1 + 2*b - zeta6*a^2 + b^2 - zeta6*a^2*b\nvalidity: 3\n", ""),
+])
+def test_expand_folding_edge_cases(capsys, expr, code, out, err):
+    assert main(["expand", expr, "--degree", "3"]) == code
+    assert capsys.readouterr() == (out, err)

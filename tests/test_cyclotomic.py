@@ -287,3 +287,13 @@ def test_integer_arithmetic_matches_fraction_reference(case):
     for got, expected in results:
         assert FractionCyclo.of(got) == expected
         assert_canonical(got)
+
+
+@given(st.sampled_from(KERNEL_ORDERS).flatmap(
+    lambda order: st.tuples(cyclo_values(order), st.integers(-2 * order, 2 * order))))
+@settings(max_examples=200, deadline=None)
+def test_times_zeta_is_the_product_with_the_root(case):
+    x, e = case
+    got = x.times_zeta(e)
+    assert got == x * zeta_power(x.order, e)
+    assert_canonical(got)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import reference_tokenize
 from thetadissect.catalog import builtin_catalog
 from thetadissect.errors import (
     ExponentNotInteger, MissingEquals, MultipleEquals, ParseError,
@@ -13,7 +14,7 @@ from thetadissect.expr import (
     SpecializeQ, Sum, ThetaCall, Var, required_order,
 )
 from thetadissect.exprlang import (
-    parse_expr, parse_identity, print_expr, print_identity, tokenize,
+    Token, parse_expr, parse_identity, print_expr, print_identity, tokenize,
 )
 
 A, B, Q = Var("a"), Var("b"), Var("q")
@@ -212,6 +213,34 @@ def test_parsing_arbitrary_text_returns_or_raises_parse_error(text):
             parse(text)
         except ParseError:
             pass
+
+
+# Unicode whitespace (no-break, em and ideographic spaces, the separators
+# U+001C-U+001F that str.isspace accepts), a superscript digit that isdigit
+# accepts and int() does not, an Arabic-Indic digit that both accept, and a
+# letter outside ASCII.
+_SCANNER_TEXT = st.text(
+    alphabet="ab f1/2(),^*=-+_\u00a0\u2003\u3000\u001c\u001f\u00b2\u0663\u00e9\u00bd!#",
+    max_size=40)
+
+
+def _scan(tokenizer, text):
+    try:
+        return [tuple(token) for token in tokenizer(text)]
+    except ParseError as exc:
+        return str(exc), exc.offset
+
+
+@given(st.one_of(st.text(max_size=40), _SCANNER_TEXT))
+@settings(max_examples=400, deadline=None)
+def test_tokenizer_matches_the_character_loop(text):
+    assert _scan(tokenize, text) == _scan(reference_tokenize, text)
+
+
+def test_tokens_are_named_triples():
+    token = tokenize("zeta")[0]
+    assert isinstance(token, Token)
+    assert (token.kind, token.text, token.offset) == ("ident", "zeta", 0) == token
 
 
 @pytest.mark.parametrize("text, offset", [

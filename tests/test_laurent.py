@@ -103,6 +103,21 @@ def test_scale_examples():
     assert up.validity == 7
 
 
+@given(st.sampled_from(KERNEL_ORDERS), st.data())
+@settings(max_examples=100, deadline=None)
+def test_scale_by_a_scaled_root_matches_coefficient_products(order, data):
+    phi = euler_phi(order)
+    values = st.lists(st.tuples(numerators, denominators), min_size=phi, max_size=phi)
+    x = LaurentSeries.make([(Monomial(p, 1), cyclo_from_pairs(order, data.draw(values)))
+                            for p in range(data.draw(st.integers(1, 3)))], 5, order)
+    ratio = Fraction(data.draw(st.sampled_from((1, -1, 3))), data.draw(st.sampled_from((1, 2))))
+    e = data.draw(st.integers(0, order - 1))
+    s = ScaledMonomial(ratio, e, order, Monomial(2, -1))
+    factor = zeta_power(order, e) * ratio
+    assert x.scale(s) == LaurentSeries({m * s.mono: c * factor for m, c in x.terms.items()},
+                                       6, order)
+
+
 def test_equal_through_examples():
     x = make_series({(0, 0): 1, (1, 0): 1}, 6)
     assert x.equal_through(x, 6)
