@@ -6,7 +6,7 @@ identities (even/odd split, cubic, quartic, and the general modulus-m
 transformation) coefficient-by-coefficient with exact rational arithmetic.
 """
 
-from .cyclotomic import CycloNum, IntPolynomial, cyclotomic_polynomial, euler_phi, zeta_power
+from .cyclotomic import CycloNum, cyclotomic_polynomial, euler_phi, zeta_power
 from .laurent import LaurentSeries, Mismatch, Monomial, ScaledMonomial
 from .theta import ThetaArgs, pochhammer_expand, theta_expand, triple_product_rhs
 from .dissect import (
@@ -39,7 +39,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     # cyclotomic
-    "CycloNum", "IntPolynomial", "cyclotomic_polynomial", "euler_phi", "zeta_power",
+    "CycloNum", "cyclotomic_polynomial", "euler_phi", "zeta_power",
     # laurent
     "LaurentSeries", "Mismatch", "Monomial", "ScaledMonomial",
     # theta

@@ -5,6 +5,9 @@ L-th cyclotomic polynomial, as integer numerators over one denominator in
 lowest terms, so equality is plain comparison and no normalization pass is
 ever needed. Floating point is deliberately absent from this module.
 
+Phi_L itself is a plain tuple of integer coefficients, lowest degree first,
+built by the Moebius product over the squarefree divisors of L.
+
 Only ring operations plus scaling by rationals are provided.
 """
 from __future__ import annotations
@@ -17,109 +20,71 @@ from fractions import Fraction
 from .errors import IncompatibleOrders, OrderMismatch, OrderNotDivisibleBy4
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending, by trial division."""
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
 @functools.lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
-    """Euler's totient, by trial-division factorization (n stays small here)."""
+    """Euler's totient: n times (1 - 1/p) over the primes p dividing n."""
     if n < 1:
         raise ValueError("totient needs a positive integer")
     result = n
-    remaining = n
-    p = 2
-    while p * p <= remaining:
-        if remaining % p == 0:
-            while remaining % p == 0:
-                remaining //= p
-            result -= result // p
-        p += 1
-    if remaining > 1:
-        result -= result // remaining
+    for p in _prime_factors(n):
+        result -= result // p
     return result
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
-    """Dense integer polynomial, lowest degree first, trailing zeros trimmed."""
-
-    coeffs: tuple[int, ...]
-
-    @staticmethod
-    def make(coeffs) -> "IntPolynomial":
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        return IntPolynomial(tuple(coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def exact_div(self, divisor: "IntPolynomial") -> "IntPolynomial":
-        """Quotient self / divisor, requiring a zero remainder and exact steps."""
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        dc = divisor.coeffs
-        quot = [0] * max(len(rem) - len(dc) + 1, 0)
-        for i in range(len(rem) - len(dc), -1, -1):
-            lead = rem[i + len(dc) - 1]
-            q, r = divmod(lead, dc[-1])
-            if r != 0:
-                raise ValueError("polynomial division is not exact")
-            quot[i] = q
-            if q:
-                for j, d in enumerate(dc):
-                    rem[i + j] -= q * d
-        if any(rem):
-            raise ValueError("polynomial division left a remainder")
-        return IntPolynomial.make(quot)
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            mono = "1" if i == 0 else ("x" if i == 1 else "x^%d" % i)
-            mag = abs(c)
-            body = mono if (mag == 1 and i > 0) else (str(mag) if i == 0 else "%d*%s" % (mag, mono))
-            if not parts:
-                parts.append(("-" if c < 0 else "") + body)
-            else:
-                parts.append((" - " if c < 0 else " + ") + body)
-        return "".join(parts)
-
-
-def _x_power_minus_one(m: int) -> IntPolynomial:
-    return IntPolynomial.make([-1] + [0] * (m - 1) + [1])
-
-
 @functools.lru_cache(maxsize=None)
-def cyclotomic_polynomial(m: int) -> IntPolynomial:
-    """The m-th cyclotomic polynomial Phi_m.
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """The n-th cyclotomic polynomial Phi_n, as integer coefficients lowest degree first.
 
-    Computed by exact division of x^m - 1 by the product of Phi_d over the
-    proper divisors d of m; arbitrary-precision integers make this safe for
-    any m this engine meets.
+    Built by the Moebius product Phi_n = prod over d | n of (x^(n/d) - 1)^mu(d)
+    (Arnold and Monagan, "Calculating cyclotomic polynomials", Math. Comp. 80,
+    2011). Only the 2^omega(n) squarefree divisors d count, and each is one
+    sparse multiplication or exact division by the binomial x^(n/d) - 1, so
+    the cost is O(n) integer operations per divisor. The multiplications go
+    first, so every division must leave a zero remainder, and it is checked.
     """
-    if m < 1:
-        raise ValueError("cyclotomic polynomial needs m >= 1")
-    poly = _x_power_minus_one(m)
-    for d in range(1, m):
-        if m % d == 0:
-            poly = poly.exact_div(cyclotomic_polynomial(d))
-    return poly
+    if n < 1:
+        raise ValueError("cyclotomic polynomial needs n >= 1")
+    divisors = [(1, 1)]  # (d, mu(d))
+    for p in _prime_factors(n):
+        divisors += [(d * p, -mu) for d, mu in divisors]
+    poly = [1]
+    for d, mu in sorted(divisors, key=lambda entry: -entry[1]):
+        k = n // d
+        if mu == 1:
+            poly = [0] * k + poly
+            for i in range(len(poly) - k):
+                poly[i] -= poly[i + k]
+        else:
+            # long division from the top: poly[k:] becomes the quotient and
+            # poly[:k] the remainder
+            for i in range(len(poly) - 1, k - 1, -1):
+                poly[i - k] += poly[i]
+            if any(poly[:k]):
+                raise ValueError("division by x^%d - 1 left a remainder" % k)
+            poly = poly[k:]
+    return tuple(poly)
 
 
 @functools.lru_cache(maxsize=None)
 def _reduction_rows(order: int) -> tuple[tuple[int, ...], ...]:
     """Row j is the power-basis expansion of zeta^j, for 0 <= j < order."""
     phi = euler_phi(order)
-    modulus = cyclotomic_polynomial(order).coeffs  # monic, degree phi
+    modulus = cyclotomic_polynomial(order)  # monic, degree phi
     rows: list[tuple[int, ...]] = []
     for j in range(order):
         if j < phi:
@@ -208,9 +173,6 @@ class CycloNum:
 
     def is_zero(self) -> bool:
         return not any(self.nums)
-
-    def is_one(self) -> bool:
-        return self.den == 1 and self.nums[0] == 1 and not any(self.nums[1:])
 
     def is_rational(self) -> bool:
         return not any(self.nums[1:])

@@ -306,9 +306,6 @@ class LaurentSeries:
             return None
         return Mismatch(worst, self.coefficient(worst), other.coefficient(worst))
 
-    def equal_through(self, other: "LaurentSeries", through: int) -> bool:
-        return self.first_mismatch(other, through) is None
-
     def specialize_q(self) -> "LaurentSeries":
         """Collapse a^p*b^q to a^(p+q): the a-slot holds the univariate q-series.
 

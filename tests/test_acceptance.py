@@ -55,7 +55,7 @@ def test_criterion_2_transformation_grid():
             order = identity.required_root_order
             lhs = evaluate(identity.lhs, 60, order)
             rhs = evaluate(identity.rhs, 60, order)
-            ok = ok and order == m and lhs.equal_through(rhs, 60)
+            ok = ok and order == m and lhs.first_mismatch(rhs, 60) is None
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 30.0
     _criterion(2, ok, "f(zeta a, zeta b) transformation exact through N=60 for "
@@ -112,10 +112,10 @@ def test_criterion_6_q_specialization_of_quartic_components():
     even_direct = evaluate(parse_expr("f(q^16, q^16) + q^4*f(q^32, 1)"), 60, 1)
     odd_direct = evaluate(parse_expr("q*f(q^24, q^8) + q^9*f(q^40, q^-8)"), 60, 1)
     ok = (
-        even.specialize_q().equal_through(even_direct, 60)
-        and odd.specialize_q().equal_through(odd_direct, 60)
-        and even_closed.specialize_q().equal_through(even_direct, 60)
-        and odd_closed.specialize_q().equal_through(odd_direct, 60)
+        even.specialize_q().first_mismatch(even_direct, 60) is None
+        and odd.specialize_q().first_mismatch(odd_direct, 60) is None
+        and even_closed.specialize_q().first_mismatch(even_direct, 60) is None
+        and odd_closed.specialize_q().first_mismatch(odd_direct, 60) is None
     )
     _criterion(6, ok, "a=b=q collapse of the m=4 components equals the "
                       "directly-built univariate theta sums through N=60")
@@ -126,7 +126,7 @@ def test_criterion_7_cyclotomic_property_suites():
     for order in CYCLO_ORDERS:
         rng = random.Random(7000 + order)
         value = CycloNum.zero(order)
-        for j, c in enumerate(cyclotomic_polynomial(order).coeffs):
+        for j, c in enumerate(cyclotomic_polynomial(order)):
             value = value + zeta_power(order, j) * Fraction(c)
         ok = ok and value.is_zero()
         for _ in range(SAMPLES):

@@ -264,6 +264,19 @@ def test_transformation_identity_at_a_non_primitive_root():
         transformation_identity(0)
 
 
+def test_transformation_at_a_large_modulus():
+    # 2310 = 2*3*5*7*11, so Q(zeta_2310) has degree phi = 480
+    identity = transformation_identity(2310)
+    assert verify_identity(identity, 60).status == "verified"
+    statement = print_identity(identity.lhs, identity.rhs)
+    bumped = statement.replace(" + zeta(2310,1)*a*f(", " + zeta(2310,2)*a*f(")
+    assert bumped != statement
+    report = verify_identity(make_identity("bumped", *parse_identity(bumped), "negative control"), 60)
+    assert report.status == "failed"
+    assert report.first_mismatch.monomial == Monomial(1, 0)
+    assert report.first_mismatch.right == zeta_power(2310, 2)
+
+
 def test_generated_transform_identity_renders_as_expected():
     thm2 = get_identity("thm_m2")
     assert print_identity(thm2.lhs, thm2.rhs) == (

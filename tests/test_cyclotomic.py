@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import KERNEL_ORDERS, FractionCyclo, denominators, numerators, rand_cyclo
 from thetadissect.cyclotomic import (
-    CycloNum, IntPolynomial, cyclotomic_polynomial, euler_phi, zeta_power,
+    CycloNum, cyclotomic_polynomial, euler_phi, zeta_power,
 )
 from thetadissect.errors import IncompatibleOrders, OrderMismatch, OrderNotDivisibleBy4
 
@@ -70,8 +71,8 @@ def phi_oracle(m):
 
 
 def test_cyclotomic_polynomial_base_cases():
-    assert cyclotomic_polynomial(1).coeffs == (-1, 1)      # x - 1
-    assert cyclotomic_polynomial(4).coeffs == (1, 0, 1)    # x^2 + 1
+    assert cyclotomic_polynomial(1) == (-1, 1)      # x - 1
+    assert cyclotomic_polynomial(4) == (1, 0, 1)    # x^2 + 1
 
 
 def test_cyclotomic_polynomial_phi6_by_division_oracle():
@@ -79,18 +80,30 @@ def test_cyclotomic_polynomial_phi6_by_division_oracle():
     den = _pmul(_pmul(phi_oracle(1), phi_oracle(2)), phi_oracle(3))
     expected = _pdiv_exact([-1, 0, 0, 0, 0, 0, 1], den)
     assert expected == [1, -1, 1]                          # x^2 - x + 1
-    assert cyclotomic_polynomial(6).coeffs == tuple(expected)
+    assert cyclotomic_polynomial(6) == tuple(expected)
 
 
 @pytest.mark.parametrize("m", list(range(1, 31)))
 def test_cyclotomic_polynomial_matches_moebius_oracle(m):
-    assert list(cyclotomic_polynomial(m).coeffs) == phi_oracle(m)
-    assert cyclotomic_polynomial(m).degree == euler_phi(m)
+    assert list(cyclotomic_polynomial(m)) == phi_oracle(m)
+    assert len(cyclotomic_polynomial(m)) - 1 == euler_phi(m)
 
 
-def test_int_polynomial_str():
-    assert str(cyclotomic_polynomial(6)) == "x^2 - x + 1"
-    assert str(IntPolynomial(())) == "0"
+# --- second independent path: x^n - 1 divided by Phi_d over the proper divisors d
+
+
+@functools.lru_cache(maxsize=None)
+def phi_by_division(n):
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            poly = _pdiv_exact(poly, phi_by_division(d))
+    return tuple(poly)
+
+
+def test_cyclotomic_polynomial_matches_division_reference():
+    for n in [*range(1, 121), 210, 2310]:
+        assert cyclotomic_polynomial(n) == phi_by_division(n), n
 
 
 def test_zeta_power_examples():
@@ -171,7 +184,7 @@ def test_field_axioms_on_random_triples(order):
 @pytest.mark.parametrize("order", ORDERS)
 def test_minimal_polynomial_annihilates_zeta(order):
     value = CycloNum.zero(order)
-    for j, c in enumerate(cyclotomic_polynomial(order).coeffs):
+    for j, c in enumerate(cyclotomic_polynomial(order)):
         value = value + zeta_power(order, j) * Fraction(c)
     assert value.is_zero()
 

@@ -73,7 +73,7 @@ def test_mul_with_empty_operand():
     prod = x * z
     assert prod.is_zero() and prod.validity == 4
     # one completion of z: b^4 was cut off at 3, and a*b^4 lies above 4
-    assert (x * make_series({(0, 4): 1}, 10)).equal_through(prod, 4)
+    assert (x * make_series({(0, 4): 1}, 10)).first_mismatch(prod, 4) is None
 
 
 def test_mul_of_two_empty_operands():
@@ -90,7 +90,7 @@ def test_mul_empty_operand_with_negative_min_degree():
     truncated = p_exact.truncate(5) * q_exact.truncate(5)
     assert truncated.validity == 4
     exact = p_exact * q_exact
-    assert truncated.equal_through(exact.truncate(truncated.validity), truncated.validity)
+    assert truncated.first_mismatch(exact.truncate(truncated.validity), truncated.validity) is None
 
 
 def test_scale_examples():
@@ -120,7 +120,7 @@ def test_scale_by_a_scaled_root_matches_coefficient_products(order, data):
 
 def test_equal_through_examples():
     x = make_series({(0, 0): 1, (1, 0): 1}, 6)
-    assert x.equal_through(x, 6)
+    assert x.first_mismatch(x, 6) is None
     y = make_series({(0, 0): 1, (0, 1): 1}, 6)
     mm = x.first_mismatch(y, 1)
     assert mm is not None
@@ -181,13 +181,13 @@ def small_series(draw, validity=st.integers(2, 8)):
 def test_ring_laws_through_shared_validity(x, y, z):
     left = (x + y) + z
     right = x + (y + z)
-    assert left.equal_through(right, min(left.validity, right.validity))
+    assert left.first_mismatch(right, min(left.validity, right.validity)) is None
     xy = x * y
     yx = y * x
-    assert xy.equal_through(yx, min(xy.validity, yx.validity))
+    assert xy.first_mismatch(yx, min(xy.validity, yx.validity)) is None
     d1 = x * (y + z)
     d2 = x * y + x * z
-    assert d1.equal_through(d2, min(d1.validity, d2.validity))
+    assert d1.first_mismatch(d2, min(d1.validity, d2.validity)) is None
 
 
 @given(small_series(), small_series())
@@ -210,7 +210,7 @@ def test_validity_soundness_truncate_before_or_after(p_entries, q_entries, cut):
     q_exact = make_series(q_entries, huge)
     truncated = p_exact.truncate(cut) * q_exact.truncate(cut)
     exact = p_exact * q_exact
-    assert truncated.equal_through(exact.truncate(truncated.validity), truncated.validity)
+    assert truncated.first_mismatch(exact.truncate(truncated.validity), truncated.validity) is None
 
 
 @given(small_series(), small_series())
@@ -218,10 +218,10 @@ def test_validity_soundness_truncate_before_or_after(p_entries, q_entries, cut):
 def test_specialize_is_linear_and_multiplicative(x, y):
     sum_spec = (x + y).specialize_q()
     spec_sum = x.specialize_q() + y.specialize_q()
-    assert sum_spec.equal_through(spec_sum, min(sum_spec.validity, spec_sum.validity))
+    assert sum_spec.first_mismatch(spec_sum, min(sum_spec.validity, spec_sum.validity)) is None
     prod_spec = (x * y).specialize_q()
     spec_prod = x.specialize_q() * y.specialize_q()
-    assert prod_spec.equal_through(spec_prod, min(prod_spec.validity, spec_prod.validity))
+    assert prod_spec.first_mismatch(spec_prod, min(prod_spec.validity, spec_prod.validity)) is None
 
 
 # --- the integer product kernel against the pairwise schoolbook product --------

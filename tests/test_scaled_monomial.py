@@ -59,14 +59,14 @@ def test_powers_match_cyclonum(pair, n):
     if n >= 0:
         assert power.coeff == x.coeff ** n
     else:
-        assert (power.coeff * x.coeff ** -n).is_one()
+        assert power.coeff * x.coeff ** -n == CycloNum.one(x.order)
 
 
 def test_negative_power_of_scaled_root():
     x = ScaledMonomial.make(zeta_power(12, 5) * Fraction(3, 7), 1, -2)
     inv = x ** -1
     assert inv == ScaledMonomial(Fraction(7, 3), 7, 12, Monomial(-1, 2))
-    assert (x * inv).coeff.is_one() and (x * inv).mono == Monomial(0, 0)
+    assert (x * inv).coeff == CycloNum.one(12) and (x * inv).mono == Monomial(0, 0)
     with pytest.raises(ValueError):
         ScaledMonomial.make(CycloNum.zero(4), 0, 0)
     with pytest.raises(ValueError):

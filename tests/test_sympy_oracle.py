@@ -3,11 +3,14 @@
 The runtime never imports sympy; these tests skip without it.
 """
 import random
+from fractions import Fraction
 
 import pytest
 
 from conftest import cyclo_from_pairs, rand_cyclo
 from thetadissect.cyclotomic import CycloNum, cyclotomic_polynomial, euler_phi, zeta_power
+from thetadissect.laurent import Monomial, ScaledMonomial
+from thetadissect.theta import ThetaArgs, theta_expand
 
 sympy = pytest.importorskip("sympy")
 
@@ -32,9 +35,9 @@ def _reduced(poly, order) -> CycloNum:
 
 
 def test_cyclotomic_polynomials_match_sympy():
-    for n in range(1, 61):
+    for n in [*range(1, 61), 210, 1155, 2310, 4620]:
         expected = [int(c) for c in reversed(_phi_poly(n).all_coeffs())]
-        assert list(cyclotomic_polynomial(n).coeffs) == expected, n
+        assert list(cyclotomic_polynomial(n)) == expected, n
 
 
 @pytest.mark.parametrize("order", ORDERS)
@@ -56,3 +59,24 @@ def test_products_embeddings_and_conjugates_match_sympy(order):
         assert x.embed(target) == _reduced(embedded, target)
         conj = _as_poly(x).compose(sympy.Poly(X ** (order - 1), X))
         assert x.conjugate() == _reduced(conj, order)
+
+
+@pytest.mark.parametrize("order, r1, e1, r2, e2", [
+    (3, Fraction(-2, 3), 1, Fraction(5, 2), 2),
+    (5, Fraction(3), 2, Fraction(-1, 4), 4),
+    (8, Fraction(-3, 2), 3, Fraction(2, 5), 6),
+    (12, Fraction(7, 3), 5, Fraction(-1, 2), 1),
+])
+def test_theta_coefficients_match_sympy(order, r1, e1, r2, e2):
+    # the index-n term of f(r1 zeta^e1 a, r2 zeta^e2 b) is
+    # r1^t r2^u zeta^(e1 t + e2 u) a^t b^u, t = n(n+1)/2, u = n(n-1)/2
+    args = ThetaArgs(ScaledMonomial(r1, e1, order, Monomial(1, 0)),
+                     ScaledMonomial(r2, e2, order, Monomial(0, 1)))
+    series = theta_expand(args, 30)
+    expected = {}
+    for n in range(-5, 6):
+        t, u = n * (n + 1) // 2, n * (n - 1) // 2
+        power = sympy.Rational(r1) ** t * sympy.Rational(r2) ** u * X ** (e1 * t + e2 * u)
+        expected[Monomial(t, u)] = _reduced(sympy.Poly(power, X, domain="QQ"), order)
+    assert series.validity == 30
+    assert series.terms == expected

@@ -119,7 +119,7 @@ def test_triple_product_matches_theta_scaled_args_16():
     args = args_of(1, 3, 1, 1, 1, 3)
     lhs = theta_expand(args, 16)
     rhs = triple_product_rhs(args, 16)
-    assert lhs.equal_through(rhs, 16)
+    assert lhs.first_mismatch(rhs, 16) is None
 
 
 def test_triple_product_degree0_is_one():
@@ -144,7 +144,7 @@ def test_triple_product_equality_several_argument_pairs():
     for args in pairs:
         lhs = theta_expand(args, 50)
         rhs = triple_product_rhs(args, 50)
-        assert lhs.equal_through(rhs, 50)
+        assert lhs.first_mismatch(rhs, 50) is None
 
 
 def test_index_range_completeness():
