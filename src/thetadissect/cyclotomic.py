@@ -8,7 +8,9 @@ ever needed. Floating point is deliberately absent from this module.
 Phi_L itself is a plain tuple of integer coefficients, lowest degree first,
 built by the Moebius product over the squarefree divisors of L.
 
-Only ring operations plus scaling by rationals are provided.
+Only ring operations plus scaling by rationals are provided, and the text
+form of an element, which every report prints: `CycloNum.signed_parts` spells
+each basis term from the stored integers, and `join_signed` joins signed parts.
 """
 from __future__ import annotations
 
@@ -252,38 +254,50 @@ class CycloNum:
         return _combine(self.order, self.nums, self.den, self.order - 1)
 
     def real_imag(self) -> tuple["CycloNum", "CycloNum"]:
-        """Split x = re + i*im with re, im fixed by conjugation; needs 4 | order."""
+        """Split x = re + i*im with re, im fixed by conjugation; needs 4 | order.
+
+        With c the conjugate, re = (x + c)/2 and im = (x - c)/(2i) = (c - x)*i/2,
+        where multiplying by i = zeta^(order/4) is a shift of the powers."""
         if self.order % 4 != 0:
             raise OrderNotDivisibleBy4("order %d is not divisible by 4" % self.order)
-        i_unit = zeta_power(self.order, self.order // 4)
         conj = self.conjugate()
         re = (self + conj) * Fraction(1, 2)
-        # 1/(2i) = -i/2
-        im = (self - conj) * (-i_unit) * Fraction(1, 2)
+        im = (conj - self).times_zeta(self.order // 4) * Fraction(1, 2)
         return re, im
 
     # -- rendering -----------------------------------------------------------
 
-    def basis_terms(self) -> list[tuple[int, Fraction]]:
-        """Nonzero (power, coefficient) pairs, power ascending."""
-        return [(j, Fraction(x, self.den)) for j, x in enumerate(self.nums) if x]
+    def signed_parts(self) -> list[tuple[bool, str]]:
+        """(negative, text) for each nonzero basis term, power ascending.
+
+        The text is |n|/den in lowest terms, times zeta_order^j for j > 0,
+        where a magnitude of 1 is left out; it is read off the integers, so no
+        Fraction is built."""
+        parts = []
+        for j, x in enumerate(self.nums):
+            if x:
+                g = math.gcd(x, self.den)
+                num, den = abs(x) // g, self.den // g
+                mag = str(num) if den == 1 else "%d/%d" % (num, den)
+                if j == 0:
+                    text = mag
+                else:
+                    z = "zeta%d" % self.order if j == 1 else "zeta%d^%d" % (self.order, j)
+                    text = z if mag == "1" else "%s*%s" % (mag, z)
+                parts.append((x < 0, text))
+        return parts
 
     def __str__(self) -> str:
-        terms = self.basis_terms()
-        if not terms:
-            return "0"
-        parts = []
-        for j, c in terms:
-            if j == 0:
-                body = str(abs(c))
-            else:
-                z = "zeta%d" % self.order if j == 1 else "zeta%d^%d" % (self.order, j)
-                body = z if abs(c) == 1 else "%s*%s" % (abs(c), z)
-            if not parts:
-                parts.append(("-" if c < 0 else "") + body)
-            else:
-                parts.append((" - " if c < 0 else " + ") + body)
-        return "".join(parts)
+        return join_signed(self.signed_parts())
+
+
+def join_signed(parts: list[tuple[bool, str]]) -> str:
+    """The text "x - y + z" of (negative, text) parts, or "0" when there are none."""
+    if not parts:
+        return "0"
+    (negative, text), *rest = parts
+    return ("-" if negative else "") + text + "".join(
+        (" - " if negative else " + ") + text for negative, text in rest)
 
 
 @functools.lru_cache(maxsize=None)

@@ -10,6 +10,10 @@ Term order everywhere (rendering, mismatch reports) is total degree ascending,
 then a-exponent descending, matching the usual way theta expansions are
 written: 1 + a + b + a^3*b + a*b^3 + ...
 
+Rendering adds only the monomials: the text of each coefficient and the
+joining of signed parts come from `cyclotomic.py`. A coefficient of one basis
+term carries the term's sign, one of several is parenthesized.
+
 Products run on integers. Each operand becomes integer power-basis vectors
 over one positive common denominator, keeping only the terms that can reach
 the product's validity bound. Dense operands are multiplied by Kronecker
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .cyclotomic import CycloNum, reduce_powers, zeta_power
+from .cyclotomic import CycloNum, join_signed, reduce_powers, zeta_power
 from .errors import EmptySeries, OrderMismatch, ValidityExceeded
 
 
@@ -294,16 +298,12 @@ class LaurentSeries:
                 "comparison through %d exceeds validity min(%d, %d)"
                 % (through, self.validity, other.validity)
             )
-        monos = set(self.terms) | set(other.terms)
-        worst: Optional[Monomial] = None
-        for m in monos:
-            if m.total_degree > through:
-                continue
-            if self.coefficient(m) != other.coefficient(m):
-                if worst is None or _term_key(m) < _term_key(worst):
-                    worst = m
-        if worst is None:
+        # stored terms are nonzero, so a monomial missing on one side is a zero there
+        differing = [m for m in self.terms.keys() | other.terms.keys()
+                     if m.total_degree <= through and self.terms.get(m) != other.terms.get(m)]
+        if not differing:
             return None
+        worst = min(differing, key=_term_key)
         return Mismatch(worst, self.coefficient(worst), other.coefficient(worst))
 
     def specialize_q(self) -> "LaurentSeries":
@@ -317,16 +317,7 @@ class LaurentSeries:
     # -- rendering ----------------------------------------------------------------
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono, coeff in self.sorted_terms():
-            sign, body = _render_term(mono, coeff)
-            if not parts:
-                parts.append(("-" if sign else "") + body)
-            else:
-                parts.append((" - " if sign else " + ") + body)
-        return "".join(parts)
+        return join_signed([_render_term(mono, coeff) for mono, coeff in self.sorted_terms()])
 
     def __str__(self) -> str:
         return self.render()
@@ -493,21 +484,13 @@ def _series_terms(rows: list, den: int, order: int) -> dict:
 
 
 def _render_term(mono: Monomial, coeff: CycloNum) -> tuple[bool, str]:
-    """(negative-sign, body) for one term, body without leading sign."""
-    mono_txt = mono.render()
-    basis = coeff.basis_terms()
-    if coeff.is_rational():
-        r = coeff.as_rational()
-        sign = r < 0
-        mag = abs(r)
-        if mono_txt == "1":
-            return sign, str(mag)
-        return sign, mono_txt if mag == 1 else "%s*%s" % (mag, mono_txt)
-    if len(basis) == 1:
-        j, r = basis[0]
-        sign = r < 0
-        z = "zeta%d" % coeff.order if j == 1 else "zeta%d^%d" % (coeff.order, j)
-        head = z if abs(r) == 1 else "%s*%s" % (abs(r), z)
-        return sign, head if mono_txt == "1" else "%s*%s" % (head, mono_txt)
-    wrapped = "(%s)" % coeff
-    return False, wrapped if mono_txt == "1" else "%s*%s" % (wrapped, mono_txt)
+    """(negative, text) for one term: a coefficient of one basis term carries
+    the sign and drops a body of 1; one of several is parenthesized."""
+    parts = coeff.signed_parts()
+    if len(parts) == 1:
+        negative, body = parts[0]
+    else:
+        negative, body = False, "(%s)" % join_signed(parts)
+    if mono == (0, 0):
+        return negative, body
+    return negative, mono.render() if body == "1" else "%s*%s" % (body, mono.render())

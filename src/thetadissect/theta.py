@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cyclotomic import CycloNum, zeta_power
 from .errors import NonConvergent, OrderMismatch
@@ -51,29 +50,22 @@ class ThetaArgs:
         return self.first.order
 
 
-def term_degree(args: ThetaArgs, n: int) -> int:
-    """Total degree of the index-n term: d1*n(n+1)/2 + d2*n(n-1)/2."""
-    return args.first.total_degree * _tri_up(n) + args.second.total_degree * _tri_down(n)
-
-
 def theta_index_range(args: ThetaArgs, bound: int) -> range:
     """All integers n whose term has total degree <= bound.
 
-    The degree is an upward parabola in n; we walk outward from the integer
-    floor of its vertex, so no floating point is involved and no index can be
-    missed. The range is empty when even the vertex exceeds the bound.
+    With s = d1 + d2 > 0 and t = d1 - d2, the index-n term has degree
+    d1*n(n+1)/2 + d2*n(n-1)/2 = (s*n^2 + t*n)/2, which is <= bound iff
+    (2*s*n + t)^2 <= t^2 + 8*s*bound, that is iff |2*s*n + t| <= r for
+    r = isqrt(t^2 + 8*s*bound). So the range is closed-form integer
+    arithmetic, empty when t^2 + 8*s*bound < 0 (the vertex is above the bound).
     """
-    d1 = args.first.total_degree
-    d2 = args.second.total_degree
-    vertex = Fraction(-(d1 - d2), 2 * (d1 + d2))
-    n0 = math.floor(vertex)
-    lo = n0
-    while term_degree(args, lo) <= bound:
-        lo -= 1
-    hi = n0 + 1
-    while term_degree(args, hi) <= bound:
-        hi += 1
-    return range(lo + 1, hi)
+    s = args.first.total_degree + args.second.total_degree
+    t = args.first.total_degree - args.second.total_degree
+    disc = t * t + 8 * s * bound
+    if disc < 0:
+        return range(0)
+    r = math.isqrt(disc)
+    return range(-((r + t) // (2 * s)), (r - t) // (2 * s) + 1)
 
 
 def theta_expand(args: ThetaArgs, bound: int) -> LaurentSeries:

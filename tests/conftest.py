@@ -129,6 +129,65 @@ class FractionCyclo:
         return (self + conj) * Fraction(1, 2), (self - conj) * (-i_unit) * Fraction(1, 2)
 
 
+def reference_basis_terms(c):
+    """Nonzero (power, Fraction coefficient) pairs, power ascending."""
+    return [(j, Fraction(x, c.den)) for j, x in enumerate(c.nums) if x]
+
+
+def reference_str(c):
+    """The Fraction-based spelling of a CycloNum that the text formatter
+    replaced, kept as the reference."""
+    terms = reference_basis_terms(c)
+    if not terms:
+        return "0"
+    parts = []
+    for j, r in terms:
+        if j == 0:
+            body = str(abs(r))
+        else:
+            z = "zeta%d" % c.order if j == 1 else "zeta%d^%d" % (c.order, j)
+            body = z if abs(r) == 1 else "%s*%s" % (abs(r), z)
+        if not parts:
+            parts.append(("-" if r < 0 else "") + body)
+        else:
+            parts.append((" - " if r < 0 else " + ") + body)
+    return "".join(parts)
+
+
+def reference_render_term(mono, coeff):
+    """(negative-sign, body) for one series term, by the Fraction-based
+    spelling, kept as the reference."""
+    mono_txt = mono.render()
+    basis = reference_basis_terms(coeff)
+    if coeff.is_rational():
+        r = coeff.as_rational()
+        mag = abs(r)
+        if mono_txt == "1":
+            return r < 0, str(mag)
+        return r < 0, mono_txt if mag == 1 else "%s*%s" % (mag, mono_txt)
+    if len(basis) == 1:
+        j, r = basis[0]
+        z = "zeta%d" % coeff.order if j == 1 else "zeta%d^%d" % (coeff.order, j)
+        head = z if abs(r) == 1 else "%s*%s" % (abs(r), z)
+        return r < 0, head if mono_txt == "1" else "%s*%s" % (head, mono_txt)
+    wrapped = "(%s)" % reference_str(coeff)
+    return False, wrapped if mono_txt == "1" else "%s*%s" % (wrapped, mono_txt)
+
+
+def reference_render(series):
+    """The rendering of a series by the Fraction-based spelling."""
+    if not series.terms:
+        return "0"
+    parts = []
+    for mono, coeff in series.sorted_terms():
+        negative, body = reference_render_term(mono, coeff)
+        if not parts:
+            parts.append(("-" if negative else "") + body)
+        else:
+            parts.append((" - " if negative else " + ") + body)
+    return "".join(parts)
+
+
 def schoolbook_terms(x, y, validity):
     """The pairwise CycloNum double loop the integer kernel replaced, kept as
     the reference."""

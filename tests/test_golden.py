@@ -52,6 +52,29 @@ CASES.update({
     "verify-failed": ["verify", "f(i*a, b) = f(a, i*b)", "--degree", "8", "--format", "json"],
 })
 
+# text reports through the series renderer: several basis terms at the
+# constant monomial, entries over one denominator that reduce apart, negative
+# single roots at 1 and times monomials, Re/Im at orders 8 and 24 with
+# rational ratios, and failed verifications with a zero on either side
+_TEXT_EXPANSIONS = {
+    "constant-multiterm": ("(1 + i)*1/2*f(a, i*b)", 6),
+    "one-denominator": ("(1/2 + 3/4*zeta(8,1))*f(a,-b)", 8),
+    "negative-roots": ("f(zeta(12,7)*a^-1*b^2, -3/2*zeta(12,5)*a^2)", 10),
+    "negative-root-constant": ("-zeta(5,2)*f(a, zeta(5,1)*b)", 8),
+    "re8": ("Re(f(2/3*zeta(8,3)*a, 5/2*b))", 8),
+    "im8": ("Im(f(2/3*zeta(8,1)*a, 1/2*b))", 8),
+    "re24": ("Re(f(3*zeta(24,5)*a, 1/2*zeta(24,2)*b))", 6),
+    "im24": ("Im(f(3*zeta(24,5)*a, 1/2*zeta(24,2)*b))", 6),
+}
+CASES.update({"expand-text-" + name: ["expand", expr, "--degree", str(degree)]
+              for name, (expr, degree) in _TEXT_EXPANSIONS.items()})
+CASES.update({
+    "verify-failed-text": ["verify", "f(i*a, b) = f(a, i*b)", "--degree", "8"],
+    "verify-failed-text-zero-rhs": ["verify", "f(i*a,b) + i*a^5 = f(i*a,b)", "--degree", "8"],
+    "verify-failed-text-zero-lhs": [
+        "verify", "f(i*a,b) = f(i*a,b) + (1/2 - 3/4*zeta(8,3))*a^-1*b^2", "--degree", "8"],
+})
+
 _MILLIS = re.compile(r'"millis": [-+.0-9eE]+')
 
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (KERNEL_ORDERS, cyclo_from_pairs, denominators, known_min_degree,
-                      make_series, numerators, schoolbook_fold, schoolbook_terms)
+                      make_series, numerators, reference_render, reference_str,
+                      schoolbook_fold, schoolbook_terms)
 from thetadissect import laurent
 from thetadissect.cyclotomic import CycloNum, euler_phi, zeta_power
 from thetadissect.errors import EmptySeries, OrderMismatch, ValidityExceeded
@@ -116,6 +117,29 @@ def test_scale_by_a_scaled_root_matches_coefficient_products(order, data):
     factor = zeta_power(order, e) * ratio
     assert x.scale(s) == LaurentSeries({m * s.mono: c * factor for m, c in x.terms.items()},
                                        6, order)
+
+
+@given(st.sampled_from(KERNEL_ORDERS), st.data())
+@settings(max_examples=300, deadline=None)
+def test_coefficient_text_matches_the_fraction_reference(order, data):
+    nums = data.draw(st.lists(numerators, min_size=euler_phi(order), max_size=euler_phi(order)))
+    x = CycloNum(order, tuple(nums), data.draw(denominators))
+    assert str(x) == reference_str(x)
+    for mono in (Monomial(0, 0), Monomial(1, 0), Monomial(-1, 2)):
+        series = LaurentSeries.make([(mono, x)], 2, order)
+        assert series.render() == reference_render(series)
+
+
+def test_mismatch_with_a_term_stored_on_one_side():
+    x = make_series({(0, 0): 1}, 6, order=8)
+    y = make_series({(0, 0): 1, (-1, 2): cyclo_from_pairs(8, [(1, 2), (0, 1), (0, 1), (-3, 4)])},
+                    6, order=8)
+    mm = x.first_mismatch(y, 6)
+    assert mm.monomial == Monomial(-1, 2)
+    assert mm.left == CycloNum.zero(8) and str(mm.left) == "0"
+    assert str(mm.right) == "1/2 - 3/4*zeta8^3"
+    flipped = y.first_mismatch(x, 6)
+    assert (flipped.left, flipped.right) == (mm.right, CycloNum.zero(8))
 
 
 def test_equal_through_examples():

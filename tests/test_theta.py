@@ -1,13 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import make_series, plain_theta_args, schoolbook_fold
 from thetadissect.cyclotomic import zeta_power
 from thetadissect.errors import NonConvergent
 from thetadissect.laurent import LaurentSeries, Monomial, ScaledMonomial
 from thetadissect.theta import (
-    ThetaArgs, pochhammer_expand, term_degree, theta_expand, theta_index_range,
+    ThetaArgs, pochhammer_expand, theta_expand, theta_index_range,
     triple_product_rhs,
 )
 
@@ -155,10 +156,26 @@ def test_index_range_completeness():
         (args_of(1, 1, 0, 1, 0, 1), 0),
     ]
     for args, bound in cases:
-        rng = theta_index_range(args, bound)
-        for n in range(rng.start - 5, rng.stop + 5):
-            inside = rng.start <= n < rng.stop
-            assert inside == (term_degree(args, n) <= bound)
+        assert_index_range_complete(args, bound)
+
+
+def assert_index_range_complete(args, bound):
+    """theta_index_range holds exactly the n with d1*n(n+1)/2 + d2*n(n-1)/2
+    <= bound; the degree is convex in n, so five indices past each end
+    suffice."""
+    d1, d2 = args.first.total_degree, args.second.total_degree
+    rng = theta_index_range(args, bound)
+    for n in range(rng.start - 5, rng.stop + 5):
+        inside = rng.start <= n < rng.stop
+        assert inside == (d1 * n * (n + 1) // 2 + d2 * n * (n - 1) // 2 <= bound)
+
+
+@given(st.integers(-12, 12), st.integers(-12, 12), st.integers(-12, 12), st.integers(-12, 12),
+       st.integers(-200, 2000))
+@settings(max_examples=300, deadline=None)
+def test_index_range_completeness_random_arguments(p1, q1, p2, q2, bound):
+    assume(p1 + q1 + p2 + q2 > 0)
+    assert_index_range_complete(args_of(1, p1, q1, 1, p2, q2), bound)
 
 
 def test_symmetry_in_the_two_arguments():
