@@ -7,7 +7,9 @@ constant-folded to scaled monomials by one fold that returns, instead of a
 scaled monomial, the first node that stops it: a zero constant or a node
 that is not a monomial. Under f(,) that node is a NonMonomialArgument named
 in the message; in a product it marks an item to evaluate as a series, so
-no exception steers evaluation.
+no exception steers evaluation. Re and Im are identities between series:
+with conj x the coefficientwise conjugate, Re x = (x + conj x)/2 and
+Im x = (conj x - x)*i/2, i = zeta_L^(L/4), so 4 must divide L.
 
 The catalog holds the classical m=2/3/4 dissection identities from
 Ramanujan's notebooks (Berndt's editions, Parts III and IV), stated as text
@@ -20,12 +22,15 @@ import functools
 import itertools
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Optional
 
+from .cyclotomic import CycloNum
 from .dissect import DissectionSpec, closed_form_parts
 from .errors import (
-    EngineError, IncompatibleOrders, NonInvertible, NonMonomialArgument, UnknownIdentityName,
+    EngineError, IncompatibleOrders, NonInvertible, NonMonomialArgument, OrderNotDivisibleBy4,
+    UnknownIdentityName,
 )
 from .expr import (
     Expr, ImagPart, Negate, Power, Product, RationalConst, RealPart, RootOfUnity,
@@ -130,10 +135,17 @@ def evaluate(node: Expr, degree: int, order: int) -> LaurentSeries:
         return theta_expand(args, degree)
     if isinstance(node, Negate):
         return -evaluate(node.item, degree, order)
-    if isinstance(node, RealPart):
-        return evaluate(node.item, degree, order).map_coeffs(lambda c: c.real_imag()[0])
-    if isinstance(node, ImagPart):
-        return evaluate(node.item, degree, order).map_coeffs(lambda c: c.real_imag()[1])
+    if isinstance(node, (RealPart, ImagPart)):
+        if order % 4 != 0:
+            raise OrderNotDivisibleBy4("order %d is not divisible by 4" % order)
+        x = evaluate(node.item, degree, order)
+        conj = x.map_coeffs(CycloNum.conjugate)
+        if isinstance(node, RealPart):
+            parts, exponent = (x, conj), 0
+        else:
+            parts, exponent = (conj, -x), order // 4
+        return LaurentSeries.sum(parts).scale(
+            ScaledMonomial(Fraction(1, 2), exponent, order, Monomial(0, 0)))
     if isinstance(node, SpecializeQ):
         return evaluate(node.item, degree, order).specialize_q()
     if isinstance(node, RationalConst):

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import IncompatibleOrders, OrderMismatch, OrderNotDivisibleBy4
+from .errors import IncompatibleOrders, OrderMismatch
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -252,18 +252,6 @@ class CycloNum:
     def conjugate(self) -> "CycloNum":
         """The automorphism zeta -> zeta^(-1): complex conjugation, an involution."""
         return _combine(self.order, self.nums, self.den, self.order - 1)
-
-    def real_imag(self) -> tuple["CycloNum", "CycloNum"]:
-        """Split x = re + i*im with re, im fixed by conjugation; needs 4 | order.
-
-        With c the conjugate, re = (x + c)/2 and im = (x - c)/(2i) = (c - x)*i/2,
-        where multiplying by i = zeta^(order/4) is a shift of the powers."""
-        if self.order % 4 != 0:
-            raise OrderNotDivisibleBy4("order %d is not divisible by 4" % self.order)
-        conj = self.conjugate()
-        re = (self + conj) * Fraction(1, 2)
-        im = (conj - self).times_zeta(self.order // 4) * Fraction(1, 2)
-        return re, im
 
     # -- rendering -----------------------------------------------------------
 

@@ -86,10 +86,10 @@ def dissect_filter(spec: DissectionSpec, bound: int) -> LaurentSeries:
 
 
 def dissect_closed(spec: DissectionSpec, bound: int) -> LaurentSeries:
-    """Closed-form path. The theta call runs with budget bound - k^2 (the
-    prefix raises every degree by exactly k^2), so the scaled result is exact
-    through the requested bound, which the final truncate restores."""
+    """Closed-form path. The theta call runs with budget bound - k^2, and the
+    prefix raises every degree and the validity by exactly k^2, so the scaled
+    result is exact through the requested bound and stores nothing above it."""
     prefix, args = closed_form_parts(spec)
     inner = theta_expand(args, bound - prefix.total_degree)
-    return inner.scale(ScaledMonomial(1, 0, 1, prefix)).truncate(bound)
+    return inner.scale(ScaledMonomial(1, 0, 1, prefix))
 

@@ -26,10 +26,6 @@ class ValidityExceeded(EngineError):
     """A comparison was requested beyond a series' validity bound."""
 
 
-class EmptySeries(EngineError):
-    """Minimum degree of the zero series is undefined."""
-
-
 class EvaluationError(EngineError):
     """Base class for errors raised while evaluating an expression."""
 

@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .cyclotomic import CycloNum, join_signed, reduce_powers, zeta_power
-from .errors import EmptySeries, OrderMismatch, ValidityExceeded
+from .errors import OrderMismatch, ValidityExceeded
 
 
 class Monomial(NamedTuple):
@@ -182,9 +182,9 @@ class LaurentSeries:
         return self.terms.get(mono, CycloNum.zero(self.order))
 
     def min_total_degree(self) -> int:
-        if not self.terms:
-            raise EmptySeries("the zero series has no minimum degree")
-        return min(m.total_degree for m in self.terms)
+        """The least stored total degree; validity + 1 when nothing is stored,
+        since an empty series may still hide terms from there up."""
+        return min((m.total_degree for m in self.terms), default=self.validity + 1)
 
     def sorted_terms(self) -> list[tuple[Monomial, CycloNum]]:
         return sorted(self.terms.items(), key=lambda item: _term_key(item[0]))
@@ -214,17 +214,13 @@ class LaurentSeries:
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
         return self + (-other)
 
-    def _known_min_degree(self) -> int:
-        # an empty series may still hide terms of degree validity + 1 and up
-        return self.min_total_degree() if self.terms else self.validity + 1
-
     @staticmethod
     def product(items: Iterable["LaurentSeries"]) -> "LaurentSeries":
         """The product of one or more series, multiplied left to right.
 
         Each step applies the binary validity rule: the running product
         (validity V, least degree m) times a series (V', m') is exact through
-        min(V + m', V' + m), an empty series counting from its validity + 1.
+        min(V + m', V' + m), each least degree as `min_total_degree` reads it.
         Between steps the running product stays as integer rows over one
         denominator, so each operand is converted once and coefficients are
         built once, at the end. Items are read one at a time, so a power may
@@ -240,12 +236,13 @@ class LaurentSeries:
         rows, den = _integer_rows(first.terms, validity)
         for other in itertools.chain((second,), items):
             first._check_order(other)
-            low = min(p + q for p, q, _ in rows) if rows else validity + 1
-            validity = min(validity + other._known_min_degree(), other.validity + low)
+            low = min((p + q for p, q, _ in rows), default=validity + 1)
+            other_low = other.min_total_degree()
+            validity = min(validity + other_low, other.validity + low)
             if not rows or not other.terms:
                 rows, den = [], 1
                 continue
-            xs, x_den = _truncated_rows(rows, den, validity - other.min_total_degree())
+            xs, x_den = _truncated_rows(rows, den, validity - other_low)
             ys, y_den = _integer_rows(other.terms, validity - low)
             packing = _packing(xs, ys)
             if _is_dense(xs, ys, packing):
@@ -273,13 +270,9 @@ class LaurentSeries:
         return LaurentSeries(entries, validity, self.order)
 
     def map_coeffs(self, fn: Callable[[CycloNum], CycloNum]) -> "LaurentSeries":
-        """Coefficientwise map (order-preserving); zeros produced are pruned."""
-        out = {}
-        for m, c in self.terms.items():
-            v = fn(c)
-            if not v.is_zero():
-                out[m] = v
-        return LaurentSeries(out, self.validity, self.order)
+        """Coefficientwise map by a field automorphism, such as conjugation: it
+        keeps the order, and every stored term stays nonzero, so none is pruned."""
+        return LaurentSeries({m: fn(c) for m, c in self.terms.items()}, self.validity, self.order)
 
     def truncate(self, validity: int) -> "LaurentSeries":
         """Lower the validity bound (never raises it)."""

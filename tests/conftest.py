@@ -12,10 +12,11 @@ SRC = os.path.join(ROOT, "src")
 if SRC not in sys.path:
     sys.path.insert(0, SRC)
 
+from thetadissect.catalog import evaluate  # noqa: E402
 from thetadissect.cyclotomic import CycloNum, _reduction_rows, euler_phi  # noqa: E402
 from thetadissect.errors import IncompatibleOrders, NonMonomialArgument, ParseError  # noqa: E402
 from thetadissect.expr import (  # noqa: E402
-    Negate, Power, Product, RationalConst, RootOfUnity, Var,
+    ImagPart, Negate, Power, Product, RationalConst, RealPart, RootOfUnity, Var, sum_of,
 )
 from thetadissect.exprlang import _SYMBOLS  # noqa: E402
 from thetadissect.laurent import LaurentSeries, Monomial, ScaledMonomial  # noqa: E402
@@ -127,6 +128,29 @@ class FractionCyclo:
         i_unit = FractionCyclo.combine(self.order, [0] * (self.order // 4) + [Fraction(1)])
         conj = self.conjugate()
         return (self + conj) * Fraction(1, 2), (self - conj) * (-i_unit) * Fraction(1, 2)
+
+
+def series_expr(series):
+    """An expression that evaluates to `series` at its order and validity:
+    the sum over its terms a^p*b^q*x and the nonzero entries n of x of
+    n/den * zeta(order, j) * a^p * b^q, or 0 for the zero series."""
+    return sum_of(Product((RationalConst(Fraction(n, c.den)), RootOfUnity(series.order, j),
+                           Power(Var("a"), m.p), Power(Var("b"), m.q)))
+                  for m, c in series.terms.items() for j, n in enumerate(c.nums) if n)
+
+
+def evaluated_parts(series):
+    """(Re, Im) of a series, as `evaluate` takes them at its order and validity."""
+    expr = series_expr(series)
+    return tuple(evaluate(part(expr), series.validity, series.order)
+                 for part in (RealPart, ImagPart))
+
+
+def constant_parts(x):
+    """(Re x, Im x) of a CycloNum: the constant terms of `evaluated_parts` of
+    the constant series x."""
+    parts = evaluated_parts(make_series({(0, 0): x}, 0, x.order))
+    return tuple(part.coefficient(Monomial(0, 0)) for part in parts)
 
 
 def reference_basis_terms(c):

@@ -4,24 +4,27 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import reference_fold
+from conftest import (
+    FractionCyclo, cyclo_from_pairs, denominators, evaluated_parts, make_series, numerators,
+    reference_fold, series_expr,
+)
 from thetadissect.catalog import (
     _NOTEBOOK_ENTRIES, Identity, builtin_catalog, catalog_by_name, evaluate,
     fold_scaled_monomial, get_identity, make_identity, summarize, transformation_identity,
     verify_identity,
 )
 from thetadissect.cli import DEFAULT_DEGREE
-from thetadissect.cyclotomic import zeta_power
+from thetadissect.cyclotomic import CycloNum, euler_phi, zeta_power
 from thetadissect.errors import (
     EngineError, IncompatibleOrders, NonConvergent, NonInvertible, NonMonomialArgument,
     OrderNotDivisibleBy4, UnknownIdentityName,
 )
 from thetadissect.expr import (
-    Negate, Power, Product, RationalConst, RealPart, RootOfUnity, SpecializeQ, Sum,
+    ImagPart, Negate, Power, Product, RationalConst, RealPart, RootOfUnity, SpecializeQ, Sum,
     ThetaCall, Var, product_of, rational, sum_of,
 )
 from thetadissect.exprlang import parse_expr, parse_identity, print_identity
-from thetadissect.laurent import Monomial
+from thetadissect.laurent import LaurentSeries, Monomial, ScaledMonomial
 
 A, B, Q = Var("a"), Var("b"), Var("q")
 OMEGA = RootOfUnity(3, 1)
@@ -64,6 +67,48 @@ def test_evaluate_negative_power_needs_monomial_base():
 def test_evaluate_real_part_needs_order_divisible_by_4():
     with pytest.raises(OrderNotDivisibleBy4):
         evaluate(RealPart(F_AB), 9, 1)
+    # the order is checked before the operand is read, so a zero one fails too
+    for part in (RealPart, ImagPart):
+        with pytest.raises(OrderNotDivisibleBy4):
+            evaluate(part(RationalConst(Fraction(0))), 9, 6)
+
+
+@st.composite
+def re_im_operands(draw):
+    """Series of up to six terms at orders 4, 8, 12 and 24, each coefficient
+    arbitrary, purely real (y + conj y) or purely imaginary (y - conj y)."""
+    order = draw(st.sampled_from((4, 8, 12, 24)))
+    exponents = st.integers(-3, 5)
+    entries = {}
+    for mono in draw(st.lists(st.tuples(exponents, exponents), max_size=6, unique=True)):
+        y = cyclo_from_pairs(order, [(draw(numerators), draw(denominators))
+                                     if draw(st.booleans()) else (0, 1)
+                                     for _ in range(euler_phi(order))])
+        kind = draw(st.sampled_from(("any", "real", "imaginary")))
+        if kind == "real":
+            y = y + y.conjugate()
+        elif kind == "imaginary":
+            y = y - y.conjugate()
+        entries[mono] = y
+    return make_series(entries, 10, order)
+
+
+@given(re_im_operands())
+@settings(max_examples=150, deadline=None)
+def test_re_im_of_series_match_the_fraction_reference(series):
+    order = series.order
+    assert evaluate(series_expr(series), series.validity, order) == series
+    re, im = evaluated_parts(series)
+    assert re.validity == im.validity == series.validity
+    for part in (re, im):
+        assert part.terms.keys() <= series.terms.keys()
+        assert not any(c.is_zero() for c in part.terms.values())
+        assert part.map_coeffs(CycloNum.conjugate) == part
+    for mono, x in series.terms.items():
+        got = (FractionCyclo.of(re.coefficient(mono)), FractionCyclo.of(im.coefficient(mono)))
+        assert got == FractionCyclo.of(x).real_imag()
+    i_unit = ScaledMonomial(1, order // 4, order, Monomial(0, 0))
+    assert LaurentSeries.sum((re, im.scale(i_unit))) == series
 
 
 def test_evaluate_zero_constant():

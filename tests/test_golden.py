@@ -75,6 +75,20 @@ CASES.update({
         "verify", "f(i*a,b) = f(i*a,b) + (1/2 - 3/4*zeta(8,3))*a^-1*b^2", "--degree", "8"],
 })
 
+# Re/Im as series identities: parts where every term cancels, a rational times
+# a root at order 12, a negative-exponent monomial factor, a working order
+# above the one required, and Re + i*Im recombining the operand
+CASES.update({
+    "expand-text-im-real-operand": ["expand", "Im(f(a,b))", "--degree", "10"],
+    "expand-text-re-imaginary-operand": ["expand", "Re(i*f(a,b))", "--degree", "10"],
+    "expand-text-im-third-zeta12": ["expand", "Im(1/3*zeta(12,5)*f(a,-b))", "--degree", "8"],
+    "expand-re-zeta8-negative-exponent": [
+        "expand", "Re(zeta(8,3)*a^-1*f(a^2,b))", "--degree", "10", "--format", "json"],
+    "expand-text-re-order24": ["expand", "Re(f(i*a, i*b))", "--degree", "10", "--order", "24"],
+    "verify-re-im-recombine": [
+        "verify", "Re(f(i*a, i*b)) + i*Im(f(i*a, i*b)) = f(i*a, i*b)", "--degree", "16"],
+})
+
 _MILLIS = re.compile(r'"millis": [-+.0-9eE]+')
 
 
