@@ -19,7 +19,6 @@ m = 2..8, which transformation_identity writes from the closed form.
 from __future__ import annotations
 
 import functools
-import itertools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -125,8 +124,17 @@ def evaluate(node: Expr, degree: int, order: int) -> LaurentSeries:
             raise NonInvertible("negative power needs a monomial base")
         if node.exponent == 0:
             return LaurentSeries.one(degree, order)
-        return LaurentSeries.product(itertools.repeat(evaluate(node.base, degree, order),
-                                                      node.exponent))
+        # by squaring: every grouping of equal factors has the left fold's
+        # validity, so about log2(N) products give the same series
+        base = evaluate(node.base, degree, order)
+        result, n = None, node.exponent
+        while n:
+            if n & 1:
+                result = base if result is None else LaurentSeries.product((result, base))
+            n >>= 1
+            if n:
+                base = LaurentSeries.product((base, base))
+        return result
     if isinstance(node, ThetaCall):
         args = ThetaArgs(
             fold_scaled_monomial(node.first, order),

@@ -2,14 +2,14 @@
 
 Subcommands: expand, verify, catalog, dissect. Results go to stdout (or the
 --out path); diagnostics go to stderr only. Exit codes are a scriptable
-contract:
+contract, and `main` alone turns exceptions into them:
 
   0  success / verified / all agree
   1  an identity failed (or a catalog/dissection run had failures)
   2  parse or usage errors (bad flags, unknown catalog names, bad m/k,
-     an --out path that cannot be written)
+     an --out path that cannot be written): a UsageError or an OSError
   3  evaluation errors (non-convergent theta arguments, non-monomial
-     arguments, order problems)
+     arguments, order problems): any other EngineError
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import sys
 
 from . import catalog as cat
 from .dissect import DissectionSpec, dissect_closed, dissect_filter
-from .errors import EngineError, ParseError, UnknownIdentityName
+from .errors import EngineError, ParseError, UsageError
 from .expr import required_order
 from .exprlang import parse_expr, parse_identity, print_expr
 
@@ -91,17 +91,12 @@ def _emit(text: str, args):
         print(text)
 
 
-def _fail(message: str, code: int) -> int:
-    print(message, file=sys.stderr)
-    return code
-
-
 def _resolve_order(requested, *exprs) -> int:
     needed = required_order(*exprs)
     if requested is None:
         return needed
     if requested < 1 or requested % needed != 0:
-        raise ValueError(
+        raise UsageError(
             "--order %d is not a positive multiple of the required order %d"
             % (requested, needed)
         )
@@ -109,18 +104,9 @@ def _resolve_order(requested, *exprs) -> int:
 
 
 def _cmd_expand(args) -> int:
-    try:
-        ast = parse_expr(args.expr)
-    except ParseError as exc:
-        return _fail("parse error: %s" % exc, 2)
-    try:
-        order = _resolve_order(args.order, ast)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
-    try:
-        series = cat.evaluate(ast, args.degree, order)
-    except EngineError as exc:
-        return _fail("evaluation error: %s: %s" % (type(exc).__name__, exc), 3)
+    ast = parse_expr(args.expr)
+    order = _resolve_order(args.order, ast)
+    series = cat.evaluate(ast, args.degree, order)
     if args.format == "json":
         doc = {
             "expr": print_expr(ast),
@@ -139,14 +125,8 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        lhs, rhs = parse_identity(args.identity)
-    except ParseError as exc:
-        return _fail("parse error: %s" % exc, 2)
-    try:
-        order = _resolve_order(args.order, lhs, rhs)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
+    lhs, rhs = parse_identity(args.identity)
+    order = _resolve_order(args.order, lhs, rhs)
     identity = cat.Identity("user", lhs, rhs, order, "user-supplied identity")
     report = cat.verify_identity(identity, args.degree)
     if args.format == "json":
@@ -174,10 +154,7 @@ def _report_line(report: cat.Report) -> str:
 
 def _cmd_catalog(args) -> int:
     run_all = not args.names or "all" in args.names
-    try:
-        named = [cat.get_identity(name) for name in args.names if name != "all"]
-    except UnknownIdentityName as exc:
-        return _fail(str(exc), 2)
+    named = [cat.get_identity(name) for name in args.names if name != "all"]
     identities = sorted(cat.builtin_catalog() if run_all else named, key=lambda ident: ident.name)
     reports = [cat.verify_identity(ident, args.degree) for ident in identities]
 
@@ -205,9 +182,9 @@ def _cmd_catalog(args) -> int:
 def _cmd_dissect(args) -> int:
     m, degree, mode = args.m, args.degree, args.mode
     if m < 1:
-        return _fail("modulus m must be >= 1, got %d" % m, 2)
+        raise UsageError("modulus m must be >= 1, got %d" % m)
     if args.k is not None and not 0 <= args.k < m:
-        return _fail("residue k=%d out of range [0, %d)" % (args.k, m), 2)
+        raise UsageError("residue k=%d out of range [0, %d)" % (args.k, m))
 
     entries = []  # the JSON document's entries; the text lines are read off them
     for k in [args.k] if args.k is not None else range(m):
@@ -256,12 +233,20 @@ def _cmd_dissect(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.degree < 0:
-        return _fail("--degree must be >= 0, got %d" % args.degree, 2)
     try:
+        if args.degree < 0:
+            raise UsageError("--degree must be >= 0, got %d" % args.degree)
         return args.run(args)
+    except ParseError as exc:
+        message, code = "parse error: %s" % exc, 2
+    except UsageError as exc:
+        message, code = str(exc), 2
+    except EngineError as exc:
+        message, code = "evaluation error: %s: %s" % (type(exc).__name__, exc), 3
     except OSError as exc:  # writing the result is the only I/O a command does
-        return _fail("cannot write output: %s" % exc, 2)
+        message, code = "cannot write output: %s" % exc, 2
+    print(message, file=sys.stderr)
+    return code
 
 
 def entrypoint():

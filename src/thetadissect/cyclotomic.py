@@ -14,6 +14,7 @@ each basis term from the stored integers, and `join_signed` joins signed parts.
 """
 from __future__ import annotations
 
+import decimal
 import functools
 import math
 from dataclasses import dataclass
@@ -82,37 +83,15 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-@functools.lru_cache(maxsize=None)
-def _reduction_rows(order: int) -> tuple[tuple[int, ...], ...]:
-    """Row j is the power-basis expansion of zeta^j, for 0 <= j < order."""
-    phi = euler_phi(order)
-    modulus = cyclotomic_polynomial(order)  # monic, degree phi
-    rows: list[tuple[int, ...]] = []
-    for j in range(order):
-        if j < phi:
-            row = tuple(1 if i == j else 0 for i in range(phi))
-        else:
-            prev = rows[j - 1]
-            shifted = [0] + list(prev[: phi - 1])
-            lead = prev[phi - 1]
-            if lead:
-                # x^phi = -(modulus minus leading term)
-                for i in range(phi):
-                    shifted[i] -= lead * modulus[i]
-            row = tuple(shifted)
-        rows.append(row)
-    return tuple(rows)
-
-
 def reduce_powers(order: int, values, step: int = 1, shift: int = 0) -> list[int]:
     """Power-basis coefficients of the sum of values[j] * zeta_order^(j*step + shift).
 
-    The values are integers. Row (j*step + shift) mod order of the reduction
-    table expands that power; a row below phi(order) is a unit vector, so its
-    value is added straight in. Zero values cost nothing.
+    The values are integers. The numerators of zeta_order^((j*step + shift)
+    mod order) expand that power; a power below phi(order) is a unit vector,
+    so its value is added straight in. Zero values cost nothing.
     """
-    rows = _reduction_rows(order)
-    phi = len(rows[0])
+    powers = _zeta_powers(order)
+    phi = len(powers[0].nums)
     out = [0] * phi
     for j, c in enumerate(values):
         if c:
@@ -120,7 +99,7 @@ def reduce_powers(order: int, values, step: int = 1, shift: int = 0) -> list[int
             if idx < phi:
                 out[idx] += c
             else:
-                for i, v in enumerate(rows[idx]):
+                for i, v in enumerate(powers[idx].nums):
                     if v:
                         out[i] += c * v
     return out
@@ -266,7 +245,7 @@ class CycloNum:
             if x:
                 g = math.gcd(x, self.den)
                 num, den = abs(x) // g, self.den // g
-                mag = str(num) if den == 1 else "%d/%d" % (num, den)
+                mag = _digits(num) if den == 1 else "%s/%s" % (_digits(num), _digits(den))
                 if j == 0:
                     text = mag
                 else:
@@ -277,6 +256,15 @@ class CycloNum:
 
     def __str__(self) -> str:
         return join_signed(self.signed_parts())
+
+
+def _digits(n: int) -> str:
+    """The decimal digits of n. Past CPython's int-to-str digit limit `str`
+    refuses, and Decimal, exact for every int and unlimited, spells them."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(decimal.Decimal(n))
 
 
 def join_signed(parts: list[tuple[bool, str]]) -> str:
@@ -290,8 +278,22 @@ def join_signed(parts: list[tuple[bool, str]]) -> str:
 
 @functools.lru_cache(maxsize=None)
 def _zeta_powers(order: int) -> tuple[CycloNum, ...]:
-    """zeta_order^j for 0 <= j < order, shared: CycloNum is immutable."""
-    return tuple(CycloNum(order, row) for row in _reduction_rows(order))
+    """zeta_order^j for 0 <= j < order, shared: CycloNum is immutable.
+
+    Below phi(order) a power is a unit vector; each one above is the one
+    before times zeta, its x^phi replaced by Phi_order minus x^phi, negated."""
+    phi = euler_phi(order)
+    modulus = cyclotomic_polynomial(order)  # monic, degree phi
+    rows = [tuple(1 if i == j else 0 for i in range(phi)) for j in range(phi)]
+    for _ in range(phi, order):
+        prev = rows[-1]
+        row = [0] + list(prev[:-1])
+        lead = prev[-1]
+        if lead:
+            for i in range(phi):
+                row[i] -= lead * modulus[i]
+        rows.append(tuple(row))
+    return tuple(CycloNum(order, row) for row in rows)
 
 
 def zeta_power(order: int, exponent: int) -> CycloNum:

@@ -1,8 +1,8 @@
 """Exception types shared across the engine.
 
-Everything the library raises deliberately derives from EngineError, so the
-CLI can tell usage problems (ParseError and friends) apart from evaluation
-problems (EvaluationError and friends) when choosing exit codes.
+Everything the library raises deliberately derives from EngineError. The CLI
+exits 2 on a UsageError (ParseError, UnknownIdentityName, a bad option value)
+and 3 on any other EngineError.
 """
 
 
@@ -42,7 +42,11 @@ class NonInvertible(EvaluationError):
     """A negative power needed an inverse the coefficient domain does not supply."""
 
 
-class ParseError(EngineError):
+class UsageError(EngineError):
+    """A request refused before evaluation: bad syntax, option or name."""
+
+
+class ParseError(UsageError):
     """Syntax error with a source offset and the token kinds that were expected."""
 
     def __init__(self, message, offset, expected=()):
@@ -66,5 +70,5 @@ class MultipleEquals(ParseError):
     """An identity needs exactly one top-level '='; several were found."""
 
 
-class UnknownIdentityName(EngineError):
+class UnknownIdentityName(UsageError):
     """A requested catalog entry does not exist."""

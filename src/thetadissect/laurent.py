@@ -32,7 +32,6 @@ coefficients are built once, at the end.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -215,7 +214,7 @@ class LaurentSeries:
         return self + (-other)
 
     @staticmethod
-    def product(items: Iterable["LaurentSeries"]) -> "LaurentSeries":
+    def product(items: Sequence["LaurentSeries"]) -> "LaurentSeries":
         """The product of one or more series, multiplied left to right.
 
         Each step applies the binary validity rule: the running product
@@ -223,18 +222,15 @@ class LaurentSeries:
         min(V + m', V' + m), each least degree as `min_total_degree` reads it.
         Between steps the running product stays as integer rows over one
         denominator, so each operand is converted once and coefficients are
-        built once, at the end. Items are read one at a time, so a power may
-        pass `itertools.repeat`.
+        built once, at the end.
         """
-        items = iter(items)
-        first = next(items)
-        second = next(items, None)
-        if second is None:
+        first = items[0]
+        if len(items) == 1:
             return first
         order = first.order
         validity = first.validity
         rows, den = _integer_rows(first.terms, validity)
-        for other in itertools.chain((second,), items):
+        for other in items[1:]:
             first._check_order(other)
             low = min((p + q for p, q, _ in rows), default=validity + 1)
             other_low = other.min_total_degree()

@@ -13,7 +13,7 @@ if SRC not in sys.path:
     sys.path.insert(0, SRC)
 
 from thetadissect.catalog import evaluate  # noqa: E402
-from thetadissect.cyclotomic import CycloNum, _reduction_rows, euler_phi  # noqa: E402
+from thetadissect.cyclotomic import CycloNum, cyclotomic_polynomial, euler_phi  # noqa: E402
 from thetadissect.errors import IncompatibleOrders, NonMonomialArgument, ParseError  # noqa: E402
 from thetadissect.expr import (  # noqa: E402
     ImagPart, Negate, Power, Product, RationalConst, RealPart, RootOfUnity, Var, sum_of,
@@ -85,14 +85,20 @@ class FractionCyclo:
 
     @staticmethod
     def combine(order, values, step=1):
-        """The sum of values[j] * zeta_order^(j*step), reduced modulo Phi_order."""
-        rows = _reduction_rows(order)
-        out = [Fraction(0)] * len(rows[0])
+        """The sum of values[j] * zeta_order^(j*step), reduced modulo Phi_order:
+        the powers are folded modulo x^order - 1, then long-divided by Phi_order
+        from the top, without the engine's table of root powers."""
+        folded = [Fraction(0)] * order
         for j, c in enumerate(values):
-            if c:
-                for i, v in enumerate(rows[j * step % order]):
-                    out[i] += c * v
-        return FractionCyclo(order, tuple(out))
+            folded[j * step % order] += c
+        modulus = cyclotomic_polynomial(order)  # monic, degree phi
+        phi = len(modulus) - 1
+        for top in range(order - 1, phi - 1, -1):
+            lead = folded[top]
+            if lead:
+                for i, v in enumerate(modulus):
+                    folded[top - phi + i] -= lead * v
+        return FractionCyclo(order, tuple(folded[:phi]))
 
     def __add__(self, other):
         return FractionCyclo(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
@@ -151,6 +157,16 @@ def constant_parts(x):
     the constant series x."""
     parts = evaluated_parts(make_series({(0, 0): x}, 0, x.order))
     return tuple(part.coefficient(Monomial(0, 0)) for part in parts)
+
+
+def full_digits(n):
+    """str(n) with CPython's int-to-str digit limit lifted for the call."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def reference_basis_terms(c):

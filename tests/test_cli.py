@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import full_digits
 from thetadissect.catalog import builtin_catalog
 from thetadissect.cli import main
 from thetadissect.exprlang import print_expr
@@ -295,3 +300,117 @@ def test_usage_error_leaves_the_shared_parser_as_fresh(capsys):
 def test_expand_folding_edge_cases(capsys, expr, code, out, err):
     assert main(["expand", expr, "--degree", "3"]) == code
     assert capsys.readouterr() == (out, err)
+
+
+def test_expand_prints_coefficients_past_the_int_digit_limit(capsys):
+    # 2^20000 has 6021 digits, past CPython's 4300-digit int-to-str limit
+    assert main(["expand", "2^20000", "--degree", "0"]) == 0
+    assert capsys.readouterr() == ("%s\nvalidity: 0\n" % full_digits(2 ** 20000), "")
+    assert main(["expand", "2^20000", "--degree", "0", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["terms"] == [{"monomial": "1", "coeff": full_digits(2 ** 20000)}]
+    assert main(["expand", "(1/7)^6000*a - 3^9000*b", "--degree", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "1/%s*a - %s*b" % (
+        full_digits(7 ** 6000), full_digits(3 ** 9000))
+
+
+def test_verify_reports_a_mismatch_past_the_int_digit_limit(capsys):
+    assert main(["verify", "2^20000*a = a", "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["first_mismatch"] == {
+        "monomial": "a", "lhs": full_digits(2 ** 20000), "rhs": "1"}
+
+
+def test_expand_power_takes_about_log2_n_products():
+    # a chain of N - 1 products would not finish
+    proc = run_cli("expand", "f(a,b)^1000000000", "--degree", "2")
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines() == [
+        "1 + 1000000000*a + 1000000000*b + 499999999500000000*a^2"
+        " + 999999999000000000*a*b + 499999999500000000*b^2",
+        "validity: 2",
+    ]
+
+
+# --- the exit-code contract on generated input ----------------------------------
+
+# Atoms of the identity language; every zeta atom of one call shares its order
+# n <= 24, and exponents stay in -3..3, because the costs of a large root order
+# (an L x phi(L) table of root powers) and of a large exponent (its ratio is
+# computed before any cap) are not bounded yet.
+_NUMBERS = st.one_of(st.integers(0, 99).map(str),
+                     st.tuples(st.integers(0, 99), st.integers(0, 99)).map("%d/%d".__mod__))
+_EXPONENTS = st.integers(-3, 3).map("^%d".__mod__)
+
+
+@st.composite
+def _atoms(draw, zeta_order):
+    atom = draw(st.one_of(_NUMBERS, st.sampled_from(("a", "b", "q", "i", "omega")),
+                          st.integers(0, 48).map(lambda e: "zeta(%d,%d)" % (zeta_order, e))))
+    return atom + draw(st.one_of(st.just(""), _EXPONENTS))
+
+
+@st.composite
+def _exprs(draw, zeta_order, depth):
+    if depth == 0 or draw(st.integers(0, 2)) == 0:
+        return draw(_atoms(zeta_order))
+    inner = _exprs(zeta_order, depth - 1)
+    shape = draw(st.sampled_from(("%s+%s", "%s-%s", "%s*%s", "f(%s,%s)", "-%s",
+                                  "Re(%s)", "Im(%s)", "specq(%s)", "(%s)", "(%s)^%d")))
+    if shape == "(%s)^%d":
+        return shape % (draw(inner), draw(st.integers(-3, 3)))
+    return shape % tuple(draw(inner) for _ in range(shape.count("%s")))
+
+
+@st.composite
+def _sides(draw, zeta_order):
+    """An expression, or one whose top level adds or multiplies in a constant
+    or a theta call (of atoms) to the power 20000."""
+    side = draw(_exprs(zeta_order, 4))
+    if draw(st.booleans()):
+        return side
+    atoms = _atoms(zeta_order)
+    big = draw(st.one_of(_NUMBERS, st.sampled_from(("i", "omega", "zeta(%d,1)" % zeta_order)),
+                         st.tuples(atoms, atoms).map("f(%s,%s)".__mod__))) + "^20000"
+    return draw(st.sampled_from((big, big + "*" + side, side + "+" + big)))
+
+
+# raw text over the language's alphabet; runs of three or more digits are left
+# out for the reasons above
+_RAW = st.text("abqiomegztfRIspc0123456789+-*/^(),= ", max_size=30).filter(
+    lambda text: not re.search(r"\d{3}", text))
+
+
+@st.composite
+def cli_calls(draw):
+    zeta_order = draw(st.integers(0, 24))
+    command = draw(st.sampled_from(("expand", "verify")))
+    if draw(st.integers(0, 3)) == 0:
+        text = draw(_RAW)
+    elif command == "expand":
+        text = draw(_sides(zeta_order))
+    else:
+        text = "%s = %s" % (draw(_sides(zeta_order)), draw(_sides(zeta_order)))
+    argv = [command, text, "--degree", str(draw(st.integers(0, 8))),
+            "--format", draw(st.sampled_from(("text", "json")))]
+    if draw(st.booleans()):
+        argv += ["--order", str(draw(st.sampled_from((4, 12, 24))))]
+    return argv
+
+
+@given(cli_calls())
+@settings(max_examples=300, deadline=None)
+def test_exit_codes_hold_for_generated_calls(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            assert exc.code == 2
+            return
+    assert code in (0, 1, 2, 3)
+    if code in (0, 1):
+        assert err.getvalue() == ""
+    else:
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().endswith("\n")

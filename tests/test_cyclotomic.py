@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
-    KERNEL_ORDERS, FractionCyclo, constant_parts, denominators, numerators, rand_cyclo,
+    KERNEL_ORDERS, FractionCyclo, constant_parts, denominators, full_digits, numerators,
+    rand_cyclo,
 )
 from thetadissect.cyclotomic import (
     CycloNum, cyclotomic_polynomial, euler_phi, zeta_power,
@@ -234,6 +235,14 @@ def test_str_rendering():
     assert str(zeta_power(6, 2)) == "-1 + zeta6"
     assert str(zeta_power(4, 1) * Fraction(1, 2)) == "1/2*zeta4"
     assert str(CycloNum.zero(8)) == "0"
+
+
+def test_str_spells_numbers_past_the_int_digit_limit():
+    # 7^6000 and 11^5000 have 5071 and 5207 digits, past CPython's 4300
+    num, den = 7 ** 6000, 11 ** 5000
+    x = CycloNum(3, (num, -1), den)
+    assert str(x) == "%s/%s - 1/%s*zeta3" % (full_digits(num), full_digits(den), full_digits(den))
+    assert str(-x * den) == "-%s + zeta3" % full_digits(num)
 
 
 # --- integer numerators over one denominator, against the Fraction reference -----

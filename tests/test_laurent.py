@@ -6,10 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (KERNEL_ORDERS, cyclo_from_pairs, denominators, known_min_degree,
                       make_series, numerators, reference_render, reference_str,
-                      schoolbook_fold, schoolbook_terms)
+                      schoolbook_fold, schoolbook_terms, series_expr)
 from thetadissect import laurent
+from thetadissect.catalog import evaluate
 from thetadissect.cyclotomic import CycloNum, euler_phi, zeta_power
 from thetadissect.errors import OrderMismatch, ValidityExceeded
+from thetadissect.expr import Power, RationalConst, Sum
 from thetadissect.laurent import LaurentSeries, Monomial, ScaledMonomial
 
 
@@ -342,6 +344,28 @@ def test_product_matches_schoolbook_fold(chain):
     assert prod.validity == partials[-1].validity
     assert prod.terms == partials[-1].terms
     assert seen == expected
+
+
+@st.composite
+def powers(draw):
+    """An operand as `chains` draws them, and an exponent 0..12."""
+    order = draw(st.sampled_from(KERNEL_ORDERS))
+    if draw(st.booleans()):
+        x = _draw_operand(draw, order, st.integers(-4, 6), st.integers(-6, 14))
+    else:
+        x = _draw_operand(draw, order, st.integers(5, 9), st.integers(10, 20))
+    return x, draw(st.integers(0, 12))
+
+
+@given(powers())
+@settings(max_examples=150, deadline=None)
+def test_power_by_squaring_matches_the_left_fold(case):
+    x, n = case
+    # the sum with 0 keeps a one-term x off the exact monomial route, so the
+    # power is taken on the series
+    power = Power(Sum((series_expr(x), RationalConst(Fraction(0)))), n)
+    expected = LaurentSeries.product([x] * n) if n else LaurentSeries.one(x.validity, x.order)
+    assert evaluate(power, x.validity, x.order) == expected
 
 
 def test_product_of_one_series_is_itself():
