@@ -2,12 +2,12 @@
 
 Evaluation is bottom-up into LaurentSeries over a single working order L
 (every root of unity in the expression must live in a field embedding into
-Q(zeta_L)). Theta-call arguments and the monomial factors of a product are
+Q(zeta_L)). Theta-call arguments, product factors, leaves and powers are
 constant-folded to scaled monomials by one fold that returns, instead of a
 scaled monomial, the first node that stops it: a zero constant or a node
 that is not a monomial. Under f(,) that node is a NonMonomialArgument named
-in the message; in a product it marks an item to evaluate as a series, so
-no exception steers evaluation. Re and Im are identities between series:
+in the message; in a product or a power it marks a series operand, so no
+exception steers evaluation. Re and Im are identities between series:
 with conj x the coefficientwise conjugate, Re x = (x + conj x)/2 and
 Im x = (conj x - x)*i/2, i = zeta_L^(L/4), so 4 must divide L.
 
@@ -116,25 +116,6 @@ def evaluate(node: Expr, degree: int, order: int) -> LaurentSeries:
         if prefix is not None:
             result = result.scale(prefix)
         return result
-    if isinstance(node, Power):
-        folded = _fold(node, order)
-        if isinstance(folded, ScaledMonomial):
-            return _monomial_series(folded, degree)
-        if node.exponent < 0:
-            raise NonInvertible("negative power needs a monomial base")
-        if node.exponent == 0:
-            return LaurentSeries.one(degree, order)
-        # by squaring: every grouping of equal factors has the left fold's
-        # validity, so about log2(N) products give the same series
-        base = evaluate(node.base, degree, order)
-        result, n = None, node.exponent
-        while n:
-            if n & 1:
-                result = base if result is None else LaurentSeries.product((result, base))
-            n >>= 1
-            if n:
-                base = LaurentSeries.product((base, base))
-        return result
     if isinstance(node, ThetaCall):
         args = ThetaArgs(
             fold_scaled_monomial(node.first, order),
@@ -156,13 +137,30 @@ def evaluate(node: Expr, degree: int, order: int) -> LaurentSeries:
             ScaledMonomial(Fraction(1, 2), exponent, order, Monomial(0, 0)))
     if isinstance(node, SpecializeQ):
         return evaluate(node.item, degree, order).specialize_q()
-    if isinstance(node, RationalConst):
-        if node.value == 0:
-            return LaurentSeries.zero(degree, order)
-        return _monomial_series(fold_scaled_monomial(node, order), degree)
-    if isinstance(node, (Var, RootOfUnity)):
-        return _monomial_series(fold_scaled_monomial(node, order), degree)
-    raise TypeError("not an expression node: %r" % (node,))
+    # one fold serves the nodes that can be monomials: Var, RootOfUnity, RationalConst, Power
+    folded = _fold(node, order)
+    if isinstance(folded, ScaledMonomial):
+        return _monomial_series(folded, degree)
+    if isinstance(node, RationalConst):  # zero
+        return LaurentSeries.zero(degree, order)
+    if not isinstance(node, Power):
+        raise TypeError("not an expression node: %r" % (node,))
+    # a power of a series, a zero constant's included
+    if node.exponent < 0:
+        raise NonInvertible("negative power needs a monomial base")
+    if node.exponent == 0:
+        return LaurentSeries.one(degree, order)
+    # by squaring: every grouping of equal factors has the left fold's
+    # validity, so about log2(N) products give the same series
+    base = evaluate(node.base, degree, order)
+    result, n = None, node.exponent
+    while n:
+        if n & 1:
+            result = base if result is None else LaurentSeries.product((result, base))
+        n >>= 1
+        if n:
+            base = LaurentSeries.product((base, base))
+    return result
 
 
 # -- identities and reports ----------------------------------------------------
@@ -244,15 +242,10 @@ def verify_identity(identity: Identity, degree: int) -> Report:
 
 
 def summarize(reports) -> dict:
-    counts = {"verified": 0, "failed": 0, "error": 0}
+    counts = {"total": len(reports), "verified": 0, "failed": 0, "error": 0}
     for r in reports:
         counts[r.status] += 1
-    return {
-        "total": len(reports),
-        "verified": counts["verified"],
-        "failed": counts["failed"],
-        "error": counts["error"],
-    }
+    return counts
 
 
 # -- the built-in catalog --------------------------------------------------------

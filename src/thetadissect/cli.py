@@ -19,6 +19,7 @@ import json
 import sys
 
 from . import catalog as cat
+from .cyclotomic import _digits
 from .dissect import DissectionSpec, dissect_closed, dissect_filter
 from .errors import EngineError, ParseError, UsageError
 from .expr import required_order
@@ -120,7 +121,7 @@ def _cmd_expand(args) -> int:
         }
         _emit(json.dumps(doc, indent=2), args)
     else:
-        _emit("%s\nvalidity: %d" % (series.render(), series.validity), args)
+        _emit("%s\nvalidity: %s" % (series.render(), _digits(series.validity)), args)
     return 0
 
 
@@ -186,48 +187,40 @@ def _cmd_dissect(args) -> int:
     if args.k is not None and not 0 <= args.k < m:
         raise UsageError("residue k=%d out of range [0, %d)" % (args.k, m))
 
-    entries = []  # the JSON document's entries; the text lines are read off them
+    # the paths --mode asks for, read once; each class writes its JSON entry
+    # and its text lines together
+    paths = [(side, run) for side, run in (("filter", dissect_filter), ("closed", dissect_closed))
+             if mode in (side, "both")]
+    entries, lines = [], []
     for k in [args.k] if args.k is not None else range(m):
         spec = DissectionSpec(m, k)
+        tag = "m=%d k=%d" % (m, k)
         entry: dict = {"k": k}
-        if mode != "closed":
-            filtered = dissect_filter(spec, degree)
-            entry["filter"] = filtered.render()
-        if mode != "filter":
-            closed = dissect_closed(spec, degree)
-            entry["closed"] = closed.render()
+        series = [run(spec, degree) for _, run in paths]
+        for (side, _), result in zip(paths, series):
+            entry[side] = result.render()
+            lines.append("%s %s: %s" % (tag, side, entry[side]))
         if mode == "both":
+            filtered, closed = series
             mm = filtered.first_mismatch(closed, degree)
             entry["agree"] = mm is None
-            if mm is not None:
+            if mm is None:
+                lines.append("%s: agree" % tag)
+            else:
                 entry["mismatch"] = {
                     "monomial": mm.monomial.render(),
                     "filter": str(mm.left),
                     "closed": str(mm.right),
                 }
+                lines.append(tag + ": disagree at %(monomial)s (filter %(filter)s, "
+                             "closed %(closed)s)" % entry["mismatch"])
         entries.append(entry)
     all_agree = all(entry.get("agree", True) for entry in entries)
-
-    if args.format == "json":
-        doc = {"m": m, "degree": degree, "mode": mode, "entries": entries}
-        if mode == "both":
-            doc["all_agree"] = all_agree
-        _emit(json.dumps(doc, indent=2), args)
-    else:
-        lines = []
-        for entry in entries:
-            tag = "m=%d k=%d" % (m, entry["k"])
-            lines.extend("%s %s: %s" % (tag, side, entry[side])
-                         for side in ("filter", "closed") if side in entry)
-            if "mismatch" in entry:
-                mm = entry["mismatch"]
-                lines.append("%s: disagree at %s (filter %s, closed %s)"
-                             % (tag, mm["monomial"], mm["filter"], mm["closed"]))
-            elif "agree" in entry:
-                lines.append("%s: agree" % tag)
-        if mode == "both":
-            lines.append("all agree" if all_agree else "disagreement found")
-        _emit("\n".join(lines), args)
+    doc = {"m": m, "degree": degree, "mode": mode, "entries": entries}
+    if mode == "both":
+        doc["all_agree"] = all_agree
+        lines.append("all agree" if all_agree else "disagreement found")
+    _emit(json.dumps(doc, indent=2) if args.format == "json" else "\n".join(lines), args)
     return 0 if all_agree else 1
 
 

@@ -73,15 +73,16 @@ def dissect_filter(spec: DissectionSpec, bound: int) -> LaurentSeries:
     """Oracle path: direct sum over n = k (mod m) with n^2 <= bound.
 
     The index-n term has total degree n(n+1)/2 + n(n-1)/2 = n^2, so the cutoff
-    is |n| <= isqrt(bound). Shares nothing with the theta kernel.
+    is |n| <= isqrt(bound); the walk visits the class's indices alone, about
+    2*isqrt(bound)/m of them. Shares nothing with the theta kernel.
     """
     entries = []
     if bound >= 0:
         top = math.isqrt(bound)
-        for n in range(-top, top + 1):
-            if n % spec.m == spec.k:
-                mono = Monomial(n * (n + 1) // 2, n * (n - 1) // 2)
-                entries.append((mono, CycloNum.one()))
+        # the class's least n >= -top, then every m-th index
+        for n in range(-top + (spec.k + top) % spec.m, top + 1, spec.m):
+            mono = Monomial(n * (n + 1) // 2, n * (n - 1) // 2)
+            entries.append((mono, CycloNum.one()))
     return LaurentSeries.make(entries, bound, 1)
 
 

@@ -2,7 +2,7 @@
 
 Everything the library raises deliberately derives from EngineError. The CLI
 exits 2 on a UsageError (ParseError, UnknownIdentityName, a bad option value)
-and 3 on any other EngineError.
+and 3 on any other EngineError, naming its leaf class in the message.
 """
 
 
@@ -15,7 +15,8 @@ class OrderMismatch(EngineError):
 
 
 class IncompatibleOrders(EngineError):
-    """Embedding requested into an order that the source order does not divide."""
+    """A root of unity of order m met a working order L that m does not divide:
+    zeta(m, e) folded at order L, or CycloNum.embed into L."""
 
 
 class OrderNotDivisibleBy4(EngineError):
@@ -26,19 +27,15 @@ class ValidityExceeded(EngineError):
     """A comparison was requested beyond a series' validity bound."""
 
 
-class EvaluationError(EngineError):
-    """Base class for errors raised while evaluating an expression."""
-
-
-class NonConvergent(EvaluationError):
+class NonConvergent(EngineError):
     """Theta/Pochhammer argument degrees admit infinitely many terms per degree."""
 
 
-class NonMonomialArgument(EvaluationError):
+class NonMonomialArgument(EngineError):
     """A theta argument did not fold to a single scaled monomial."""
 
 
-class NonInvertible(EvaluationError):
+class NonInvertible(EngineError):
     """A negative power needed an inverse the coefficient domain does not supply."""
 
 

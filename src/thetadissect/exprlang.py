@@ -85,6 +85,7 @@ def tokenize(text: str) -> list[Token]:
 _CALLS = {"Re": RealPart, "Im": ImagPart, "specq": SpecializeQ}
 _NAMED_ROOTS = {"i": RootOfUnity(4, 1), "omega": RootOfUnity(3, 1)}
 _ROOT_NAMES = {root: name for name, root in _NAMED_ROOTS.items()}
+_CALL_NAMES = {call: name for name, call in _CALLS.items()}
 
 # Deepest nesting of parenthesized subexpressions (including f(...), Re(...)
 # and the like). Parsing, evaluation and printing all recurse once or more per
@@ -222,7 +223,7 @@ class _Parser:
         raise ParseError(
             "unknown name %r" % name,
             tok.offset,
-            {"a", "b", "q", "i", "omega", "zeta", "f", "Re", "Im", "specq"},
+            {"a", "b", "q", "zeta", "f", *_NAMED_ROOTS, *_CALLS},
         )
 
 
@@ -292,9 +293,7 @@ def _level(node: Expr) -> int:
         return _LEVEL_SUM
     if isinstance(node, Product):
         return _LEVEL_PRODUCT
-    if isinstance(node, Negate):
-        return _LEVEL_UNARY
-    if isinstance(node, RationalConst) and node.value < 0:
+    if isinstance(node, Negate) or isinstance(node, RationalConst) and node.value < 0:
         return _LEVEL_UNARY
     if isinstance(node, Power):
         return _LEVEL_POWER
@@ -322,12 +321,8 @@ def _render(node: Expr, min_level: int) -> str:
         return "%s^%d" % (_render(node.base, _LEVEL_ATOM), node.exponent)
     if isinstance(node, ThetaCall):
         return "f(%s, %s)" % (_render(node.first, _LEVEL_SUM), _render(node.second, _LEVEL_SUM))
-    if isinstance(node, RealPart):
-        return "Re(%s)" % _render(node.item, _LEVEL_SUM)
-    if isinstance(node, ImagPart):
-        return "Im(%s)" % _render(node.item, _LEVEL_SUM)
-    if isinstance(node, SpecializeQ):
-        return "specq(%s)" % _render(node.item, _LEVEL_SUM)
+    if type(node) in _CALL_NAMES:
+        return "%s(%s)" % (_CALL_NAMES[type(node)], _render(node.item, _LEVEL_SUM))
     if isinstance(node, Var):
         return node.name
     if isinstance(node, RootOfUnity):

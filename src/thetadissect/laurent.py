@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .cyclotomic import CycloNum, join_signed, reduce_powers, zeta_power
+from .cyclotomic import CycloNum, _digits, join_signed, reduce_powers, zeta_power
 from .errors import OrderMismatch, ValidityExceeded
 
 
@@ -60,7 +60,7 @@ class Monomial(NamedTuple):
         for sym, e in (("a", self.p), ("b", self.q)):
             if e == 0:
                 continue
-            parts.append(sym if e == 1 else "%s^%d" % (sym, e))
+            parts.append(sym if e == 1 else "%s^%s" % (sym, _digits(e)))
         return "*".join(parts) if parts else "1"
 
 

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import full_digits
+from thetadissect import cli
 from thetadissect.catalog import builtin_catalog
 from thetadissect.cli import main
-from thetadissect.exprlang import print_expr
+from thetadissect.exprlang import parse_expr, print_expr
+from thetadissect.laurent import LaurentSeries, Monomial, ScaledMonomial
 
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(TESTS_DIR)
@@ -296,10 +298,105 @@ def test_usage_error_leaves_the_shared_parser_as_fresh(capsys):
     ("(2*a)^-2*f(a,b)", 0, "1/4*a^-2 + 1/4*a^-1 + 1/4*a^-2*b\nvalidity: 1\n", ""),
     ("f(-1/2*a^2*zeta(6,1), b)^2", 0,
      "1 + 2*b - zeta6*a^2 + b^2 - zeta6*a^2*b\nvalidity: 3\n", ""),
+    # a power of a zero constant is a power of the zero series, whose
+    # validity each product raises
+    ("0^2", 0, "0\nvalidity: 7\n", ""),
+    ("(0*a)^3", 0, "0\nvalidity: 14\n", ""),
+    ("(2*a)^-2", 0, "1/4*a^-2\nvalidity: 3\n", ""),
+    ("0^0", 0, "1\nvalidity: 3\n", ""),
+    ("f(a,b)^0", 0, "1\nvalidity: 3\n", ""),
+    ("zeta(5,2)", 0, "zeta5^2\nvalidity: 3\n", ""),
+    ("(i*a)^5", 0, "zeta4*a^5\nvalidity: 5\n", ""),
+    ("0^-1", 3, "", "evaluation error: NonInvertible: negative power needs a monomial base\n"),
+    ("(a+b)^-1", 3, "",
+     "evaluation error: NonInvertible: negative power needs a monomial base\n"),
 ])
 def test_expand_folding_edge_cases(capsys, expr, code, out, err):
     assert main(["expand", expr, "--degree", "3"]) == code
     assert capsys.readouterr() == (out, err)
+
+
+@pytest.mark.parametrize("expr, order, validity, terms", [
+    ("0^2", 1, 7, []),
+    ("(0*a)^3", 1, 14, []),
+    ("(2*a)^-2", 1, 3, [{"monomial": "a^-2", "coeff": "1/4"}]),
+    ("0^0", 1, 3, [{"monomial": "1", "coeff": "1"}]),
+    ("f(a,b)^0", 1, 3, [{"monomial": "1", "coeff": "1"}]),
+    ("zeta(5,2)", 5, 3, [{"monomial": "1", "coeff": "zeta5^2"}]),
+    ("(i*a)^5", 4, 5, [{"monomial": "a^5", "coeff": "zeta4"}]),
+])
+def test_expand_json_monomial_zero_and_power_cases(capsys, expr, order, validity, terms):
+    assert main(["expand", expr, "--degree", "3", "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out) == {"expr": print_expr(parse_expr(expr)), "degree": 3,
+                               "order": order, "validity": validity, "terms": terms}
+
+
+@pytest.mark.parametrize("expr", ["0^-1", "(a+b)^-1"])
+def test_expand_json_negative_power_of_a_series_exits_3(capsys, expr):
+    assert main(["expand", expr, "--degree", "3", "--format", "json"]) == 3
+    assert capsys.readouterr() == (
+        "", "evaluation error: NonInvertible: negative power needs a monomial base\n")
+
+
+def _closed_form_with_extra_a_in_class_1(monkeypatch):
+    closed = cli.dissect_closed
+
+    def broken(spec, bound):
+        series = closed(spec, bound)
+        if spec.k == 1:
+            a = ScaledMonomial(1, 0, 1, Monomial(1, 0))
+            series = series + LaurentSeries.from_scaled_monomial(a, bound)
+        return series
+
+    monkeypatch.setattr(cli, "dissect_closed", broken)
+
+
+@pytest.mark.parametrize("k_args", [[], ["--k", "1"]])
+def test_dissect_text_reports_a_disagreement(capsys, monkeypatch, k_args):
+    _closed_form_with_extra_a_in_class_1(monkeypatch)
+    assert main(["dissect", "--m", "3", "--degree", "4", *k_args]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    class_1 = [
+        "m=3 k=1 filter: a + a*b^3",
+        "m=3 k=1 closed: 2*a + a*b^3",
+        "m=3 k=1: disagree at a (filter 1, closed 2)",
+    ]
+    if k_args:
+        expected = class_1
+    else:
+        expected = [
+            "m=3 k=0 filter: 1",
+            "m=3 k=0 closed: 1",
+            "m=3 k=0: agree",
+            *class_1,
+            "m=3 k=2 filter: b + a^3*b",
+            "m=3 k=2 closed: b + a^3*b",
+            "m=3 k=2: agree",
+        ]
+    assert out.splitlines() == expected + ["disagreement found"]
+
+
+@pytest.mark.parametrize("k_args", [[], ["--k", "1"]])
+def test_dissect_json_reports_a_disagreement(capsys, monkeypatch, k_args):
+    _closed_form_with_extra_a_in_class_1(monkeypatch)
+    assert main(["dissect", "--m", "3", "--degree", "4", "--format", "json", *k_args]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    class_1 = {"k": 1, "filter": "a + a*b^3", "closed": "2*a + a*b^3", "agree": False,
+               "mismatch": {"monomial": "a", "filter": "1", "closed": "2"}}
+    if k_args:
+        entries = [class_1]
+    else:
+        entries = [
+            {"k": 0, "filter": "1", "closed": "1", "agree": True},
+            class_1,
+            {"k": 2, "filter": "b + a^3*b", "closed": "b + a^3*b", "agree": True},
+        ]
+    assert json.loads(out) == {"m": 3, "degree": 4, "mode": "both",
+                               "entries": entries, "all_agree": False}
 
 
 def test_expand_prints_coefficients_past_the_int_digit_limit(capsys):
@@ -320,6 +417,24 @@ def test_verify_reports_a_mismatch_past_the_int_digit_limit(capsys):
     assert err == ""
     assert json.loads(out)["first_mismatch"] == {
         "monomial": "a", "lhs": full_digits(2 ** 20000), "rhs": "1"}
+
+
+def test_exponents_print_past_the_int_digit_limit(capsys):
+    # a 4300-digit literal is accepted; ten times it has 4301 digits
+    n = int("7" * 4300)
+    assert main(["expand", "(a^%d)^10" % n, "--degree", "0"]) == 0
+    assert capsys.readouterr() == (
+        "a^%s\nvalidity: %s\n" % (full_digits(10 * n), full_digits(10 * n)), "")
+    assert main(["expand", "(a^-%d)^10" % n, "--degree", "0", "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["terms"] == [{"monomial": "a^-%s" % full_digits(10 * n),
+                                         "coeff": "1"}]
+    assert main(["verify", "(a^-%d)^10 = 0" % n, "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["first_mismatch"] == {
+        "monomial": "a^-%s" % full_digits(10 * n), "lhs": "1", "rhs": "0"}
 
 
 def test_expand_power_takes_about_log2_n_products():

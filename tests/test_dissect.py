@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from conftest import make_series, plain_theta_args
@@ -6,7 +8,8 @@ from thetadissect.dissect import (
     DissectionSpec, _half, boundary_monomials, closed_form_parts, dissect_closed,
     dissect_filter,
 )
-from thetadissect.laurent import Monomial, ScaledMonomial
+from thetadissect.cyclotomic import CycloNum
+from thetadissect.laurent import LaurentSeries, Monomial, ScaledMonomial
 from thetadissect.theta import ThetaArgs, theta_expand
 
 
@@ -39,6 +42,21 @@ def test_filter_m2_through_9():
 
 def test_filter_m1_is_the_full_series():
     assert dissect_filter(DissectionSpec(1, 0), 25) == theta_expand(plain_theta_args(), 25)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 12, 100])
+def test_filter_keeps_the_indices_of_its_class_in_order(m):
+    # the indices of the class are every n in [-isqrt(bound), isqrt(bound)]
+    # with n % m == k, in ascending order; m = 100 leaves most classes empty
+    for bound in range(-1, 50):
+        top = math.isqrt(max(bound, 0))
+        for k in range(m):
+            expected = LaurentSeries.make(
+                [(Monomial(n * (n + 1) // 2, n * (n - 1) // 2), CycloNum.one())
+                 for n in range(-top, top + 1) if bound >= 0 and n % m == k], bound, 1)
+            got = dissect_filter(DissectionSpec(m, k), bound)
+            assert list(got.terms.items()) == list(expected.terms.items())
+            assert got.validity == bound
 
 
 def test_closed_form_parts_m2_k1():
