@@ -9,13 +9,7 @@ transformation) coefficient-by-coefficient with exact rational arithmetic.
 from .cyclotomic import CycloNum, cyclotomic_polynomial, euler_phi, zeta_power
 from .laurent import LaurentSeries, Mismatch, Monomial, ScaledMonomial
 from .theta import ThetaArgs, pochhammer_expand, theta_expand, triple_product_rhs
-from .dissect import (
-    DissectionSpec,
-    boundary_monomials,
-    closed_form_parts,
-    dissect_closed,
-    dissect_filter,
-)
+from .dissect import closed_form_parts, dissect_closed, dissect_filter
 from .expr import (
     ImagPart, Negate, Power, Product, RationalConst, RealPart, RootOfUnity,
     SpecializeQ, Sum, ThetaCall, Var, product_of, rational, required_order, sum_of,
@@ -45,8 +39,7 @@ __all__ = [
     # theta
     "ThetaArgs", "theta_expand", "pochhammer_expand", "triple_product_rhs",
     # dissect
-    "DissectionSpec", "boundary_monomials", "closed_form_parts",
-    "dissect_filter", "dissect_closed",
+    "closed_form_parts", "dissect_filter", "dissect_closed",
     # expression language
     "Sum", "Product", "Power", "ThetaCall", "Var", "RootOfUnity",
     "RationalConst", "Negate", "RealPart", "ImagPart", "SpecializeQ",

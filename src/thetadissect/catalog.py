@@ -26,7 +26,7 @@ from types import MappingProxyType
 from typing import Mapping, Optional
 
 from .cyclotomic import CycloNum
-from .dissect import DissectionSpec, closed_form_parts
+from .dissect import closed_form_parts
 from .errors import (
     EngineError, IncompatibleOrders, NonInvertible, NonMonomialArgument, OrderNotDivisibleBy4,
     UnknownIdentityName,
@@ -307,7 +307,7 @@ def transformation_identity(m: int, e: int = 1) -> Identity:
     e %= m
     pieces = []
     for k in range(m):
-        prefix, args = closed_form_parts(DissectionSpec(m, k))
+        prefix, args = closed_form_parts(m, k)
         factors = []
         if e * k * k % m:
             factors.append("zeta(%d,%d)" % (m, e * k * k % m))

@@ -20,7 +20,7 @@ import sys
 
 from . import catalog as cat
 from .cyclotomic import _digits
-from .dissect import DissectionSpec, dissect_closed, dissect_filter
+from .dissect import dissect_closed, dissect_filter
 from .errors import EngineError, ParseError, UsageError
 from .expr import required_order
 from .exprlang import parse_expr, parse_identity, print_expr
@@ -184,6 +184,7 @@ def _cmd_dissect(args) -> int:
     m, degree, mode = args.m, args.degree, args.mode
     if m < 1:
         raise UsageError("modulus m must be >= 1, got %d" % m)
+    # the closed form holds for any integer k; the report names each class once
     if args.k is not None and not 0 <= args.k < m:
         raise UsageError("residue k=%d out of range [0, %d)" % (args.k, m))
 
@@ -193,10 +194,9 @@ def _cmd_dissect(args) -> int:
              if mode in (side, "both")]
     entries, lines = [], []
     for k in [args.k] if args.k is not None else range(m):
-        spec = DissectionSpec(m, k)
         tag = "m=%d k=%d" % (m, k)
         entry: dict = {"k": k}
-        series = [run(spec, degree) for _, run in paths]
+        series = [run(m, k, degree) for _, run in paths]
         for (side, _), result in zip(paths, series):
             entry[side] = result.render()
             lines.append("%s %s: %s" % (tag, side, entry[side]))

@@ -16,7 +16,7 @@ from thetadissect.catalog import (
     verify_identity,
 )
 from thetadissect.cyclotomic import CycloNum, cyclotomic_polynomial, zeta_power
-from thetadissect.dissect import DissectionSpec, dissect_closed, dissect_filter
+from thetadissect.dissect import dissect_closed, dissect_filter
 from thetadissect.expr import (
     ImagPart, Negate, Power, Product, RationalConst, RealPart, RootOfUnity,
     SpecializeQ, Sum, ThetaCall, Var, product_of, rational, sum_of,
@@ -68,9 +68,8 @@ def test_criterion_3_dissection_oracle_and_completeness():
     for m in range(1, 9):
         total = None
         for k in range(m):
-            spec = DissectionSpec(m, k)
-            filtered = dissect_filter(spec, 60)
-            closed = dissect_closed(spec, 60)
+            filtered = dissect_filter(m, k, 60)
+            closed = dissect_closed(m, k, 60)
             ok = ok and filtered == closed
             total = filtered if total is None else total + filtered
         ok = ok and total == full
@@ -105,10 +104,10 @@ def test_criterion_5_quartic_forms_render_identically():
 
 
 def test_criterion_6_q_specialization_of_quartic_components():
-    even = dissect_filter(DissectionSpec(4, 0), 60) + dissect_filter(DissectionSpec(4, 2), 60)
-    odd = dissect_filter(DissectionSpec(4, 1), 60) + dissect_filter(DissectionSpec(4, 3), 60)
-    even_closed = dissect_closed(DissectionSpec(4, 0), 60) + dissect_closed(DissectionSpec(4, 2), 60)
-    odd_closed = dissect_closed(DissectionSpec(4, 1), 60) + dissect_closed(DissectionSpec(4, 3), 60)
+    even = dissect_filter(4, 0, 60) + dissect_filter(4, 2, 60)
+    odd = dissect_filter(4, 1, 60) + dissect_filter(4, 3, 60)
+    even_closed = dissect_closed(4, 0, 60) + dissect_closed(4, 2, 60)
+    odd_closed = dissect_closed(4, 1, 60) + dissect_closed(4, 3, 60)
     even_direct = evaluate(parse_expr("f(q^16, q^16) + q^4*f(q^32, 1)"), 60, 1)
     odd_direct = evaluate(parse_expr("q*f(q^24, q^8) + q^9*f(q^40, q^-8)"), 60, 1)
     ok = (

@@ -343,9 +343,9 @@ def test_expand_json_negative_power_of_a_series_exits_3(capsys, expr):
 def _closed_form_with_extra_a_in_class_1(monkeypatch):
     closed = cli.dissect_closed
 
-    def broken(spec, bound):
-        series = closed(spec, bound)
-        if spec.k == 1:
+    def broken(m, k, bound):
+        series = closed(m, k, bound)
+        if k == 1:
             a = ScaledMonomial(1, 0, 1, Monomial(1, 0))
             series = series + LaurentSeries.from_scaled_monomial(a, bound)
         return series

@@ -44,6 +44,14 @@ _EXPANSIONS = {
 CASES = {"catalog-" + name: ["catalog", name, "--degree", "24"] for name in _CATALOG_NAMES}
 CASES.update({"dissect-m%d" % m: ["dissect", "--m", str(m), "--degree", "20", "--format", "json"]
               for m in range(1, 9)})
+# one path at a time: a single class of the closed form in text, and every
+# class of the filter in JSON
+CASES.update({
+    "dissect-m12-k7-closed-text": [
+        "dissect", "--m", "12", "--k", "7", "--mode", "closed", "--degree", "60"],
+    "dissect-m5-filter": [
+        "dissect", "--m", "5", "--mode", "filter", "--degree", "30", "--format", "json"],
+})
 CASES.update({"expand-" + name: ["expand", expr, "--degree", str(degree), "--format", "json"]
               for name, (expr, degree) in _EXPANSIONS.items()})
 CASES.update({
