@@ -150,17 +150,7 @@ def evaluate(node: Expr, degree: int, order: int) -> LaurentSeries:
         raise NonInvertible("negative power needs a monomial base")
     if node.exponent == 0:
         return LaurentSeries.one(degree, order)
-    # by squaring: every grouping of equal factors has the left fold's
-    # validity, so about log2(N) products give the same series
-    base = evaluate(node.base, degree, order)
-    result, n = None, node.exponent
-    while n:
-        if n & 1:
-            result = base if result is None else LaurentSeries.product((result, base))
-        n >>= 1
-        if n:
-            base = LaurentSeries.product((base, base))
-    return result
+    return evaluate(node.base, degree, order).power(node.exponent)
 
 
 # -- identities and reports ----------------------------------------------------

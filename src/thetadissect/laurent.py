@@ -24,11 +24,13 @@ bytes of the packed product with the pairs of terms the sparse path would
 visit (`_PACKED_BYTES_PER_PAIR`). Each convolution is then reduced modulo
 Phi_L on the rows `CycloNum` uses. Coefficients are stored the same way,
 integer numerators over one denominator, so an operand whose denominator is
-the common one enters as it is. A chain of products
-(`LaurentSeries.product`: Pochhammer ladders, powers, products) keeps the
-running product in integer rows between steps, cut to each step's bound and
-over its least denominator, so each operand is converted once and
-coefficients are built once, at the end.
+the common one enters as it is. One binary step (`_times`) multiplies two
+operands held as integer rows, each with its validity and least degree.
+`LaurentSeries.product` folds it as a balanced tree over its items (a
+Pochhammer ladder, the triple product, a product node), and
+`LaurentSeries.power` squares with it. Between steps the rows stay integer
+rows, cut to each step's bound and over their least denominator, so each
+item is converted once and coefficients are built once, at the root.
 """
 from __future__ import annotations
 
@@ -215,38 +217,40 @@ class LaurentSeries:
 
     @staticmethod
     def product(items: Sequence["LaurentSeries"]) -> "LaurentSeries":
-        """The product of one or more series, multiplied left to right.
+        """The product of one or more series, multiplied as a balanced tree.
 
-        Each step applies the binary validity rule: the running product
-        (validity V, least degree m) times a series (V', m') is exact through
-        min(V + m', V' + m), each least degree as `min_total_degree` reads it.
-        Between steps the running product stays as integer rows over one
-        denominator, so each operand is converted once and coefficients are
-        built once, at the end.
+        The items are split in halves, each half's product is taken the same
+        way, and the two are multiplied under the binary validity rule: a
+        product of validity V and least degree m times one of (V', m') is
+        exact through min(V + m', V' + m), least degrees as
+        `min_total_degree` reads them. Any grouping gives the same terms and
+        the validity min over i of V_i + the sum of the other m_j, so the tree
+        gives what the left fold gives. Each item is converted to integer rows
+        once, and coefficients are built once, at the root.
         """
         first = items[0]
-        if len(items) == 1:
-            return first
-        order = first.order
-        validity = first.validity
-        rows, den = _integer_rows(first.terms, validity)
         for other in items[1:]:
             first._check_order(other)
-            low = min((p + q for p, q, _ in rows), default=validity + 1)
-            other_low = other.min_total_degree()
-            validity = min(validity + other_low, other.validity + low)
-            if not rows or not other.terms:
-                rows, den = [], 1
-                continue
-            xs, x_den = _truncated_rows(rows, den, validity - other_low)
-            ys, y_den = _integer_rows(other.terms, validity - low)
-            packing = _packing(xs, ys)
-            if _is_dense(xs, ys, packing):
-                conv = _kronecker_convolution(xs, ys, validity, packing)
-            else:
-                conv = _sparse_convolution(xs, ys, validity)
-            rows, den = _reduced_rows(conv, order), x_den * y_den
-        return LaurentSeries(_series_terms(rows, den, order), validity, order)
+        if len(items) == 1:
+            return first
+        return _from_operand(_tree([_operand(s) for s in items], first.order), first.order)
+
+    def power(self, n: int) -> "LaurentSeries":
+        """self^n for n >= 1, by squaring: about log2(n) products, each under
+        the binary validity rule, so the result is what the product of n
+        copies gives."""
+        if n < 1:
+            raise ValueError("power needs n >= 1, got %d" % n)
+        if n == 1:
+            return self
+        base, result = _operand(self), None
+        while n:
+            if n & 1:
+                result = base if result is None else _times(result, base, self.order)
+            n >>= 1
+            if n:
+                base = _times(base, base, self.order)
+        return _from_operand(result, self.order)
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
         return LaurentSeries.product((self, other))
@@ -322,12 +326,53 @@ class LaurentSeries:
 # many bytes per pair of terms and basis element. Its cost is one CPython
 # big-int multiply, which grows faster than the bytes (Karatsuba), plus a
 # decode; a pair on the sparse path costs a dict update and up to phi^2
-# integer products. Timed on CPython 3.11, the packed path won on every
-# product of f(q,q)^k and specq(f(a,b)^k) at or below 0.57 bytes per pair,
-# by up to 3x, and lost on the triple product's bivariate factors from 0.61
-# up, by 2x on the 817,216-pair product at degree 200. The bound also caps
+# integer products. Timed on CPython 3.11 over the steps of the product tree,
+# the packed path won on every step of f(q,q)^k and specq(f(a,b)^k) at or
+# below 0.57 bytes per pair, by up to 18x on squarings of 76,000 pairs, and
+# lost on every step from 0.61 up, by 1.9x on the 673,480-pair root of the
+# triple product at degree 200. No bound from 0.25 to 4 ran the whole
+# f(q,q)^k, specq and triple-product mix clearly faster. The bound also caps
 # the packed buffer at a fixed multiple of the work the sparse path would do.
 _PACKED_BYTES_PER_PAIR = 0.5
+
+
+def _operand(s: LaurentSeries) -> tuple[list, int, int, int]:
+    """A series as a product operand: (rows, den, validity, least degree)."""
+    rows, den = _integer_rows(s.terms, s.validity)
+    return rows, den, s.validity, s.min_total_degree()
+
+
+def _from_operand(operand: tuple, order: int) -> LaurentSeries:
+    rows, den, validity, _ = operand
+    return LaurentSeries(_series_terms(rows, den, order), validity, order)
+
+
+def _tree(operands: list, order: int) -> tuple[list, int, int, int]:
+    """The product of one or more operands: the product of the first half
+    times the product of the rest."""
+    if len(operands) == 1:
+        return operands[0]
+    mid = len(operands) // 2
+    return _times(_tree(operands[:mid], order), _tree(operands[mid:], order), order)
+
+
+def _times(x: tuple, y: tuple, order: int) -> tuple[list, int, int, int]:
+    """One product of two operands under the binary validity rule, each cut
+    to the terms that can reach its bound, over its least denominator."""
+    xs, x_den, x_validity, x_low = x
+    ys, y_den, y_validity, y_low = y
+    validity = min(x_validity + y_low, y_validity + x_low)
+    if not xs or not ys:
+        return [], 1, validity, validity + 1
+    xs, x_den = _truncated_rows(xs, x_den, validity - y_low)
+    ys, y_den = _truncated_rows(ys, y_den, validity - x_low)
+    packing = _packing(xs, ys)
+    if _is_dense(xs, ys, packing):
+        conv = _kronecker_convolution(xs, ys, validity, packing)
+    else:
+        conv = _sparse_convolution(xs, ys, validity)
+    rows = _reduced_rows(conv, order)
+    return rows, x_den * y_den, validity, min((p + q for p, q, _ in rows), default=validity + 1)
 
 
 def _integer_rows(terms: dict, through: int) -> tuple[list, int]:

@@ -259,6 +259,27 @@ def schoolbook_fold(items):
     return partials
 
 
+def schoolbook_tree(items):
+    """Every node of a balanced product tree of `schoolbook_terms`, children
+    before parents and left before right: (left, right, validity) for the
+    products of the node's first len // 2 items and of the rest, and the
+    node's bound min(V1 + m2, V2 + m1). The last node is the root."""
+    nodes = []
+
+    def build(part):
+        if len(part) == 1:
+            return part[0]
+        mid = len(part) // 2
+        left, right = build(part[:mid]), build(part[mid:])
+        validity = min(left.validity + known_min_degree(right),
+                       right.validity + known_min_degree(left))
+        nodes.append((left, right, validity))
+        return LaurentSeries(schoolbook_terms(left, right, validity), validity, left.order)
+
+    build(items)
+    return nodes
+
+
 _VAR_MONOMIALS = {"a": Monomial(1, 0), "b": Monomial(0, 1), "q": Monomial(1, 0)}
 
 

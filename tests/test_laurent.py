@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (KERNEL_ORDERS, cyclo_from_pairs, denominators, known_min_degree,
                       make_series, numerators, reference_render, reference_str,
-                      schoolbook_fold, schoolbook_terms, series_expr)
+                      schoolbook_fold, schoolbook_terms, schoolbook_tree, series_expr)
 from thetadissect import laurent
 from thetadissect.catalog import evaluate
 from thetadissect.cyclotomic import CycloNum, euler_phi, zeta_power
@@ -288,12 +289,13 @@ def kernel_operands(draw):
 
 
 @st.composite
-def chains(draw):
-    """1 to 5 operands over one order: empty ones, negative exponents, and
-    ones whose terms all lie at degree 10 or more, above most running bounds."""
+def chains(draw, longest=5):
+    """1 to `longest` operands over one order: empty ones, negative exponents,
+    and ones whose terms all lie at degree 10 or more, above most running
+    bounds."""
     order = draw(st.sampled_from(KERNEL_ORDERS))
     chain = []
-    for _ in range(draw(st.integers(1, 5))):
+    for _ in range(draw(st.integers(1, longest))):
         if draw(st.booleans()):
             chain.append(_draw_operand(draw, order, st.integers(-4, 6), st.integers(-6, 14)))
         else:
@@ -322,14 +324,15 @@ def test_mul_matches_schoolbook_product(case):
 @settings(max_examples=150, deadline=None)
 def test_product_matches_schoolbook_fold(chain):
     partials = schoolbook_fold(chain)
-    # each step hands the density rule the rows `_integer_rows` builds from the
-    # schoolbook partial product: cut at the step's bound, over the least
-    # common denominator
+    # each node of the tree hands the density rule the rows `_integer_rows`
+    # builds from the schoolbook products of its two halves: each cut to the
+    # node's bound less the other half's least degree, over the least common
+    # denominator, in tree order
     expected = []
-    for acc, other, step in zip(partials, chain[1:], partials[1:]):
-        if acc.terms and other.terms:
-            xs, _ = laurent._integer_rows(acc.terms, step.validity - known_min_degree(other))
-            ys, _ = laurent._integer_rows(other.terms, step.validity - known_min_degree(acc))
+    for left, right, validity in schoolbook_tree(chain):
+        if left.terms and right.terms:
+            xs, _ = laurent._integer_rows(left.terms, validity - known_min_degree(right))
+            ys, _ = laurent._integer_rows(right.terms, validity - known_min_degree(left))
             expected.append((sorted(xs), sorted(ys)))
     seen = []
     is_dense = laurent._is_dense
@@ -364,8 +367,59 @@ def test_power_by_squaring_matches_the_left_fold(case):
     # the sum with 0 keeps a one-term x off the exact monomial route, so the
     # power is taken on the series
     power = Power(Sum((series_expr(x), RationalConst(Fraction(0)))), n)
-    expected = LaurentSeries.product([x] * n) if n else LaurentSeries.one(x.validity, x.order)
+    expected = schoolbook_fold([x] * n)[-1] if n else LaurentSeries.one(x.validity, x.order)
     assert evaluate(power, x.validity, x.order) == expected
+    if n:
+        assert x.power(n) == expected
+    assert x.power(1) is x
+
+
+@given(st.one_of(chains(), chains(longest=9)))
+@settings(max_examples=150, deadline=None)
+def test_product_equals_the_left_fold(chain):
+    expected = schoolbook_fold(chain)[-1]
+    prod = LaurentSeries.product(chain)
+    assert prod.terms == expected.terms
+    assert prod.validity == expected.validity
+
+
+_ONE_PLUS_A = make_series({(0, 0): 1, (1, 0): 1}, 6)
+_ONE_MINUS_B = make_series({(0, 0): 1, (0, 1): -1}, 5)
+_NEGATIVE_EXPONENT = make_series({(-1, 2): 1, (0, 0): 1}, 4)  # a^-1*b^2 + 1
+_NEGATIVE_DEGREE = make_series({(-2, 1): Fraction(1, 2), (0, 0): 1}, 4)  # 1/2*a^-2*b + 1
+_EMPTY = LaurentSeries.zero(3)
+
+
+@pytest.mark.parametrize("chain, validity", [
+    # an empty operand first, in the middle and last: min over i of
+    # V_i + sum of the other least degrees, an empty one counting V + 1
+    ((_EMPTY, _ONE_PLUS_A, _ONE_MINUS_B), 3),
+    ((_ONE_PLUS_A, _ONE_MINUS_B, _EMPTY, _NEGATIVE_EXPONENT, _ONE_PLUS_A), 3),
+    ((_ONE_PLUS_A, _ONE_MINUS_B, _EMPTY), 3),
+    ((_NEGATIVE_EXPONENT, _ONE_PLUS_A), 4),
+    ((_NEGATIVE_DEGREE, _ONE_PLUS_A), 4),
+    ((_NEGATIVE_DEGREE, _ONE_MINUS_B, _NEGATIVE_EXPONENT), 3),
+    ((_ONE_PLUS_A, _NEGATIVE_DEGREE, _NEGATIVE_DEGREE, _ONE_MINUS_B, _NEGATIVE_EXPONENT,
+      _ONE_PLUS_A, _NEGATIVE_DEGREE), 1),
+    ((_ONE_PLUS_A,) * 7, 6),
+])
+def test_product_pinned_chains(chain, validity):
+    expected = schoolbook_fold(list(chain))[-1]
+    prod = LaurentSeries.product(chain)
+    assert prod.validity == expected.validity == validity
+    assert prod.terms == expected.terms
+    assert prod.is_zero() == (_EMPTY in chain)
+
+
+def test_product_pinned_values():
+    assert LaurentSeries.product((_ONE_PLUS_A,) * 7) == make_series(
+        {(k, 0): math.comb(7, k) for k in range(7)}, 6)
+    assert LaurentSeries.product((_NEGATIVE_DEGREE, _ONE_PLUS_A)) == make_series(
+        {(0, 0): 1, (1, 0): 1, (-2, 1): Fraction(1, 2), (-1, 1): Fraction(1, 2)}, 4)
+    # (1 + a + a^-1*b^2 + b^2) * (1 - b), every term at degree 3 or below
+    assert LaurentSeries.product((_NEGATIVE_EXPONENT, _ONE_PLUS_A, _ONE_MINUS_B)) == make_series(
+        {(0, 0): 1, (1, 0): 1, (-1, 2): 1, (0, 2): 1,
+         (0, 1): -1, (1, 1): -1, (-1, 3): -1, (0, 3): -1}, 4)
 
 
 def test_product_of_one_series_is_itself():
@@ -377,6 +431,10 @@ def test_product_order_mismatch():
     with pytest.raises(OrderMismatch):
         LaurentSeries.product([LaurentSeries.one(3, 3), LaurentSeries.one(3, 3),
                                LaurentSeries.one(3, 4)])
+    # in the last of seven items, after six that would multiply
+    factors = [make_series({(0, 0): 1, (k, 1): 1}, 8, order=3) for k in range(6)]
+    with pytest.raises(OrderMismatch):
+        LaurentSeries.product(factors + [LaurentSeries.one(8, 4)])
 
 
 def test_kronecker_digit_edges_are_exact():
