@@ -7,7 +7,8 @@ contract, and `main` alone turns exceptions into them:
   0  success / verified / all agree
   1  an identity failed (or a catalog/dissection run had failures)
   2  parse or usage errors (bad flags, unknown catalog names, bad m/k,
-     an --out path that cannot be written): a UsageError or an OSError
+     m above MAX_MODULUS, an --out path that cannot be written): a
+     UsageError or an OSError
   3  evaluation errors (non-convergent theta arguments, non-monomial
      arguments, order problems): any other EngineError
 """
@@ -26,6 +27,8 @@ from .expr import required_order
 from .exprlang import parse_expr, parse_identity, print_expr
 
 DEFAULT_DEGREE = 60
+# dissect runs one filter and one closed form per residue class, so m is capped
+MAX_MODULUS = 100_000
 
 
 def _add_common(sp: argparse.ArgumentParser, order: bool = False):
@@ -75,7 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(run=_cmd_catalog)
 
     sp = sub.add_parser("dissect", help="residue-class dissection S_k of f(a, b)")
-    sp.add_argument("--m", type=int, required=True, help="modulus (>= 1)")
+    sp.add_argument("--m", type=int, required=True,
+                    help="modulus, from 1 to %d" % MAX_MODULUS)
     sp.add_argument("--k", type=int, default=None, help="residue class (default: all)")
     sp.add_argument("--mode", choices=("filter", "closed", "both"), default="both")
     _add_common(sp)
@@ -113,13 +117,16 @@ def _cmd_expand(args) -> int:
             "expr": print_expr(ast),
             "degree": args.degree,
             "order": order,
-            "validity": series.validity,
+            "validity": None,
             "terms": [
                 {"monomial": mono.render(), "coeff": str(coeff)}
                 for mono, coeff in series.sorted_terms()
             ],
         }
-        _emit(json.dumps(doc, indent=2), args)
+        # json.dumps spells an int with int.__repr__, which refuses past
+        # CPython's 4300-digit limit, so the validity is spelled as in text
+        _emit(json.dumps(doc, indent=2).replace(
+            '"validity": null', '"validity": ' + _digits(series.validity), 1), args)
     else:
         _emit("%s\nvalidity: %s" % (series.render(), _digits(series.validity)), args)
     return 0
@@ -184,6 +191,8 @@ def _cmd_dissect(args) -> int:
     m, degree, mode = args.m, args.degree, args.mode
     if m < 1:
         raise UsageError("modulus m must be >= 1, got %d" % m)
+    if m > MAX_MODULUS:
+        raise UsageError("modulus m must be <= %d, got %d" % (MAX_MODULUS, m))
     # the closed form holds for any integer k; the report names each class once
     if args.k is not None and not 0 <= args.k < m:
         raise UsageError("residue k=%d out of range [0, %d)" % (args.k, m))

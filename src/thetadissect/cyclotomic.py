@@ -211,12 +211,6 @@ class CycloNum:
             n >>= 1
         return result
 
-    def times_zeta(self, exponent: int) -> "CycloNum":
-        """self * zeta_order^exponent: each nonzero entry moves up `exponent`
-        powers, then one reduction, costing the nonzero entries times phi
-        where a product costs phi^2."""
-        return _combine(self.order, self.nums, self.den, 1, exponent)
-
     # -- automorphisms and embeddings ----------------------------------------
 
     def embed(self, target_order: int) -> "CycloNum":

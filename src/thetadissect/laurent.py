@@ -256,18 +256,25 @@ class LaurentSeries:
         return LaurentSeries.product((self, other))
 
     def scale(self, s: ScaledMonomial) -> "LaurentSeries":
-        """Multiply by a single scaled monomial; validity rises with its degree."""
+        """Multiply by a single scaled monomial r * zeta^e * a^p * b^q;
+        validity rises with its degree. Each coefficient is built once, on
+        integers: its numerators shifted up e powers of zeta and reduced, then
+        times the numerator of r, over its denominator times that of r. A
+        nonzero factor keeps every (nonzero) term nonzero."""
         if s.order != self.order:
             raise OrderMismatch("scalar order %d != series order %d" % (s.order, self.order))
-        validity = self.validity + s.total_degree
-        exponent, ratio = s.exponent, s.ratio
-        # a nonzero factor keeps every (nonzero) term nonzero
+        order, exponent, mono = self.order, s.exponent, s.mono
+        num, den = s.ratio.numerator, s.ratio.denominator
+        unit = exponent == 0 and num == 1 and den == 1
         entries = {}
         for m, c in self.terms.items():
-            if exponent:
-                c = c.times_zeta(exponent)
-            entries[m * s.mono] = c if ratio == 1 else c * ratio
-        return LaurentSeries(entries, validity, self.order)
+            if not unit:
+                nums = reduce_powers(order, c.nums, 1, exponent) if exponent else c.nums
+                if num != 1:
+                    nums = [v * num for v in nums]
+                c = CycloNum(order, tuple(nums), c.den * den)
+            entries[m * mono] = c
+        return LaurentSeries(entries, self.validity + s.total_degree, order)
 
     def map_coeffs(self, fn: Callable[[CycloNum], CycloNum]) -> "LaurentSeries":
         """Coefficientwise map by a field automorphism, such as conjugation: it

@@ -9,23 +9,18 @@ iff d1 + d2 > 0. That rule is this engine's formal counterpart of the
 analytic |xy| < 1 condition and is enforced on construction of ThetaArgs.
 The triple-product form needs each of its three Pochhammer arguments to
 climb in degree, so it additionally requires d1 > 0 and d2 > 0.
+
+The theta sum runs on integers, T(n) = n(n+1)/2 and T(-n) as exponents, a
+ratio read as its numerator and denominator: no Fraction is built.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .cyclotomic import CycloNum, zeta_power
+from .cyclotomic import CycloNum, _zeta_powers
 from .errors import NonConvergent, OrderMismatch
 from .laurent import LaurentSeries, Monomial, ScaledMonomial
-
-
-def _tri_up(n: int) -> int:
-    return n * (n + 1) // 2
-
-
-def _tri_down(n: int) -> int:
-    return n * (n - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -74,19 +69,41 @@ def theta_expand(args: ThetaArgs, bound: int) -> LaurentSeries:
 
     Negative bounds are legal: the parabola can dip below zero when one
     argument has negative degree, and dissection budgets exploit that.
+
+    For x = r1 zeta^e1 a^p1 b^q1 and y = r2 zeta^e2 a^p2 b^q2 the index-n term
+    is r1^t r2^u zeta^(e1 t + e2 u) a^(p1 t + p2 u) b^(q1 t + q2 u) with
+    t = T(n), u = T(-n): integer arithmetic on exponents, a row of the shared
+    table of root powers, and, for ratios other than 1, their numerators and
+    denominators raised to t and u. Each term's coefficient is built once.
+    Two indices meet on one monomial only for proportional arguments, such as
+    f(a, 1) or f(q, -q); their coefficients are added, and zeros are dropped.
     """
     order = args.order
     x, y = args.first, args.second
-    rational = x.ratio != 1 or y.ratio != 1
-    entries = []
+    (p1, q1), (p2, q2) = x.mono, y.mono
+    e1, e2 = x.exponent, y.exponent
+    n1, d1 = x.ratio.numerator, x.ratio.denominator
+    n2, d2 = y.ratio.numerator, y.ratio.denominator
+    rational = n1 != 1 or d1 != 1 or n2 != 1 or d2 != 1
+    powers = _zeta_powers(order)
+    terms: dict[Monomial, CycloNum] = {}
+    collided = False
     for n in theta_index_range(args, bound):
-        t, u = _tri_up(n), _tri_down(n)
-        # (r1 zeta^e1)^t (r2 zeta^e2)^u = r1^t r2^u zeta^(e1 t + e2 u)
-        coeff = zeta_power(order, x.exponent * t + y.exponent * u)
+        t = n * (n + 1) // 2
+        u = t - n  # T(-n) = n(n-1)/2
+        coeff = powers[(e1 * t + e2 * u) % order]
         if rational:
-            coeff = coeff * (x.ratio ** t * y.ratio ** u)
-        entries.append((x.mono ** t * y.mono ** u, coeff))
-    return LaurentSeries.make(entries, bound, order)
+            num = n1 ** t * n2 ** u
+            coeff = CycloNum(order, tuple([v * num for v in coeff.nums]), d1 ** t * d2 ** u)
+        mono = Monomial(p1 * t + p2 * u, q1 * t + q2 * u)
+        if mono in terms:
+            terms[mono] = terms[mono] + coeff
+            collided = True
+        else:
+            terms[mono] = coeff
+    if collided:
+        terms = {m: c for m, c in terms.items() if not c.is_zero()}
+    return LaurentSeries(terms, bound, order)
 
 
 def pochhammer_expand(x: ScaledMonomial, qq: ScaledMonomial, bound: int) -> LaurentSeries:

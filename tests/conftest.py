@@ -13,14 +13,16 @@ if SRC not in sys.path:
     sys.path.insert(0, SRC)
 
 from thetadissect.catalog import evaluate  # noqa: E402
-from thetadissect.cyclotomic import CycloNum, cyclotomic_polynomial, euler_phi  # noqa: E402
+from thetadissect.cyclotomic import (  # noqa: E402
+    CycloNum, cyclotomic_polynomial, euler_phi, zeta_power,
+)
 from thetadissect.errors import IncompatibleOrders, NonMonomialArgument, ParseError  # noqa: E402
 from thetadissect.expr import (  # noqa: E402
     ImagPart, Negate, Power, Product, RationalConst, RealPart, RootOfUnity, Var, sum_of,
 )
 from thetadissect.exprlang import _SYMBOLS  # noqa: E402
 from thetadissect.laurent import LaurentSeries, Monomial, ScaledMonomial  # noqa: E402
-from thetadissect.theta import ThetaArgs  # noqa: E402
+from thetadissect.theta import ThetaArgs, theta_index_range  # noqa: E402
 
 
 def make_series(entries, validity, order=1):
@@ -226,6 +228,24 @@ def reference_render(series):
         else:
             parts.append((" - " if negative else " + ") + body)
     return "".join(parts)
+
+
+def reference_theta_expand(args, bound):
+    """The theta sum as it was built before it ran on plain integers, kept as
+    the reference: each index's monomial by Monomial powers, its root by
+    zeta_power, its ratio by Fraction powers, and the terms normalized by
+    LaurentSeries.make."""
+    order = args.order
+    x, y = args.first, args.second
+    rational = x.ratio != 1 or y.ratio != 1
+    entries = []
+    for n in theta_index_range(args, bound):
+        t, u = n * (n + 1) // 2, n * (n - 1) // 2
+        coeff = zeta_power(order, x.exponent * t + y.exponent * u)
+        if rational:
+            coeff = coeff * (x.ratio ** t * y.ratio ** u)
+        entries.append((x.mono ** t * y.mono ** u, coeff))
+    return LaurentSeries.make(entries, bound, order)
 
 
 def schoolbook_terms(x, y, validity):

@@ -170,6 +170,14 @@ def test_dissect_bad_residue_exits_2():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("m", ["100001", "1000000000"])
+def test_dissect_modulus_above_the_cap_exits_2(capsys, m):
+    # one filter and one closed form run per residue class, so m is capped
+    assert main(["dissect", "--m", m, "--degree", "0"]) == 2
+    assert capsys.readouterr() == ("", "modulus m must be <= %d, got %s\n" % (cli.MAX_MODULUS, m))
+    assert main(["dissect", "--m", str(cli.MAX_MODULUS), "--k", "0", "--degree", "0"]) == 0
+
+
 def test_dissect_filter_mode_only():
     proc = run_cli("dissect", "--m", "2", "--k", "1", "--mode", "filter", "--degree", "9")
     assert proc.returncode == 0
@@ -435,6 +443,17 @@ def test_exponents_print_past_the_int_digit_limit(capsys):
     assert err == ""
     assert json.loads(out)["first_mismatch"] == {
         "monomial": "a^-%s" % full_digits(10 * n), "lhs": "1", "rhs": "0"}
+
+
+def test_expand_json_writes_a_validity_past_the_int_digit_limit(capsys):
+    n = int("7" * 4300)
+    assert main(["expand", "(a^%d)^10" % n, "--degree", "0", "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    # json.loads reads ints under the same digit limit, so they are read as text
+    doc = json.loads(out, parse_int=str)
+    assert doc["validity"] == full_digits(10 * n)
+    assert doc["terms"] == [{"monomial": "a^%s" % full_digits(10 * n), "coeff": "1"}]
 
 
 def test_expand_power_takes_about_log2_n_products():

@@ -14,6 +14,7 @@ from thetadissect.cyclotomic import (
     CycloNum, cyclotomic_polynomial, euler_phi, zeta_power,
 )
 from thetadissect.errors import IncompatibleOrders, OrderMismatch, OrderNotDivisibleBy4
+from thetadissect.laurent import LaurentSeries, Monomial, ScaledMonomial
 
 ORDERS = [1, 2, 3, 4, 6, 8, 12]
 SAMPLES = 120
@@ -319,8 +320,10 @@ def test_integer_arithmetic_matches_fraction_reference(case):
 @given(st.sampled_from(KERNEL_ORDERS).flatmap(
     lambda order: st.tuples(cyclo_values(order), st.integers(-2 * order, 2 * order))))
 @settings(max_examples=200, deadline=None)
-def test_times_zeta_is_the_product_with_the_root(case):
+def test_scale_by_a_root_is_the_product_with_the_root(case):
     x, e = case
-    got = x.times_zeta(e)
+    one = Monomial(0, 0)
+    series = LaurentSeries.make([(one, x)], 0, x.order)
+    got = series.scale(ScaledMonomial(1, e, x.order, one)).coefficient(one)
     assert got == x * zeta_power(x.order, e)
     assert_canonical(got)

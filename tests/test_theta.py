@@ -3,9 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import make_series, plain_theta_args, schoolbook_fold
+from conftest import (
+    KERNEL_ORDERS, make_series, plain_theta_args, reference_theta_expand, schoolbook_fold,
+)
+from thetadissect.catalog import evaluate
 from thetadissect.cyclotomic import zeta_power
 from thetadissect.errors import NonConvergent
+from thetadissect.exprlang import parse_expr
 from thetadissect.laurent import LaurentSeries, Monomial, ScaledMonomial
 from thetadissect.theta import (
     ThetaArgs, pochhammer_expand, theta_expand, theta_index_range,
@@ -190,3 +194,48 @@ def test_univariate_one_argument():
     # so every triangular exponent of x shows up twice
     s = theta_expand(args_of(1, 8, 0, 1, 0, 0), 32)
     assert s == make_series({(0, 0): 2, (8, 0): 2, (24, 0): 2}, 32)
+
+
+RATIOS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 3), Fraction(3, 2))
+
+
+@st.composite
+def kernel_cases(draw):
+    """Theta arguments over a kernel order, any ratio in RATIOS and any root
+    exponent, with monomials of either sign of degree, and a bound that may
+    be negative. Half the time the second monomial is a multiple of the
+    first (0 gives f(x, 1), 1 gives f(x, +-x)), where indices meet."""
+    order = draw(st.sampled_from(KERNEL_ORDERS))
+    exps = st.integers(-4, 6)
+    p1, q1 = draw(exps), draw(exps)
+    if draw(st.booleans()):
+        k = draw(st.integers(-2, 3))
+        p2, q2 = k * p1, k * q1
+    else:
+        p2, q2 = draw(exps), draw(exps)
+    assume(p1 + q1 + p2 + q2 > 0)
+    first, second = (ScaledMonomial(draw(st.sampled_from(RATIOS)), draw(st.integers(-40, 40)),
+                                    order, mono)
+                     for mono in (Monomial(p1, q1), Monomial(p2, q2)))
+    return ThetaArgs(first, second), draw(st.integers(-30, 60))
+
+
+@given(kernel_cases())
+@settings(max_examples=400, deadline=None)
+def test_theta_expand_matches_the_fraction_power_reference(case):
+    args, bound = case
+    got, expected = theta_expand(args, bound), reference_theta_expand(args, bound)
+    assert got == expected
+    assert list(got.terms) == list(expected.terms)
+
+
+@pytest.mark.parametrize("order", [1, 2, 4])
+def test_f_q_minus_q_equals_f_minus_q4_minus_q4_at_400(order):
+    # f(q, -q): indices n and -n meet on q^(n^2) with signs (-1)^T(n) and
+    # (-1)^T(-n), which cancel for odd n; f(-q^4, -q^4): they meet on
+    # q^(4n^2) with one sign. Each side is 1 + 2 * sum of (-1)^j q^(4j^2).
+    lhs = evaluate(parse_expr("f(q, -q)"), 400, order)
+    rhs = evaluate(parse_expr("f(-q^4, -q^4)"), 400, order)
+    expected = {(0, 0): 1, **{(4 * j * j, 0): 2 * (-1) ** j for j in range(1, 11)}}
+    assert lhs == rhs == make_series(expected, 400, order)
+    assert lhs.term_count == 11
