@@ -10,6 +10,12 @@ in the message; in a product or a power it marks a series operand, so no
 exception steers evaluation. Re and Im are identities between series:
 with conj x the coefficientwise conjugate, Re x = (x + conj x)/2 and
 Im x = (conj x - x)*i/2, i = zeta_L^(L/4), so 4 must divide L.
+specq(E) is evaluated as E with every b read as q, a one-variable series
+from the leaves up: a, b -> q is a ring homomorphism that keeps total
+degrees, which are all the validity calculus reads, so the result is the
+bivariate series of E collapsed by specialize_q through that series'
+validity, and exact through at least as much (more where a = b cancels the
+least terms of a product operand).
 
 The catalog holds the classical m=2/3/4 dissection identities from
 Ramanujan's notebooks (Berndt's editions, Parts III and IV), stated as text
@@ -33,7 +39,7 @@ from .errors import (
 )
 from .expr import (
     Expr, ImagPart, Negate, Power, Product, RationalConst, RealPart, RootOfUnity,
-    SpecializeQ, Sum, ThetaCall, Var, required_order,
+    SpecializeQ, Sum, ThetaCall, Var, b_as_q, required_order,
 )
 from .exprlang import parse_identity
 from .laurent import LaurentSeries, Mismatch, Monomial, ScaledMonomial
@@ -136,7 +142,7 @@ def evaluate(node: Expr, degree: int, order: int) -> LaurentSeries:
         return LaurentSeries.sum(parts).scale(
             ScaledMonomial(Fraction(1, 2), exponent, order, Monomial(0, 0)))
     if isinstance(node, SpecializeQ):
-        return evaluate(node.item, degree, order).specialize_q()
+        return evaluate(b_as_q(node.item), degree, order)
     # one fold serves the nodes that can be monomials: Var, RootOfUnity, RationalConst, Power
     folded = _fold(node, order)
     if isinstance(folded, ScaledMonomial):

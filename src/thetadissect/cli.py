@@ -10,7 +10,8 @@ contract, and `main` alone turns exceptions into them:
      m above MAX_MODULUS, an --out path that cannot be written): a
      UsageError or an OSError
   3  evaluation errors (non-convergent theta arguments, non-monomial
-     arguments, order problems): any other EngineError
+     arguments, order problems, a constant power past the bit cap): any
+     other EngineError
 """
 from __future__ import annotations
 

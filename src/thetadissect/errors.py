@@ -39,6 +39,11 @@ class NonInvertible(EngineError):
     """A negative power needed an inverse the coefficient domain does not supply."""
 
 
+class RequestTooLarge(EngineError):
+    """A request whose cost is refused before any work: a constant power
+    whose exact value would run past a fixed bit budget."""
+
+
 class UsageError(EngineError):
     """A request refused before evaluation: bad syntax, option or name."""
 

@@ -138,3 +138,19 @@ def required_order(*exprs: Expr) -> int:
         elif isinstance(node, (Negate, SpecializeQ)):
             pending.append(node.item)
     return order
+
+
+def b_as_q(node: Expr) -> Expr:
+    """node with every b read as q: the image of a, b -> q, a ring
+    homomorphism that keeps the total degree of every term."""
+    if isinstance(node, Var):
+        return Var("q") if node.name == "b" else node
+    if isinstance(node, (Sum, Product)):
+        return type(node)(tuple(b_as_q(item) for item in node.items))
+    if isinstance(node, Power):
+        return Power(b_as_q(node.base), node.exponent)
+    if isinstance(node, ThetaCall):
+        return ThetaCall(b_as_q(node.first), b_as_q(node.second))
+    if isinstance(node, (Negate, RealPart, ImagPart, SpecializeQ)):
+        return type(node)(b_as_q(node.item))
+    return node

@@ -40,7 +40,11 @@ from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .cyclotomic import CycloNum, _digits, join_signed, reduce_powers, zeta_power
-from .errors import OrderMismatch, ValidityExceeded
+from .errors import OrderMismatch, RequestTooLarge, ValidityExceeded
+
+# r^n for a ratio r other than +-1 has about |n| times the bits of r; a
+# constant power past this many bits is refused before it is taken
+MAX_POWER_BITS = 1 << 20
 
 
 class Monomial(NamedTuple):
@@ -74,8 +78,10 @@ def _term_key(mono: Monomial) -> tuple[int, int]:
 class ScaledMonomial:
     """r * zeta_order^e * a^p * b^q with r a nonzero rational: the only legal
     theta argument. Products, powers and negation are rational and exponent
-    arithmetic. The form is canonical (0 <= e < order, and r > 0 when order is
-    even, since -1 = zeta^(order/2)), so equal values compare equal."""
+    arithmetic; a power whose ratio would pass MAX_POWER_BITS raises
+    RequestTooLarge before it is taken. The form is canonical (0 <= e <
+    order, and r > 0 when order is even, since -1 = zeta^(order/2)), so equal
+    values compare equal."""
 
     ratio: Fraction
     exponent: int
@@ -118,7 +124,17 @@ class ScaledMonomial:
                               self.order, self.mono * other.mono)
 
     def __pow__(self, n: int) -> "ScaledMonomial":
-        return ScaledMonomial(self.ratio ** n, self.exponent * n, self.order, self.mono ** n)
+        ratio = self.ratio
+        bits = ratio.numerator.bit_length() + ratio.denominator.bit_length()
+        if bits > 2:
+            if abs(n) * bits > MAX_POWER_BITS:
+                raise RequestTooLarge(
+                    "power %s of a ratio with %d numerator and denominator bits exceeds"
+                    " the %d-bit cap" % (_digits(n), bits, MAX_POWER_BITS))
+            ratio **= n
+        elif n % 2 == 0:  # r is +-1, the only ratios of 2 bits
+            ratio = 1
+        return ScaledMonomial(ratio, self.exponent * n, self.order, self.mono ** n)
 
     def __neg__(self) -> "ScaledMonomial":
         return ScaledMonomial(-self.ratio, self.exponent, self.order, self.mono)
@@ -310,6 +326,9 @@ class LaurentSeries:
         """Collapse a^p*b^q to a^(p+q): the a-slot holds the univariate q-series.
 
         Total degree is preserved termwise, so validity is unchanged.
+        `specq` does not come here (it evaluates its argument at b = q);
+        this is the collapse of a bivariate series that the tests check it
+        against.
         """
         entries = [(Monomial(m.total_degree, 0), c) for m, c in self.terms.items()]
         return LaurentSeries.make(entries, self.validity, self.order)

@@ -8,6 +8,7 @@ from conftest import (
     FractionCyclo, cyclo_from_pairs, denominators, evaluated_parts, make_series, numerators,
     reference_fold, series_expr,
 )
+from thetadissect import catalog
 from thetadissect.catalog import (
     _NOTEBOOK_ENTRIES, Identity, builtin_catalog, catalog_by_name, evaluate,
     fold_scaled_monomial, get_identity, make_identity, summarize, transformation_identity,
@@ -21,10 +22,11 @@ from thetadissect.errors import (
 )
 from thetadissect.expr import (
     ImagPart, Negate, Power, Product, RationalConst, RealPart, RootOfUnity, SpecializeQ, Sum,
-    ThetaCall, Var, product_of, rational, sum_of,
+    ThetaCall, Var, product_of, rational, required_order, sum_of,
 )
 from thetadissect.exprlang import parse_expr, parse_identity, print_identity
 from thetadissect.laurent import LaurentSeries, Monomial, ScaledMonomial
+from thetadissect.theta import theta_expand
 
 A, B, Q = Var("a"), Var("b"), Var("q")
 OMEGA = RootOfUnity(3, 1)
@@ -289,6 +291,112 @@ def test_q_specialization_two_routes_agree():
     via_specialize = evaluate(SpecializeQ(parse_expr("f(a^3*b, a*b^3)")), 40, 1)
     direct = evaluate(parse_expr("f(q^4, q^4)"), 40, 1)
     assert via_specialize == direct
+    # specq evaluates its argument univariate, so the collapse of the
+    # bivariate series keeps a second route in this test
+    assert evaluate(parse_expr("f(a^3*b, a*b^3)"), 40, 1).specialize_q() == direct
+
+
+# --- specq(E) as E at b = q ---------------------------------------------------------
+
+_CANCELLING = [parse_expr(text) for text in (
+    "a - b", "a^-1 - b^-1", "a^2 - a*b", "q - b", "a*b^-1 - 1", "i*a - i*b")]
+
+
+@st.composite
+def _scaled_monomial_exprs(draw, order):
+    """r * root * a^p * b^s * q^t as a product of leaves, exponents -2..3."""
+    items = [RationalConst(draw(st.sampled_from(
+        (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 3), Fraction(-3, 2)))))]
+    if draw(st.booleans()):
+        root_order = draw(st.sampled_from([d for d in (1, 2, 3, 4, 6, 12) if order % d == 0]))
+        items.append(RootOfUnity(root_order, draw(st.integers(0, root_order - 1))))
+    for name in ("a", "b", "q"):
+        exponent = draw(st.integers(-2, 3))
+        if exponent:
+            items.append(Power(Var(name), exponent))
+    return product_of(items)
+
+
+def _degree(node):
+    return fold_scaled_monomial(node, 12).total_degree
+
+
+@st.composite
+def _specq_exprs(draw, order):
+    """Theta calls of scaled monomials, scaled monomials and operands that
+    vanish at a = b, combined by sums, products, powers 0..4, negation, Re
+    and Im."""
+    theta = st.tuples(_scaled_monomial_exprs(order), _scaled_monomial_exprs(order)).filter(
+        lambda xy: _degree(xy[0]) + _degree(xy[1]) > 0).map(lambda xy: ThetaCall(*xy))
+    leaves = st.one_of(theta, _scaled_monomial_exprs(order), st.sampled_from(_CANCELLING))
+    return draw(st.recursive(leaves, lambda children: st.one_of(
+        st.lists(children, min_size=2, max_size=3).map(lambda xs: Sum(tuple(xs))),
+        st.lists(children, min_size=2, max_size=3).map(lambda xs: Product(tuple(xs))),
+        st.tuples(children, st.integers(0, 4)).map(lambda t: Power(*t)),
+        children.map(Negate), children.map(RealPart), children.map(ImagPart),
+    ), max_leaves=6))
+
+
+def _evaluated(node, degree, order):
+    try:
+        return evaluate(node, degree, order)
+    except EngineError as exc:
+        return type(exc)
+
+
+@given(st.data(), st.sampled_from((4, 12)), st.integers(0, 8))
+@settings(max_examples=200, deadline=None)
+def test_specq_matches_the_collapse_of_the_bivariate_series(data, order, degree):
+    node = data.draw(_specq_exprs(order))
+    univariate = _evaluated(SpecializeQ(node), degree, order)
+    bivariate = _evaluated(node, degree, order)
+    if not isinstance(bivariate, LaurentSeries):
+        assert univariate is bivariate
+        return
+    bivariate = bivariate.specialize_q()
+    # exact through the bivariate validity, and never less exact
+    assert univariate.validity >= bivariate.validity
+    assert univariate.truncate(bivariate.validity) == bivariate
+    assert all(mono.q == 0 for mono in univariate.terms)
+    # what the univariate route claims past that is what more degree confirms
+    deeper = evaluate(node, degree + 8, order).specialize_q()
+    through = min(univariate.validity, deeper.validity)
+    assert univariate.first_mismatch(deeper, through) is None
+
+
+@pytest.mark.parametrize("text, degree, terms, validity", [
+    # at a = b the least term of a - b + a^3 cancels, so its product with
+    # a^2 + b^2 starts at degree 5 and is exact through 5
+    ("specq((a-b+a^3)*(a^2+b^2))", 3, {Monomial(5, 0): 2}, 5),
+    ("specq((a^-1 - b^-1)*f(a,b))", 5, {}, 5),
+])
+def test_specq_validity_rises_where_a_equals_b_cancels(text, degree, terms, validity):
+    node = parse_expr(text)
+    series = evaluate(node, degree, 1)
+    assert series.validity == validity
+    assert series.terms == {mono: CycloNum.from_rational(Fraction(c), 1)
+                            for mono, c in terms.items()}
+    # the collapse of the bivariate series is exact through less
+    assert evaluate(node.item, degree, 1).specialize_q().validity < validity
+
+
+def test_no_theta_call_under_specq_sees_b(monkeypatch):
+    seen = []
+
+    def recording(args, bound):
+        seen.append(args)
+        return theta_expand(args, bound)
+
+    monkeypatch.setattr(catalog, "theta_expand", recording)
+    sides = [side for identity in builtin_catalog() for side in (identity.lhs, identity.rhs)]
+    for side in sides:
+        evaluate(SpecializeQ(side), 20, required_order(side))
+    assert seen and all(x.mono.q == 0 for args in seen for x in (args.first, args.second))
+    # the bivariate sides do reach theta calls with b in their arguments
+    seen.clear()
+    for side in sides:
+        evaluate(side, 20, required_order(side))
+    assert any(x.mono.q != 0 for args in seen for x in (args.first, args.second))
 
 
 def test_notebook_statements_are_in_canonical_printed_form():

@@ -456,6 +456,64 @@ def test_expand_json_writes_a_validity_past_the_int_digit_limit(capsys):
     assert doc["terms"] == [{"monomial": "a^%s" % full_digits(10 * n), "coeff": "1"}]
 
 
+_TOO_LARGE = ("evaluation error: RequestTooLarge: power 9999999999 of a ratio with 3"
+              " numerator and denominator bits exceeds the 1048576-bit cap\n")
+
+
+@pytest.mark.parametrize("expr, power", [
+    ("2^9999999999", "9999999999"),
+    ("f(2^9999999999*a, b)", "9999999999"),
+    ("(1/2*a)^-9999999999", "-9999999999"),
+])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_expand_refuses_a_constant_power_past_the_bit_cap(capsys, expr, power, fmt):
+    assert main(["expand", expr, "--format", fmt]) == 3
+    assert capsys.readouterr() == ("", _TOO_LARGE.replace("9999999999", power))
+
+
+def test_verify_refuses_a_constant_power_past_the_bit_cap(capsys):
+    assert main(["verify", "2^9999999999 = 1"]) == 3
+    assert capsys.readouterr() == (
+        "user: error (%s)\n" % _TOO_LARGE[len("evaluation error: "):-1], _TOO_LARGE)
+    assert main(["verify", "f(2^9999999999*a, b) = 1", "--format", "json"]) == 3
+    out, err = capsys.readouterr()
+    assert err == _TOO_LARGE
+    assert json.loads(out)["error"] == _TOO_LARGE[len("evaluation error: "):-1]
+
+
+def test_a_power_of_minus_one_is_not_capped(capsys):
+    assert main(["expand", "(-1)^9999999999*a + (-1)^-9999999999", "--degree", "1"]) == 0
+    assert capsys.readouterr() == ("-1 - a\nvalidity: 1\n", "")
+    assert main(["verify", "(-1)^9999999999 = -1", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "verified"
+
+
+# at a = b the least term of the operand cancels, so the product is exact
+# through more than the bivariate series collapsed at the end would be
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_specq_of_a_product_with_a_cancelling_operand(capsys, fmt):
+    expr = "specq((a-b+a^3)*(a^2+b^2))"
+    assert main(["expand", expr, "--degree", "3", "--format", fmt]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if fmt == "text":
+        assert out == "2*a^5\nvalidity: 5\n"
+    else:
+        assert json.loads(out) == {"expr": print_expr(parse_expr(expr)), "degree": 3, "order": 1,
+                                   "validity": 5, "terms": [{"monomial": "a^5", "coeff": "2"}]}
+    identity = "specq((a^-1 - b^-1)*f(a,b)) = 0"
+    assert main(["verify", identity, "--degree", "5", "--format", fmt]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if fmt == "text":
+        assert out == "user: verified (degree 5, lhs 0 terms, rhs 0 terms)\n"
+    else:
+        doc = json.loads(out)
+        del doc["millis"]
+        assert doc == {"name": "user", "paper_ref": "user-supplied identity", "degree": 5,
+                       "status": "verified", "lhs_terms": 0, "rhs_terms": 0}
+
+
 def test_expand_power_takes_about_log2_n_products():
     # a chain of N - 1 products would not finish
     proc = run_cli("expand", "f(a,b)^1000000000", "--degree", "2")
@@ -471,8 +529,9 @@ def test_expand_power_takes_about_log2_n_products():
 
 # Atoms of the identity language; every zeta atom of one call shares its order
 # n <= 24, and exponents stay in -3..3, because the costs of a large root order
-# (an L x phi(L) table of root powers) and of a large exponent (its ratio is
-# computed before any cap) are not bounded yet.
+# (an L x phi(L) table of root powers) and of a large exponent of a series
+# (such as (a+2)^N, whose coefficients grow with N) are not bounded yet; a
+# constant power is capped before it is taken.
 _NUMBERS = st.one_of(st.integers(0, 99).map(str),
                      st.tuples(st.integers(0, 99), st.integers(0, 99)).map("%d/%d".__mod__))
 _EXPONENTS = st.integers(-3, 3).map("^%d".__mod__)

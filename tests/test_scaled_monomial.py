@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from thetadissect.cyclotomic import CycloNum, zeta_power
-from thetadissect.errors import OrderMismatch
-from thetadissect.laurent import LaurentSeries, Monomial, ScaledMonomial
+from thetadissect.errors import OrderMismatch, RequestTooLarge
+from thetadissect.laurent import MAX_POWER_BITS, LaurentSeries, Monomial, ScaledMonomial
 from thetadissect.theta import ThetaArgs, theta_expand
 
 _orders = st.integers(1, 30)
@@ -105,3 +105,18 @@ def test_theta_expand_matches_direct_cyclonum_sum(order, r1, e1, r2, e2, m1, m2,
     args = ThetaArgs(ScaledMonomial(r1, e1, order, x_mono),
                      ScaledMonomial(r2, e2, order, y_mono))
     assert theta_expand(args, bound) == _direct_theta(x_coeff, x_mono, y_coeff, y_mono, order, bound)
+
+
+def test_constant_powers_are_capped_at_a_fixed_bit_budget():
+    # 4 has 3 numerator bits and 1 denominator bit: 4 * 2^18 = 2^20 bits is the cap
+    four = ScaledMonomial(4, 0, 1, Monomial(1, 0))
+    assert MAX_POWER_BITS == 2 ** 20
+    assert (four ** 2 ** 18).ratio == 2 ** 2 ** 19
+    assert (four ** -(2 ** 18)).ratio == Fraction(1, 2 ** 2 ** 19)
+    for n in (2 ** 18 + 1, -(2 ** 18) - 1):
+        with pytest.raises(RequestTooLarge):
+            four ** n
+    # a ratio of +-1 is not capped, and neither is the monomial part
+    for ratio in (1, -1):
+        s = ScaledMonomial(ratio, 1, 6, Monomial(1, -1)) ** (10 ** 30 + 1)
+        assert s == ScaledMonomial(ratio, 10 ** 30 + 1, 6, Monomial(10 ** 30 + 1, -10 ** 30 - 1))
