@@ -98,7 +98,7 @@ def fold_scaled_monomial(node: Expr, order: int) -> ScaledMonomial:
 def _monomial_series(s: ScaledMonomial, degree: int) -> LaurentSeries:
     # an exact monomial is exact at every degree; keep its term visible
     validity = max(degree, s.total_degree)
-    return LaurentSeries.from_scaled_monomial(s, validity)
+    return LaurentSeries({s.mono: s.coeff}, validity, s.order)
 
 
 def evaluate(node: Expr, degree: int, order: int) -> LaurentSeries:

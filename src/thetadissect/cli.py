@@ -10,8 +10,9 @@ contract, and `main` alone turns exceptions into them:
      m above MAX_MODULUS, an --out path that cannot be written): a
      UsageError or an OSError
   3  evaluation errors (non-convergent theta arguments, non-monomial
-     arguments, order problems, a constant power past the bit cap): any
-     other EngineError
+     arguments, order problems, a constant power past the bit cap, a working
+     order whose table of root powers passes MAX_ROOT_TABLE): any other
+     EngineError
 """
 from __future__ import annotations
 
@@ -21,15 +22,18 @@ import json
 import sys
 
 from . import catalog as cat
-from .cyclotomic import _digits
+from .cyclotomic import _digits, euler_phi
 from .dissect import dissect_closed, dissect_filter
-from .errors import EngineError, ParseError, UsageError
+from .errors import EngineError, ParseError, RequestTooLarge, UsageError
 from .expr import required_order
 from .exprlang import parse_expr, parse_identity, print_expr
 
 DEFAULT_DEGREE = 60
 # dissect runs one filter and one closed form per residue class, so m is capped
 MAX_MODULUS = 100_000
+# an order L builds an L x phi(L) table of root powers: 17.7 M integers at
+# L = 9240 (0.45 s and 153 MB on CPython 3.11), 173 M at L = 30030
+MAX_ROOT_TABLE = 1 << 25
 
 
 def _add_common(sp: argparse.ArgumentParser, order: bool = False):
@@ -99,14 +103,17 @@ def _emit(text: str, args):
 
 def _resolve_order(requested, *exprs) -> int:
     needed = required_order(*exprs)
-    if requested is None:
-        return needed
-    if requested < 1 or requested % needed != 0:
+    order = needed if requested is None else requested
+    if order < 1 or order % needed != 0:
         raise UsageError(
-            "--order %d is not a positive multiple of the required order %d"
-            % (requested, needed)
+            "--order %d is not a positive multiple of the required order %s"
+            % (requested, _digits(needed))
         )
-    return requested
+    # L first, so that phi is never factored for an astronomic lcm
+    if order > MAX_ROOT_TABLE or order * euler_phi(order) > MAX_ROOT_TABLE:
+        raise RequestTooLarge("working order %s needs a table of L x phi(L) root powers"
+                              " past the %d-entry cap" % (_digits(order), MAX_ROOT_TABLE))
+    return order
 
 
 def _cmd_expand(args) -> int:

@@ -8,9 +8,10 @@ ever needed. Floating point is deliberately absent from this module.
 Phi_L itself is a plain tuple of integer coefficients, lowest degree first,
 built by the Moebius product over the squarefree divisors of L.
 
-Only ring operations plus scaling by rationals are provided, and the text
-form of an element, which every report prints: `CycloNum.signed_parts` spells
-each basis term from the stored integers, and `join_signed` joins signed parts.
+Ring operations build every element from integers, and so does the text form
+every report prints: `CycloNum.signed_parts` spells each basis term from the
+stored integers, `join_signed` joins signed parts. Only `from_rational`,
+`as_rational` and the scalar `*` take or give a `Fraction`, for callers and tests.
 """
 from __future__ import annotations
 
@@ -105,11 +106,6 @@ def reduce_powers(order: int, values, step: int = 1, shift: int = 0) -> list[int
     return out
 
 
-def _combine(order: int, values, den: int, step: int = 1, shift: int = 0) -> "CycloNum":
-    """The sum of values[j] * zeta_order^(j*step + shift) / den, in Q(zeta_order)."""
-    return CycloNum(order, tuple(reduce_powers(order, values, step, shift)), den)
-
-
 @dataclass(frozen=True)
 class CycloNum:
     """An element of Q(zeta_order) in the power basis: integer numerators
@@ -144,11 +140,11 @@ class CycloNum:
 
     @staticmethod
     def zero(order: int = 1) -> "CycloNum":
-        return CycloNum.from_rational(0, order)
+        return CycloNum(order, (0,) * euler_phi(order))
 
     @staticmethod
     def one(order: int = 1) -> "CycloNum":
-        return CycloNum.from_rational(1, order)
+        return CycloNum(order, (1,) + (0,) * (euler_phi(order) - 1))
 
     # -- predicates ----------------------------------------------------------
 
@@ -196,7 +192,7 @@ class CycloNum:
                 for j, b in enumerate(other.nums):
                     if b:
                         conv[i + j] += a * b
-        return _combine(self.order, conv, self.den * other.den)
+        return CycloNum(self.order, tuple(reduce_powers(self.order, conv)), self.den * other.den)
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "CycloNum":
@@ -220,11 +216,13 @@ class CycloNum:
             raise IncompatibleOrders("order %d does not divide %d" % (m, target_order))
         if target_order == m:
             return self
-        return _combine(target_order, self.nums, self.den, target_order // m)
+        nums = reduce_powers(target_order, self.nums, target_order // m)
+        return CycloNum(target_order, tuple(nums), self.den)
 
     def conjugate(self) -> "CycloNum":
         """The automorphism zeta -> zeta^(-1): complex conjugation, an involution."""
-        return _combine(self.order, self.nums, self.den, self.order - 1)
+        nums = reduce_powers(self.order, self.nums, self.order - 1)
+        return CycloNum(self.order, tuple(nums), self.den)
 
     # -- rendering -----------------------------------------------------------
 

@@ -41,7 +41,8 @@ class NonInvertible(EngineError):
 
 class RequestTooLarge(EngineError):
     """A request whose cost is refused before any work: a constant power
-    whose exact value would run past a fixed bit budget."""
+    whose exact value would run past a fixed bit budget, or a working order
+    whose L x phi(L) table of root powers would pass a fixed entry budget."""
 
 
 class UsageError(EngineError):

@@ -96,22 +96,16 @@ class ScaledMonomial:
         object.__setattr__(self, "exponent", (self.exponent + half) % self.order)
 
     @staticmethod
-    def make(coeff, p: int, q: int, order: int = 1) -> "ScaledMonomial":
-        """coeff is an int, a Fraction (taken in Q(zeta_order)), or a CycloNum
-        that is a rational multiple of a root of unity (in its own order)."""
-        if not isinstance(coeff, CycloNum):
-            return ScaledMonomial(coeff, 0, order, Monomial(p, q))
-        for e in range(coeff.order):
-            rotated = coeff * zeta_power(coeff.order, -e)
-            if rotated.is_rational() and not rotated.is_zero():
-                return ScaledMonomial(rotated.as_rational(), e, coeff.order, Monomial(p, q))
-        raise ValueError("%s is not a nonzero rational multiple of a root of unity" % coeff)
+    def make(ratio, p: int, q: int, order: int = 1) -> "ScaledMonomial":
+        """ratio * a^p * b^q, for a nonzero int or Fraction ratio, in Q(zeta_order)."""
+        return ScaledMonomial(ratio, 0, order, Monomial(p, q))
 
     @property
     def coeff(self) -> CycloNum:
-        """r * zeta_order^e as an element of Q(zeta_order)."""
-        root = zeta_power(self.order, self.exponent)
-        return root if self.ratio == 1 else root * self.ratio
+        """r * zeta_order^e as an element of Q(zeta_order): the root's row of
+        the shared table times the numerator of r, over its denominator."""
+        r, root = self.ratio, zeta_power(self.order, self.exponent)
+        return CycloNum(self.order, tuple([v * r.numerator for v in root.nums]), r.denominator)
 
     @property
     def total_degree(self) -> int:
@@ -181,10 +175,6 @@ class LaurentSeries:
     @staticmethod
     def one(validity: int, order: int = 1) -> "LaurentSeries":
         return LaurentSeries.make([(Monomial(0, 0), CycloNum.one(order))], validity, order)
-
-    @staticmethod
-    def from_scaled_monomial(s: ScaledMonomial, validity: int) -> "LaurentSeries":
-        return LaurentSeries.make([(s.mono, s.coeff)], validity, s.order)
 
     # -- basic queries --------------------------------------------------------
 
@@ -370,7 +360,8 @@ def _operand(s: LaurentSeries) -> tuple[list, int, int, int]:
 
 def _from_operand(operand: tuple, order: int) -> LaurentSeries:
     rows, den, validity, _ = operand
-    return LaurentSeries(_series_terms(rows, den, order), validity, order)
+    terms = {Monomial(p, q): CycloNum(order, v, den) for p, q, v in rows}
+    return LaurentSeries(terms, validity, order)
 
 
 def _tree(operands: list, order: int) -> tuple[list, int, int, int]:
@@ -536,11 +527,6 @@ def _reduced_rows(conv: dict, order: int) -> list:
         if any(vec):
             rows.append((p, q, tuple(vec)))
     return rows
-
-
-def _series_terms(rows: list, den: int, order: int) -> dict:
-    """The series terms of nonzero rows over den."""
-    return {Monomial(p, q): CycloNum(order, v, den) for p, q, v in rows}
 
 
 def _render_term(mono: Monomial, coeff: CycloNum) -> tuple[bool, str]:

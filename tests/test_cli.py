@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import full_digits
-from thetadissect import cli
-from thetadissect.catalog import builtin_catalog
+from thetadissect import cli, cyclotomic
+from thetadissect.catalog import _monomial_series, builtin_catalog
 from thetadissect.cli import main
 from thetadissect.exprlang import parse_expr, print_expr
-from thetadissect.laurent import LaurentSeries, Monomial, ScaledMonomial
+from thetadissect.laurent import Monomial, ScaledMonomial
 
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(TESTS_DIR)
@@ -355,7 +355,7 @@ def _closed_form_with_extra_a_in_class_1(monkeypatch):
         series = closed(m, k, bound)
         if k == 1:
             a = ScaledMonomial(1, 0, 1, Monomial(1, 0))
-            series = series + LaurentSeries.from_scaled_monomial(a, bound)
+            series = series + _monomial_series(a, bound)
         return series
 
     monkeypatch.setattr(cli, "dissect_closed", broken)
@@ -481,6 +481,46 @@ def test_verify_refuses_a_constant_power_past_the_bit_cap(capsys):
     assert json.loads(out)["error"] == _TOO_LARGE[len("evaluation error: "):-1]
 
 
+def _order_too_large(order):
+    return ("evaluation error: RequestTooLarge: working order %s needs a table of"
+            " L x phi(L) root powers past the 33554432-entry cap\n" % full_digits(order))
+
+
+@pytest.mark.parametrize("argv, order", [
+    (["expand", "zeta(100000,1)*a"], 100000),
+    (["expand", "zeta(30030,1)"], 30030),
+    (["expand", "zeta(4999,1)*zeta(4993,1)"], 4999 * 4993),
+    (["expand", "a", "--order", "1000000"], 1000000),
+    (["expand", "f(a,b)^0", "--order", "1000000000000"], 10 ** 12),
+    (["verify", "zeta(100000,1)*a = a"], 100000),
+    # an lcm of two literals of 3000 and 1432 digits, 4431 digits long
+    pytest.param(["expand", "zeta(%s,1)*zeta(%s,2)" % (10 ** 2999, 3 ** 3000)],
+                 10 ** 2999 * 3 ** 3000, id="lcm-of-4431-digits"),
+])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_an_order_past_the_root_table_cap_is_refused_before_any_table(capsys, argv, order, fmt):
+    tables = cyclotomic._zeta_powers.cache_info().currsize
+    assert main(argv + ["--format", fmt]) == 3
+    assert capsys.readouterr() == ("", _order_too_large(order))
+    assert cyclotomic._zeta_powers.cache_info().currsize == tables
+
+
+def test_an_order_within_the_root_table_cap_still_answers(capsys):
+    assert cli.MAX_ROOT_TABLE == 1 << 25
+    assert main(["expand", "zeta(9240,1)*a", "--degree", "1"]) == 0
+    assert capsys.readouterr() == ("zeta9240*a\nvalidity: 1\n", "")
+    # a non-multiple --order stays a usage error, whatever its size
+    assert main(["expand", "zeta(4,1)*a", "--order", "1000002"]) == 2
+    assert capsys.readouterr() == (
+        "", "--order 1000002 is not a positive multiple of the required order 4\n")
+    # and names a required order past the 4300-digit int-to-str limit in full
+    needed = 10 ** 2999 * 3 ** 3000
+    assert main(["expand", "zeta(%s,1)*zeta(%s,2)" % (10 ** 2999, 3 ** 3000), "--order", "4"]) == 2
+    assert capsys.readouterr() == (
+        "", "--order 4 is not a positive multiple of the required order %s\n"
+        % full_digits(needed))
+
+
 def test_a_power_of_minus_one_is_not_capped(capsys):
     assert main(["expand", "(-1)^9999999999*a + (-1)^-9999999999", "--degree", "1"]) == 0
     assert capsys.readouterr() == ("-1 - a\nvalidity: 1\n", "")
@@ -528,10 +568,13 @@ def test_expand_power_takes_about_log2_n_products():
 # --- the exit-code contract on generated input ----------------------------------
 
 # Atoms of the identity language; every zeta atom of one call shares its order
-# n <= 24, and exponents stay in -3..3, because the costs of a large root order
-# (an L x phi(L) table of root powers) and of a large exponent of a series
-# (such as (a+2)^N, whose coefficients grow with N) are not bounded yet; a
-# constant power is capped before it is taken.
+# n. A working order whose L x phi(L) table of root powers passes
+# cli.MAX_ROOT_TABLE is refused before it is built, so n is drawn either from
+# 0..24 or from a few orders past that cap; an order between 25 and the cap
+# still builds its table, up to half a second an example. Exponents stay in
+# -3..3, because the cost of a large exponent of a series (such as (a+2)^N,
+# whose coefficients grow with N) is not bounded yet; a constant power is
+# capped before it is taken.
 _NUMBERS = st.one_of(st.integers(0, 99).map(str),
                      st.tuples(st.integers(0, 99), st.integers(0, 99)).map("%d/%d".__mod__))
 _EXPONENTS = st.integers(-3, 3).map("^%d".__mod__)
@@ -577,7 +620,8 @@ _RAW = st.text("abqiomegztfRIspc0123456789+-*/^(),= ", max_size=30).filter(
 
 @st.composite
 def cli_calls(draw):
-    zeta_order = draw(st.integers(0, 24))
+    zeta_order = draw(st.one_of(st.integers(0, 24),
+                                st.sampled_from((30030, 100003, 10 ** 9 + 7, 10 ** 40))))
     command = draw(st.sampled_from(("expand", "verify")))
     if draw(st.integers(0, 3)) == 0:
         text = draw(_RAW)
@@ -588,7 +632,7 @@ def cli_calls(draw):
     argv = [command, text, "--degree", str(draw(st.integers(0, 8))),
             "--format", draw(st.sampled_from(("text", "json")))]
     if draw(st.booleans()):
-        argv += ["--order", str(draw(st.sampled_from((4, 12, 24))))]
+        argv += ["--order", str(draw(st.sampled_from((4, 12, 24, 30030, 10 ** 6))))]
     return argv
 
 

@@ -268,7 +268,7 @@ def kernel_terms(convolve, x, y, validity):
     xs, x_den = laurent._integer_rows(x.terms, everything)
     ys, y_den = laurent._integer_rows(y.terms, everything)
     rows = laurent._reduced_rows(convolve(xs, ys, validity), x.order)
-    return laurent._series_terms(rows, x_den * y_den, x.order)
+    return laurent._from_operand((rows, x_den * y_den, validity, None), x.order).terms
 
 
 def _draw_operand(draw, order, exponents, validities):

@@ -18,10 +18,12 @@ from thetadissect.theta import (
 
 
 def args_of(c1, p1, q1, c2, p2, q2, order=1):
-    return ThetaArgs(
-        ScaledMonomial.make(c1, p1, q1, order),
-        ScaledMonomial.make(c2, p2, q2, order),
-    )
+    """f(c1*a^p1*b^q1, c2*a^p2*b^q2), each c a ratio r or a pair (r, e)
+    standing for r * zeta_order^e."""
+    def scaled(c, p, q):
+        ratio, e = c if isinstance(c, tuple) else (c, 0)
+        return ScaledMonomial(ratio, e, order, Monomial(p, q))
+    return ThetaArgs(scaled(c1, p1, q1), scaled(c2, p2, q2))
 
 
 def test_f_ab_through_9():
@@ -48,7 +50,7 @@ def test_f_ia_ib_against_direct_sum():
         t, u = n * (n + 1) // 2, n * (n - 1) // 2
         if t + u <= 4:
             expected[(t, u)] = i ** (n * n)
-    series = theta_expand(args_of(i, 1, 0, i, 0, 1, order=4), 4)
+    series = theta_expand(args_of((1, 1), 1, 0, (1, 1), 0, 1, order=4), 4)
     assert series == make_series(expected, 4, order=4)
     assert series.render() == "1 + zeta4*a + zeta4*b + a^3*b + a*b^3"
 
@@ -137,13 +139,11 @@ def test_triple_product_needs_positive_degrees():
 
 
 def test_triple_product_equality_several_argument_pairs():
-    i = zeta_power(4, 1)
-    w = zeta_power(3, 1)
     pairs = [
         args_of(1, 1, 0, 1, 0, 1),
         args_of(1, 3, 1, 1, 1, 3),
-        args_of(i, 1, 0, i, 0, 1, order=4),
-        args_of(w, 2, 1, -1, 1, 2, order=3),
+        args_of((1, 1), 1, 0, (1, 1), 0, 1, order=4),
+        args_of((1, 1), 2, 1, -1, 1, 2, order=3),
         args_of(Fraction(1, 2), 1, 0, 2, 0, 1),
     ]
     for args in pairs:
