@@ -20,7 +20,8 @@ least terms of a product operand).
 The catalog holds the classical m=2/3/4 dissection identities from
 Ramanujan's notebooks (Berndt's editions, Parts III and IV), stated as text
 in the identity language, plus the modulus-m transformation identities for
-m = 2..8, which transformation_identity writes from the closed form.
+m = 2..8, which transformation_identity builds as an AST from the closed
+form, with no statement text to parse.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from .errors import (
 )
 from .expr import (
     Expr, ImagPart, Negate, Power, Product, RationalConst, RealPart, RootOfUnity,
-    SpecializeQ, Sum, ThetaCall, Var, b_as_q, required_order,
+    SpecializeQ, Sum, ThetaCall, Var, b_as_q, product_of, required_order, sum_of,
 )
 from .exprlang import parse_identity
 from .laurent import LaurentSeries, Mismatch, Monomial, ScaledMonomial
@@ -293,29 +294,36 @@ _NOTEBOOK_ENTRIES = (
 )
 
 
+def _monomial_factors(mono: Monomial) -> list:
+    """The factors a^p*b^q parses to: a Var at exponent 1, a Power otherwise,
+    nothing at exponent 0."""
+    return [Var(name) if n == 1 else Power(Var(name), n)
+            for name, n in (("a", mono.p), ("b", mono.q)) if n]
+
+
 def transformation_identity(m: int, e: int = 1) -> Identity:
     """f(zeta a, zeta b) = sum over k of zeta^(k^2) S_k(a, b) with zeta = zeta_m^e,
-    each S_k in the closed form of closed_form_parts. zeta may be any m-th
-    root of unity, not only a primitive one; the left side keeps zeta(m,e)
-    even when it is 1, so both sides evaluate in Q(zeta_m)."""
+    each S_k in the closed form of closed_form_parts, built as the AST the
+    parser would read from the statement's text (print_identity spells it).
+    zeta may be any m-th root of unity, not only a primitive one; the left
+    side keeps zeta(m,e) even when it is 1, so both sides evaluate in
+    Q(zeta_m), the identity's order."""
     if m < 1:
         raise ValueError("modulus m must be >= 1")
     e %= m
     pieces = []
     for k in range(m):
         prefix, args = closed_form_parts(m, k)
-        factors = []
-        if e * k * k % m:
-            factors.append("zeta(%d,%d)" % (m, e * k * k % m))
-        if prefix != Monomial(0, 0):
-            factors.append(prefix.render())
-        factors.append("f(%s, %s)" % (args.first.mono.render(), args.second.mono.render()))
-        pieces.append("*".join(factors))
-    statement = "f(zeta(%d,%d)*a, zeta(%d,%d)*b) = %s" % (m, e, m, e, " + ".join(pieces))
+        root = [RootOfUnity(m, e * k * k)] if e * k * k % m else []
+        theta = ThetaCall(product_of(_monomial_factors(args.first.mono)),
+                          product_of(_monomial_factors(args.second.mono)))
+        pieces.append(product_of(root + _monomial_factors(prefix) + [theta]))
+    zeta = RootOfUnity(m, e)
+    lhs = ThetaCall(Product((zeta, Var("a"))), Product((zeta, Var("b"))))
     name, paper_ref = "thm_m%d" % m, "modulus-%d root-of-unity transformation" % m
     if e != 1:
         name, paper_ref = name + "_e%d" % e, paper_ref + " at zeta_%d^%d" % (m, e)
-    return make_identity(name, *parse_identity(statement), paper_ref)
+    return Identity(name, lhs, sum_of(pieces), m, paper_ref)
 
 
 @functools.cache

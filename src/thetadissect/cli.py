@@ -11,8 +11,9 @@ contract, and `main` alone turns exceptions into them:
      UsageError or an OSError
   3  evaluation errors (non-convergent theta arguments, non-monomial
      arguments, order problems, a constant power past the bit cap, a working
-     order whose table of root powers passes MAX_ROOT_TABLE): any other
-     EngineError
+     order whose table of root powers passes MAX_ROOT_TABLE, a theta sum or
+     dissection filter past theta.MAX_THETA_TERMS indices or a theta sum
+     past theta.MAX_THETA_BITS bits of ratio powers): any other EngineError
 """
 from __future__ import annotations
 

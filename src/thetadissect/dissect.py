@@ -17,16 +17,17 @@ root-of-unity transformation
 
   f(zeta a, zeta b) = sum over k of zeta^(k^2) * S_k(a, b),
 
-which catalog.transformation_identity states in the identity language for
+which catalog.transformation_identity builds as an identity-language AST for
 any m-th root of unity zeta = zeta_m^e, not only a primitive one.
 """
 from __future__ import annotations
 
 import math
 
-from .cyclotomic import CycloNum
+from .cyclotomic import CycloNum, _digits
+from .errors import RequestTooLarge
 from .laurent import LaurentSeries, Monomial, ScaledMonomial
-from .theta import ThetaArgs, theta_expand
+from .theta import MAX_THETA_TERMS, ThetaArgs, theta_expand
 
 
 def _tri(n: int) -> int:
@@ -48,7 +49,8 @@ def dissect_filter(m: int, k: int, bound: int) -> LaurentSeries:
 
     The index-n term has total degree T(n) + T(-n) = n^2, so the cutoff is
     |n| <= isqrt(bound); the walk visits the class's indices alone, about
-    2*isqrt(bound)/m of them. Shares nothing with the theta kernel.
+    2*isqrt(bound)/m of them, and more than MAX_THETA_TERMS of them raise
+    RequestTooLarge before the walk. Shares nothing with the theta kernel.
     """
     if m < 1:
         raise ValueError("modulus m must be >= 1")
@@ -56,7 +58,12 @@ def dissect_filter(m: int, k: int, bound: int) -> LaurentSeries:
     if bound >= 0:
         top = math.isqrt(bound)
         # the class's least n >= -top, then every m-th index
-        for n in range(-top + (k + top) % m, top + 1, m):
+        start = -top + (k + top) % m
+        count = (top - start) // m + 1
+        if count > MAX_THETA_TERMS:
+            raise RequestTooLarge("dissection filter of %s indices passes the %d-index cap"
+                                  % (_digits(count), MAX_THETA_TERMS))
+        for n in range(start, top + 1, m):
             entries.append((Monomial(_tri(n), _tri(-n)), CycloNum.one()))
     return LaurentSeries.make(entries, bound, 1)
 

@@ -41,8 +41,10 @@ class NonInvertible(EngineError):
 
 class RequestTooLarge(EngineError):
     """A request whose cost is refused before any work: a constant power
-    whose exact value would run past a fixed bit budget, or a working order
-    whose L x phi(L) table of root powers would pass a fixed entry budget."""
+    whose exact value would run past a fixed bit budget, a working order
+    whose L x phi(L) table of root powers would pass a fixed entry budget,
+    or a theta sum or dissection filter past a fixed index count (a theta
+    sum also past a bit budget for its ratio powers)."""
 
 
 class UsageError(EngineError):

@@ -70,6 +70,14 @@ class Monomial(NamedTuple):
         return "*".join(parts) if parts else "1"
 
 
+def ratio_bits(ratio: Fraction) -> int:
+    """The bits of a ratio's numerator and denominator, about the bits that
+    each power of it adds; 0 for +-1, the only ratios of 2 bits, whose powers
+    add none."""
+    bits = ratio.numerator.bit_length() + ratio.denominator.bit_length()
+    return bits if bits > 2 else 0
+
+
 def _term_key(mono: Monomial) -> tuple[int, int]:
     return (mono.total_degree, -mono.p)
 
@@ -119,14 +127,14 @@ class ScaledMonomial:
 
     def __pow__(self, n: int) -> "ScaledMonomial":
         ratio = self.ratio
-        bits = ratio.numerator.bit_length() + ratio.denominator.bit_length()
-        if bits > 2:
+        bits = ratio_bits(ratio)
+        if bits:
             if abs(n) * bits > MAX_POWER_BITS:
                 raise RequestTooLarge(
                     "power %s of a ratio with %d numerator and denominator bits exceeds"
                     " the %d-bit cap" % (_digits(n), bits, MAX_POWER_BITS))
             ratio **= n
-        elif n % 2 == 0:  # r is +-1, the only ratios of 2 bits
+        elif n % 2 == 0:  # r is +-1
             ratio = 1
         return ScaledMonomial(ratio, self.exponent * n, self.order, self.mono ** n)
 

@@ -11,16 +11,25 @@ The triple-product form needs each of its three Pochhammer arguments to
 climb in degree, so it additionally requires d1 > 0 and d2 > 0.
 
 The theta sum runs on integers, T(n) = n(n+1)/2 and T(-n) as exponents, a
-ratio read as its numerator and denominator: no Fraction is built.
+ratio read as its numerator and denominator: no Fraction is built. Its cost
+is read off the index range first, and a sum past MAX_THETA_TERMS indices
+or MAX_THETA_BITS bits of ratio powers raises RequestTooLarge.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .cyclotomic import CycloNum, _zeta_powers
-from .errors import NonConvergent, OrderMismatch
-from .laurent import LaurentSeries, Monomial, ScaledMonomial
+from .cyclotomic import CycloNum, _digits, _zeta_powers
+from .errors import NonConvergent, OrderMismatch, RequestTooLarge
+from .laurent import LaurentSeries, Monomial, ScaledMonomial, ratio_bits
+
+# a theta sum or a dissection filter with more indices than this is refused
+# before its first term is built
+MAX_THETA_TERMS = 1 << 18
+# and so is a theta sum whose index count times the bits of its largest ratio
+# power passes this budget
+MAX_THETA_BITS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -77,6 +86,11 @@ def theta_expand(args: ThetaArgs, bound: int) -> LaurentSeries:
     denominators raised to t and u. Each term's coefficient is built once.
     Two indices meet on one monomial only for proportional arguments, such as
     f(a, 1) or f(q, -q); their coefficients are added, and zeros are dropped.
+
+    Before any term, the index count must be at most MAX_THETA_TERMS and the
+    count times the bits of the largest ratio power at most MAX_THETA_BITS,
+    or RequestTooLarge is raised. T(n) and T(-n) peak at the range's ends,
+    and a ratio of +-1 costs no bits (laurent.ratio_bits).
     """
     order = args.order
     x, y = args.first, args.second
@@ -85,10 +99,23 @@ def theta_expand(args: ThetaArgs, bound: int) -> LaurentSeries:
     n1, d1 = x.ratio.numerator, x.ratio.denominator
     n2, d2 = y.ratio.numerator, y.ratio.denominator
     rational = n1 != 1 or d1 != 1 or n2 != 1 or d2 != 1
+    indices = theta_index_range(args, bound)
+    # from the ends, since len() overflows past 2^63 indices
+    count = indices.stop - indices.start
+    if count > MAX_THETA_TERMS:
+        raise RequestTooLarge("theta sum of %s indices passes the %d-index cap"
+                              % (_digits(count), MAX_THETA_TERMS))
+    b1, b2 = ratio_bits(x.ratio), ratio_bits(y.ratio)
+    bits = max((n * n + n) // 2 * b1 + (n * n - n) // 2 * b2
+               for n in (indices.start, indices.stop - 1))
+    if count * bits > MAX_THETA_BITS:
+        raise RequestTooLarge(
+            "theta sum of %d indices with ratio powers of up to %d bits passes the"
+            " %d-bit budget" % (count, bits, MAX_THETA_BITS))
     powers = _zeta_powers(order)
     terms: dict[Monomial, CycloNum] = {}
     collided = False
-    for n in theta_index_range(args, bound):
+    for n in indices:
         t = n * (n + 1) // 2
         u = t - n  # T(-n) = n(n-1)/2
         coeff = powers[(e1 * t + e2 * u) % order]

@@ -13,6 +13,7 @@ if SRC not in sys.path:
     sys.path.insert(0, SRC)
 
 from thetadissect.catalog import evaluate  # noqa: E402
+from thetadissect.dissect import closed_form_parts  # noqa: E402
 from thetadissect.cyclotomic import (  # noqa: E402
     CycloNum, cyclotomic_polynomial, euler_phi, zeta_power,
 )
@@ -363,3 +364,21 @@ def reference_tokenize(text):
         raise ParseError("unexpected character %r" % ch, i)
     tokens.append(("end", "", n))
     return tokens
+
+
+def reference_transformation_text(m, e=1):
+    """The statement of the modulus-m transformation at zeta = zeta_m^e,
+    written from closed_form_parts as text, as the catalog once wrote it
+    before parsing it back."""
+    e %= m
+    pieces = []
+    for k in range(m):
+        prefix, args = closed_form_parts(m, k)
+        factors = []
+        if e * k * k % m:
+            factors.append("zeta(%d,%d)" % (m, e * k * k % m))
+        if prefix != Monomial(0, 0):
+            factors.append(prefix.render())
+        factors.append("f(%s, %s)" % (args.first.mono.render(), args.second.mono.render()))
+        pieces.append("*".join(factors))
+    return "f(zeta(%d,%d)*a, zeta(%d,%d)*b) = %s" % (m, e, m, e, " + ".join(pieces))

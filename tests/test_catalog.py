@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     FractionCyclo, cyclo_from_pairs, denominators, evaluated_parts, make_series, numerators,
-    reference_fold, series_expr,
+    reference_fold, reference_transformation_text, series_expr,
 )
-from thetadissect import catalog
+from thetadissect import catalog, exprlang
 from thetadissect.catalog import (
     _NOTEBOOK_ENTRIES, Identity, builtin_catalog, catalog_by_name, evaluate,
     fold_scaled_monomial, get_identity, make_identity, summarize, transformation_identity,
@@ -415,6 +415,36 @@ def test_transformation_identity_at_a_non_primitive_root():
     )
     with pytest.raises(ValueError):
         transformation_identity(0)
+
+
+_TRANSFORMATION_CASES = [(m, e) for m in range(1, 41) for e in range(-1, m + 1)] + [(2310, 1)]
+
+
+def test_transformation_identity_is_the_parsed_statement():
+    # the AST is built from the closed form; the text the catalog once wrote
+    # and parsed back reads as the same tree
+    for m, e in _TRANSFORMATION_CASES:
+        identity = transformation_identity(m, e)
+        assert parse_identity(reference_transformation_text(m, e)) == (identity.lhs, identity.rhs)
+        assert identity.required_root_order == required_order(identity.lhs, identity.rhs) == m
+
+
+def test_transformation_identity_round_trips_through_its_printed_text():
+    for m, e in _TRANSFORMATION_CASES:
+        identity = transformation_identity(m, e)
+        statement = print_identity(identity.lhs, identity.rhs)
+        assert parse_identity(statement) == (identity.lhs, identity.rhs), (m, e)
+
+
+def test_transformation_identity_does_not_tokenize(monkeypatch):
+    parsed = [parse_identity(reference_transformation_text(m)) for m in range(1, 13)]
+
+    def refuse(text):
+        raise AssertionError("tokenize called on %r" % text[:40])
+    monkeypatch.setattr(exprlang, "tokenize", refuse)
+    for m in range(1, 13):
+        identity = transformation_identity(m)
+        assert (identity.lhs, identity.rhs) == parsed[m - 1]
 
 
 def test_transformation_at_a_large_modulus():

@@ -8,7 +8,9 @@ from conftest import (
 )
 from thetadissect.catalog import evaluate
 from thetadissect.cyclotomic import zeta_power
-from thetadissect.errors import NonConvergent
+from thetadissect import dissect, theta
+from thetadissect.dissect import dissect_filter
+from thetadissect.errors import NonConvergent, RequestTooLarge
 from thetadissect.exprlang import parse_expr
 from thetadissect.laurent import LaurentSeries, Monomial, ScaledMonomial
 from thetadissect.theta import (
@@ -239,3 +241,30 @@ def test_f_q_minus_q_equals_f_minus_q4_minus_q4_at_400(order):
     expected = {(0, 0): 1, **{(4 * j * j, 0): 2 * (-1) ** j for j in range(1, 11)}}
     assert lhs == rhs == make_series(expected, 400, order)
     assert lhs.term_count == 11
+
+
+def test_the_index_cap_holds_at_its_edge(monkeypatch):
+    # f(a, b) at degree 8 has the 5 indices -2..2, and its class n = 0 mod 2
+    # the 3 indices -2, 0, 2
+    monkeypatch.setattr(theta, "MAX_THETA_TERMS", 5)
+    assert theta_expand(plain_theta_args(), 8).term_count == 5
+    with pytest.raises(RequestTooLarge):
+        theta_expand(plain_theta_args(), 12)
+    monkeypatch.setattr(dissect, "MAX_THETA_TERMS", 3)
+    assert dissect_filter(2, 0, 8).term_count == 3
+    with pytest.raises(RequestTooLarge):
+        dissect_filter(2, 0, 16)
+
+
+def test_the_bit_budget_holds_at_its_edge(monkeypatch):
+    # f(2*a, b) at degree 30000: 347 indices, 2^15051 at both ends, 3 bits for 2
+    args = args_of(2, 1, 0, 1, 0, 1)
+    assert len(theta_index_range(args, 30000)) == 347
+    monkeypatch.setattr(theta, "MAX_THETA_BITS", 347 * 15051 * 3)
+    assert theta_expand(args, 30000).term_count == 347
+    monkeypatch.setattr(theta, "MAX_THETA_BITS", 347 * 15051 * 3 - 1)
+    with pytest.raises(RequestTooLarge):
+        theta_expand(args, 30000)
+    # a ratio of -1 costs no bits
+    monkeypatch.setattr(theta, "MAX_THETA_BITS", 0)
+    assert theta_expand(args_of(-1, 1, 0, -1, 0, 1), 30000).term_count == 347
