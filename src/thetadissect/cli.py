@@ -11,9 +11,10 @@ contract, and `main` alone turns exceptions into them:
      UsageError or an OSError
   3  evaluation errors (non-convergent theta arguments, non-monomial
      arguments, order problems, a constant power past the bit cap, a working
-     order whose table of root powers passes MAX_ROOT_TABLE, a theta sum or
-     dissection filter past theta.MAX_THETA_TERMS indices or a theta sum
-     past theta.MAX_THETA_BITS bits of ratio powers): any other EngineError
+     order whose table of root powers passes MAX_ROOT_TABLE, a theta sum,
+     a dissection filter or a dissect run over every class past
+     theta.MAX_THETA_TERMS indices, or a theta sum past theta.MAX_THETA_BITS
+     bits of ratio powers): any other EngineError
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import sys
 
 from . import catalog as cat
 from .cyclotomic import _digits, euler_phi
-from .dissect import dissect_closed, dissect_filter
+from .dissect import check_run_size, dissect_closed, dissect_filter
 from .errors import EngineError, ParseError, RequestTooLarge, UsageError
 from .expr import required_order
 from .exprlang import parse_expr, parse_identity, print_expr
@@ -205,6 +206,9 @@ def _cmd_dissect(args) -> int:
     # the closed form holds for any integer k; the report names each class once
     if args.k is not None and not 0 <= args.k < m:
         raise UsageError("residue k=%d out of range [0, %d)" % (args.k, m))
+    # each class is capped on its own; a run over all of them is capped here
+    if args.k is None:
+        check_run_size(degree)
 
     # the paths --mode asks for, read once; each class writes its JSON entry
     # and its text lines together

@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import math
 
-from .cyclotomic import CycloNum, _digits
-from .errors import RequestTooLarge
+from .cyclotomic import CycloNum
 from .laurent import LaurentSeries, Monomial, ScaledMonomial
-from .theta import MAX_THETA_TERMS, ThetaArgs, theta_expand
+from .theta import MAX_THETA_TERMS, ThetaArgs, check_index_cap, theta_expand
 
 
 def _tri(n: int) -> int:
@@ -44,27 +43,40 @@ def closed_form_parts(m: int, k: int) -> tuple[Monomial, ThetaArgs]:
     return Monomial(_tri(k), _tri(-k)), args
 
 
+def _class_indices(m: int, k: int, bound: int) -> tuple[range, int]:
+    """The indices n = k (mod m) with n^2 <= bound, ascending, and their count.
+
+    The index-n term of f(a, b) has total degree T(n) + T(-n) = n^2, so the
+    cutoff is |n| <= isqrt(bound): the class's least n >= -isqrt(bound), then
+    every m-th index, about 2*isqrt(bound)/m of them. The count is read from
+    the ends, since len() overflows past 2^63 indices.
+    """
+    if bound < 0:
+        return range(0), 0
+    top = math.isqrt(bound)
+    start = -top + (k + top) % m
+    return range(start, top + 1, m), (top - start) // m + 1
+
+
+def check_run_size(bound: int) -> None:
+    """Refuse a dissection over every class whose indices, every n with
+    n^2 <= bound, pass MAX_THETA_TERMS: each class is capped on its own, so
+    this bounds the loop over classes."""
+    check_index_cap("dissection run", _class_indices(1, 0, bound)[1], MAX_THETA_TERMS)
+
+
 def dissect_filter(m: int, k: int, bound: int) -> LaurentSeries:
     """Oracle path: direct sum over n = k (mod m) with n^2 <= bound.
 
-    The index-n term has total degree T(n) + T(-n) = n^2, so the cutoff is
-    |n| <= isqrt(bound); the walk visits the class's indices alone, about
-    2*isqrt(bound)/m of them, and more than MAX_THETA_TERMS of them raise
-    RequestTooLarge before the walk. Shares nothing with the theta kernel.
+    The walk visits the class's indices alone, and more than MAX_THETA_TERMS
+    of them raise RequestTooLarge before the walk. Shares nothing with the
+    theta kernel.
     """
     if m < 1:
         raise ValueError("modulus m must be >= 1")
-    entries = []
-    if bound >= 0:
-        top = math.isqrt(bound)
-        # the class's least n >= -top, then every m-th index
-        start = -top + (k + top) % m
-        count = (top - start) // m + 1
-        if count > MAX_THETA_TERMS:
-            raise RequestTooLarge("dissection filter of %s indices passes the %d-index cap"
-                                  % (_digits(count), MAX_THETA_TERMS))
-        for n in range(start, top + 1, m):
-            entries.append((Monomial(_tri(n), _tri(-n)), CycloNum.one()))
+    indices, count = _class_indices(m, k, bound)
+    check_index_cap("dissection filter", count, MAX_THETA_TERMS)
+    entries = [(Monomial(_tri(n), _tri(-n)), CycloNum.one()) for n in indices]
     return LaurentSeries.make(entries, bound, 1)
 
 

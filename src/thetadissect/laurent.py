@@ -162,19 +162,19 @@ class LaurentSeries:
 
     @staticmethod
     def make(entries: Iterable[tuple[Monomial, CycloNum]], validity: int, order: int) -> "LaurentSeries":
-        """Normalize: sum duplicate monomials, drop zeros and terms above validity."""
+        """Normalize in one pass: sum duplicate monomials, drop zeros (a sum
+        of 0 drops its monomial) and terms above validity."""
         acc: dict[Monomial, CycloNum] = {}
         for mono, coeff in entries:
             if coeff.order != order:
                 raise OrderMismatch("coefficient order %d != series order %d" % (coeff.order, order))
-            if mono.total_degree > validity:
+            if mono.p + mono.q > validity:
                 continue
             if mono in acc:
-                acc[mono] = acc[mono] + coeff
-            else:
+                coeff = acc.pop(mono) + coeff
+            if not coeff.is_zero():
                 acc[mono] = coeff
-        pruned = {m: c for m, c in acc.items() if not c.is_zero()}
-        return LaurentSeries(pruned, validity, order)
+        return LaurentSeries(acc, validity, order)
 
     @staticmethod
     def zero(validity: int, order: int = 1) -> "LaurentSeries":
@@ -361,8 +361,11 @@ _PACKED_BYTES_PER_PAIR = 0.5
 
 
 def _operand(s: LaurentSeries) -> tuple[list, int, int, int]:
-    """A series as a product operand: (rows, den, validity, least degree)."""
-    rows, den = _integer_rows(s.terms, s.validity)
+    """A series as a product operand: (rows, den, validity, least degree),
+    every term a row over the least common denominator; `_times` cuts it."""
+    den = math.lcm(*{c.den for c in s.terms.values()})
+    rows = [(m.p, m.q, c.nums if c.den == den else tuple([x * (den // c.den) for x in c.nums]))
+            for m, c in s.terms.items()]
     return rows, den, s.validity, s.min_total_degree()
 
 
@@ -400,21 +403,10 @@ def _times(x: tuple, y: tuple, order: int) -> tuple[list, int, int, int]:
     return rows, x_den * y_den, validity, min((p + q for p, q, _ in rows), default=validity + 1)
 
 
-def _integer_rows(terms: dict, through: int) -> tuple[list, int]:
-    """The terms of total degree <= through as rows over one positive common
-    denominator, and that denominator."""
-    kept = [(m, c) for m, c in terms.items() if m.p + m.q <= through]
-    den = math.lcm(*{c.den for _, c in kept})
-    rows = [(m.p, m.q, c.nums if c.den == den else tuple([x * (den // c.den) for x in c.nums]))
-            for m, c in kept]
-    return rows, den
-
-
 def _truncated_rows(rows: list, den: int, through: int) -> tuple[list, int]:
-    """The rows of total degree <= through over the least denominator: what
-    `_integer_rows` builds from the same values as canonical CycloNums,
-    since the least common denominator of the fractions x/den is
-    den / gcd(den, x, ...)."""
+    """The rows of total degree <= through over the least denominator of
+    what they keep, since the least common denominator of the fractions
+    x/den is den / gcd(den, x, ...). The only cut of an operand."""
     kept = [row for row in rows if row[0] + row[1] <= through]
     g = math.gcd(den, *(x for _, _, v in kept for x in v))
     if g == 1:

@@ -13,7 +13,8 @@ climb in degree, so it additionally requires d1 > 0 and d2 > 0.
 The theta sum runs on integers, T(n) = n(n+1)/2 and T(-n) as exponents, a
 ratio read as its numerator and denominator: no Fraction is built. Its cost
 is read off the index range first, and a sum past MAX_THETA_TERMS indices
-or MAX_THETA_BITS bits of ratio powers raises RequestTooLarge.
+or MAX_THETA_BITS bits of ratio powers raises RequestTooLarge. So does a
+Pochhammer ladder past MAX_THETA_TERMS factors, counted from the degrees.
 """
 from __future__ import annotations
 
@@ -24,12 +25,20 @@ from .cyclotomic import CycloNum, _digits, _zeta_powers
 from .errors import NonConvergent, OrderMismatch, RequestTooLarge
 from .laurent import LaurentSeries, Monomial, ScaledMonomial, ratio_bits
 
-# a theta sum or a dissection filter with more indices than this is refused
-# before its first term is built
+# a theta sum, a Pochhammer ladder, a dissection filter or a whole dissection
+# run with more indices than this is refused before its first term is built
 MAX_THETA_TERMS = 1 << 18
 # and so is a theta sum whose index count times the bits of its largest ratio
 # power passes this budget
 MAX_THETA_BITS = 1 << 24
+
+
+def check_index_cap(what: str, count: int, cap: int) -> None:
+    """Raise RequestTooLarge, naming `what` and its index count, when the
+    count passes the cap."""
+    if count > cap:
+        raise RequestTooLarge("%s of %s indices passes the %d-index cap"
+                              % (what, _digits(count), cap))
 
 
 @dataclass(frozen=True)
@@ -85,7 +94,8 @@ def theta_expand(args: ThetaArgs, bound: int) -> LaurentSeries:
     table of root powers, and, for ratios other than 1, their numerators and
     denominators raised to t and u. Each term's coefficient is built once.
     Two indices meet on one monomial only for proportional arguments, such as
-    f(a, 1) or f(q, -q); their coefficients are added, and zeros are dropped.
+    f(a, 1) or f(q, -q); LaurentSeries.make sums their coefficients and drops
+    the zeros.
 
     Before any term, the index count must be at most MAX_THETA_TERMS and the
     count times the bits of the largest ratio power at most MAX_THETA_BITS,
@@ -102,9 +112,7 @@ def theta_expand(args: ThetaArgs, bound: int) -> LaurentSeries:
     indices = theta_index_range(args, bound)
     # from the ends, since len() overflows past 2^63 indices
     count = indices.stop - indices.start
-    if count > MAX_THETA_TERMS:
-        raise RequestTooLarge("theta sum of %s indices passes the %d-index cap"
-                              % (_digits(count), MAX_THETA_TERMS))
+    check_index_cap("theta sum", count, MAX_THETA_TERMS)
     b1, b2 = ratio_bits(x.ratio), ratio_bits(y.ratio)
     bits = max((n * n + n) // 2 * b1 + (n * n - n) // 2 * b2
                for n in (indices.start, indices.stop - 1))
@@ -113,8 +121,7 @@ def theta_expand(args: ThetaArgs, bound: int) -> LaurentSeries:
             "theta sum of %d indices with ratio powers of up to %d bits passes the"
             " %d-bit budget" % (count, bits, MAX_THETA_BITS))
     powers = _zeta_powers(order)
-    terms: dict[Monomial, CycloNum] = {}
-    collided = False
+    entries = []
     for n in indices:
         t = n * (n + 1) // 2
         u = t - n  # T(-n) = n(n-1)/2
@@ -122,15 +129,8 @@ def theta_expand(args: ThetaArgs, bound: int) -> LaurentSeries:
         if rational:
             num = n1 ** t * n2 ** u
             coeff = CycloNum(order, tuple([v * num for v in coeff.nums]), d1 ** t * d2 ** u)
-        mono = Monomial(p1 * t + p2 * u, q1 * t + q2 * u)
-        if mono in terms:
-            terms[mono] = terms[mono] + coeff
-            collided = True
-        else:
-            terms[mono] = coeff
-    if collided:
-        terms = {m: c for m, c in terms.items() if not c.is_zero()}
-    return LaurentSeries(terms, bound, order)
+        entries.append((Monomial(p1 * t + p2 * u, q1 * t + q2 * u), coeff))
+    return LaurentSeries.make(entries, bound, order)
 
 
 def pochhammer_expand(x: ScaledMonomial, qq: ScaledMonomial, bound: int) -> LaurentSeries:
@@ -139,17 +139,21 @@ def pochhammer_expand(x: ScaledMonomial, qq: ScaledMonomial, bound: int) -> Laur
     Factors are included while deg(x*qq^k) <= bound; for nonnegative-degree x
     the omitted factors only touch degrees beyond the bound, so the result is
     exact through it. For negative-degree x the validity calculus of the
-    series product reports the honest (smaller) bound.
+    series product reports the honest (smaller) bound. The factor count is
+    read off the degrees first, and more than MAX_THETA_TERMS factors raise
+    RequestTooLarge.
     """
     if qq.total_degree <= 0:
         raise NonConvergent("Pochhammer ratio degree %d must be positive" % qq.total_degree)
     if x.order != qq.order:
         raise OrderMismatch("Pochhammer coefficient orders differ")
     order = x.order
+    count = max(0, (bound - x.total_degree) // qq.total_degree + 1)
+    check_index_cap("Pochhammer ladder", count, MAX_THETA_TERMS)
     # one(bound) first: it sets the validity the product starts from
     factors = [LaurentSeries.one(bound, order)]
     term = x
-    while term.total_degree <= bound:
+    for _ in range(count):
         factors.append(LaurentSeries.make(
             [(Monomial(0, 0), CycloNum.one(order)), (term.mono, -term.coeff)], bound, order
         ))

@@ -5,12 +5,13 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import full_digits
-from thetadissect import cli, cyclotomic
+from thetadissect import cli, cyclotomic, dissect
 from thetadissect.catalog import _monomial_series, builtin_catalog
 from thetadissect.cli import main
 from thetadissect.exprlang import parse_expr, print_expr
@@ -550,9 +551,10 @@ _DISSECT_HUGE = ["dissect", "--m", "3", "--degree", str(10 ** 20), "--mode"]
     # len() of this range would overflow
     (["expand", "f(a,b)", "--degree", str(10 ** 40)],
      _indices_too_large("theta sum", 2 * 10 ** 20 + 1)),
-    (_DISSECT_HUGE + ["filter"], _indices_too_large("dissection filter", 6666666667)),
-    (_DISSECT_HUGE + ["closed"], _indices_too_large("theta sum", 6666666667)),
-    (_DISSECT_HUGE + ["both"], _indices_too_large("dissection filter", 6666666667)),
+    # a run over every class is refused before its first class
+    (_DISSECT_HUGE + ["filter"], _indices_too_large("dissection run", 20000000001)),
+    (_DISSECT_HUGE + ["closed"], _indices_too_large("dissection run", 20000000001)),
+    (_DISSECT_HUGE + ["both"], _indices_too_large("dissection run", 20000000001)),
     # 1,549 indices, 2^299925 at each end
     (["expand", "f(2*a,b)", "--degree", "600000"], _bits_too_large(1549, 899775)),
     (["expand", "f(2*a^50000, a^-49999)", "--degree", "0"], _bits_too_large(100000, 14999550003)),
@@ -572,6 +574,46 @@ def test_verify_and_catalog_refuse_a_theta_sum_past_the_index_cap(capsys):
     assert capsys.readouterr() == (
         "entry7: error (%s)\nsummary: total=1 verified=0 failed=0 error=1\n"
         % err[len("evaluation error: "):-1], "")
+
+
+@pytest.mark.parametrize("mode", ["filter", "closed", "both"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_wide_dissection_run_is_refused_at_once(capsys, mode, fmt):
+    # 10^5 classes of about 2*10^4 indices each: every class is within the
+    # cap alone, and the run holds 2*10^9 + 1 indices
+    argv = ["dissect", "--m", "100000", "--degree", str(10 ** 18), "--mode", mode]
+    start = time.perf_counter()
+    assert main(argv + ["--format", fmt]) == 3
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", _indices_too_large("dissection run", 2000000001))
+
+
+def test_the_dissection_run_cap_holds_at_its_edge(capsys, monkeypatch):
+    # degree 4 holds the 5 indices -2..2 over all classes, degree 9 the 7
+    # indices -3..3; a run with --k keeps the cap of its class
+    monkeypatch.setattr(dissect, "MAX_THETA_TERMS", 5)
+    assert main(["dissect", "--m", "3", "--degree", "4", "--mode", "filter"]) == 0
+    assert capsys.readouterr().out.count("\n") == 3
+    assert main(["dissect", "--m", "3", "--degree", "9", "--mode", "filter"]) == 3
+    assert capsys.readouterr() == (
+        "", "evaluation error: RequestTooLarge: dissection run of 7 indices passes the"
+            " 5-index cap\n")
+    assert main(["dissect", "--m", "3", "--k", "0", "--degree", "9", "--mode", "filter"]) == 0
+    assert capsys.readouterr().out == "m=3 k=0 filter: 1 + a^6*b^3 + a^3*b^6\n"
+
+
+@pytest.mark.parametrize("argv, classes", [
+    (["--m", "100000", "--k", "5", "--degree", str(10 ** 18)], 1),
+    (["--m", "12", "--degree", str(10 ** 8)], 12),
+    # 200,001 indices in all
+    (["--m", "2", "--degree", str(10 ** 10), "--mode", "filter"], 2),
+])
+def test_dissection_runs_within_the_caps_still_answer(capsys, argv, classes):
+    assert main(["dissect"] + argv + ["--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert err == "" and len(doc["entries"]) == classes
+    assert doc.get("all_agree", True)
 
 
 @pytest.mark.parametrize("expr, degree, terms", [

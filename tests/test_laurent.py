@@ -43,6 +43,30 @@ def test_add_order_mismatch():
         make_series({(0, 0): 1}, 3, order=3) + make_series({(0, 0): 1}, 3, order=4)
 
 
+def test_make_sums_drops_zeros_and_cuts_in_one_pass():
+    # over Q(zeta_3), validity 2: a cancels, then reappears; a*b cancels for
+    # good; a zero coefficient; a^3 above the validity
+    z = zeta_power(3, 1)
+    half = CycloNum.from_rational(Fraction(1, 2), 3)
+    entries = [(Monomial(1, 0), z), (Monomial(0, 2), half), (Monomial(1, 0), -z),
+               (Monomial(1, 1), z), (Monomial(0, 0), CycloNum.zero(3)),
+               (Monomial(3, 0), z), (Monomial(1, 0), z + half), (Monomial(1, 1), -z),
+               (Monomial(0, 2), half)]
+    reference = {}
+    for mono, coeff in entries:
+        if mono.total_degree <= 2:
+            reference[mono] = reference.get(mono, CycloNum.zero(3)) + coeff
+    reference = {m: c for m, c in reference.items() if not c.is_zero()}
+    series = LaurentSeries.make(entries, 2, 3)
+    assert series.terms == reference
+    assert series.terms == {Monomial(1, 0): z + half, Monomial(0, 2): half + half}
+    assert (series.validity, series.order) == (2, 3)
+    # a coefficient of another order is refused, above the validity too
+    for mono in (Monomial(0, 0), Monomial(3, 0)):
+        with pytest.raises(OrderMismatch):
+            LaurentSeries.make(entries + [(mono, CycloNum.one(4))], 2, 3)
+
+
 def test_mul_examples():
     x = make_series({(0, 0): 1, (1, 0): 1}, 8)
     y = make_series({(0, 0): 1, (0, 1): 1}, 8)
@@ -264,9 +288,8 @@ def kronecker(xs, ys, validity):
 def kernel_terms(convolve, x, y, validity):
     """One middle of the kernel on every term of x and y, with the shared
     front and back ends."""
-    everything = 10 ** 9
-    xs, x_den = laurent._integer_rows(x.terms, everything)
-    ys, y_den = laurent._integer_rows(y.terms, everything)
+    xs, x_den, _, _ = laurent._operand(x)
+    ys, y_den, _, _ = laurent._operand(y)
     rows = laurent._reduced_rows(convolve(xs, ys, validity), x.order)
     return laurent._from_operand((rows, x_den * y_den, validity, None), x.order).terms
 
@@ -324,15 +347,19 @@ def test_mul_matches_schoolbook_product(case):
 @settings(max_examples=150, deadline=None)
 def test_product_matches_schoolbook_fold(chain):
     partials = schoolbook_fold(chain)
-    # each node of the tree hands the density rule the rows `_integer_rows`
-    # builds from the schoolbook products of its two halves: each cut to the
-    # node's bound less the other half's least degree, over the least common
-    # denominator, in tree order
+    # each node of the tree hands the density rule the rows `_operand` reads
+    # from the schoolbook products of its two halves: each cut by
+    # `_truncated_rows` to the node's bound less the other half's least
+    # degree, over the least common denominator, in tree order
+    def cut(s, through):
+        rows, den, _, _ = laurent._operand(s)
+        return laurent._truncated_rows(rows, den, through)[0]
+
     expected = []
     for left, right, validity in schoolbook_tree(chain):
         if left.terms and right.terms:
-            xs, _ = laurent._integer_rows(left.terms, validity - known_min_degree(right))
-            ys, _ = laurent._integer_rows(right.terms, validity - known_min_degree(left))
+            xs = cut(left, validity - known_min_degree(right))
+            ys = cut(right, validity - known_min_degree(left))
             expected.append((sorted(xs), sorted(ys)))
     seen = []
     is_dense = laurent._is_dense
@@ -461,8 +488,8 @@ def test_kernel_density_rule():
     # f(q,q)^2-like univariate operands pack densely; a sparse high-degree
     # theta sum does not
     dense = make_series({(n, 0): n % 5 + 1 for n in range(40)}, 40)
-    xs, _ = laurent._integer_rows(dense.terms, 40)
+    xs = laurent._operand(dense)[0]
     assert laurent._is_dense(xs, xs, laurent._packing(xs, xs))
     sparse = make_series({(n * (n + 1) // 2, n * (n - 1) // 2): 1 for n in range(-20, 21)}, 400)
-    ys, _ = laurent._integer_rows(sparse.terms, 400)
+    ys = laurent._operand(sparse)[0]
     assert not laurent._is_dense(ys, ys, laurent._packing(ys, ys))

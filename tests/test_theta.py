@@ -256,6 +256,26 @@ def test_the_index_cap_holds_at_its_edge(monkeypatch):
         dissect_filter(2, 0, 16)
 
 
+def test_the_ladder_cap_holds_at_its_edge(monkeypatch):
+    # (a^-1; a*b) at degree 6 has the 4 factors of degrees -1, 1, 3 and 5,
+    # at degree 7 a fifth, and none below degree -1
+    x, qq = ScaledMonomial.make(1, -1, 0), ScaledMonomial.make(1, 1, 1)
+    monkeypatch.setattr(theta, "MAX_THETA_TERMS", 4)
+    assert pochhammer_expand(x, qq, 6) == pochhammer_fold(x, qq, 6)
+    with pytest.raises(RequestTooLarge):
+        pochhammer_expand(x, qq, 7)
+    monkeypatch.setattr(theta, "MAX_THETA_TERMS", 0)
+    assert pochhammer_expand(x, qq, -2) == LaurentSeries.one(-2)
+    with pytest.raises(RequestTooLarge):
+        pochhammer_expand(x, qq, -1)
+
+
+def test_a_triple_product_past_the_ladder_cap_is_refused():
+    # 5*10^19 factors in the first ladder: refused before any is built
+    with pytest.raises(RequestTooLarge, match="Pochhammer ladder of 50000000000000000000 indices"):
+        triple_product_rhs(plain_theta_args(), 10 ** 20)
+
+
 def test_the_bit_budget_holds_at_its_edge(monkeypatch):
     # f(2*a, b) at degree 30000: 347 indices, 2^15051 at both ends, 3 bits for 2
     args = args_of(2, 1, 0, 1, 0, 1)
