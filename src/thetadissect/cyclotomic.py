@@ -10,8 +10,8 @@ built by the Moebius product over the squarefree divisors of L.
 
 Ring operations build every element from integers, and so does the text form
 every report prints: `CycloNum.signed_parts` spells each basis term from the
-stored integers, `join_signed` joins signed parts. Only `from_rational`,
-`as_rational` and the scalar `*` take or give a `Fraction`, for callers and tests.
+stored integers, `join_signed` joins signed parts. Only `as_rational`
+leaves the integers, for callers that check rational coefficients.
 """
 from __future__ import annotations
 
@@ -133,12 +133,6 @@ class CycloNum:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def from_rational(value, order: int = 1) -> "CycloNum":
-        value = Fraction(value)
-        phi = euler_phi(order)
-        return CycloNum(order, (value.numerator,) + (0,) * (phi - 1), value.denominator)
-
-    @staticmethod
     def zero(order: int = 1) -> "CycloNum":
         return CycloNum(order, (0,) * euler_phi(order))
 
@@ -151,11 +145,8 @@ class CycloNum:
     def is_zero(self) -> bool:
         return not any(self.nums)
 
-    def is_rational(self) -> bool:
-        return not any(self.nums[1:])
-
     def as_rational(self) -> Fraction:
-        if not self.is_rational():
+        if any(self.nums[1:]):
             raise ValueError("%s is not rational" % self)
         return Fraction(self.nums[0], self.den)
 
@@ -172,19 +163,12 @@ class CycloNum:
         d, e = self.den, other.den
         return CycloNum(self.order, tuple([a * e + b * d for a, b in zip(self.nums, other.nums)]), d * e)
 
-    def __sub__(self, other: "CycloNum") -> "CycloNum":
-        self._check_order(other)
-        d, e = self.den, other.den
-        return CycloNum(self.order, tuple([a * e - b * d for a, b in zip(self.nums, other.nums)]), d * e)
-
     def __neg__(self) -> "CycloNum":
         return CycloNum(self.order, tuple([-a for a in self.nums]), self.den)
 
     def __mul__(self, other) -> "CycloNum":
-        if isinstance(other, (int, Fraction)):
-            s = Fraction(other)
-            return CycloNum(self.order, tuple([a * s.numerator for a in self.nums]),
-                            self.den * s.denominator)
+        if not isinstance(other, CycloNum):
+            return NotImplemented
         self._check_order(other)
         conv = [0] * (2 * len(self.nums) - 1)
         for i, a in enumerate(self.nums):
@@ -230,8 +214,7 @@ class CycloNum:
         """(negative, text) for each nonzero basis term, power ascending.
 
         The text is |n|/den in lowest terms, times zeta_order^j for j > 0,
-        where a magnitude of 1 is left out; it is read off the integers, so no
-        Fraction is built."""
+        where a magnitude of 1 is left out; it is read off the integers."""
         parts = []
         for j, x in enumerate(self.nums):
             if x:

@@ -43,7 +43,8 @@ from .cyclotomic import CycloNum, _digits, join_signed, reduce_powers, zeta_powe
 from .errors import OrderMismatch, RequestTooLarge, ValidityExceeded
 
 # r^n for a ratio r other than +-1 has about |n| times the bits of r; a
-# constant power past this many bits is refused before it is taken
+# constant power, or a series power whose least-degree part's power is
+# estimated, past this many bits is refused before it is taken
 MAX_POWER_BITS = 1 << 20
 
 
@@ -186,9 +187,6 @@ class LaurentSeries:
 
     # -- basic queries --------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     @property
     def term_count(self) -> int:
         return len(self.terms)
@@ -226,9 +224,6 @@ class LaurentSeries:
     def __neg__(self) -> "LaurentSeries":
         return LaurentSeries({m: -c for m, c in self.terms.items()}, self.validity, self.order)
 
-    def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self + (-other)
-
     @staticmethod
     def product(items: Sequence["LaurentSeries"]) -> "LaurentSeries":
         """The product of one or more series, multiplied as a balanced tree.
@@ -252,9 +247,21 @@ class LaurentSeries:
     def power(self, n: int) -> "LaurentSeries":
         """self^n for n >= 1, by squaring: about log2(n) products, each under
         the binary validity rule, so the result is what the product of n
-        copies gives."""
+        copies gives. The validity keeps P^n whole, P the least-degree part,
+        so a P^n estimated past MAX_POWER_BITS, n*s + 1 terms (s the
+        a-exponent span of P) of n * `_factor_bits(P)` bits, raises
+        RequestTooLarge before the first product."""
         if n < 1:
             raise ValueError("power needs n >= 1, got %d" % n)
+        least = self.min_total_degree()
+        part = {m: c for m, c in self.terms.items() if m.total_degree == least}
+        bits = _factor_bits(list(part.values()), self.order)
+        span = max(m.p for m in part) - min(m.p for m in part) if part else 0
+        if (n * span + 1) * n * bits > MAX_POWER_BITS:
+            raise RequestTooLarge(
+                "power %s of a %d-term least-degree part of a-exponent span %d and"
+                " %d bits per factor exceeds the %d-bit cap"
+                % (_digits(n), len(part), span, bits, MAX_POWER_BITS))
         if n == 1:
             return self
         base, result = _operand(self), None
@@ -295,13 +302,6 @@ class LaurentSeries:
         keeps the order, and every stored term stays nonzero, so none is pruned."""
         return LaurentSeries({m: fn(c) for m, c in self.terms.items()}, self.validity, self.order)
 
-    def truncate(self, validity: int) -> "LaurentSeries":
-        """Lower the validity bound (never raises it)."""
-        if validity >= self.validity:
-            return self
-        kept = {m: c for m, c in self.terms.items() if m.total_degree <= validity}
-        return LaurentSeries(kept, validity, self.order)
-
     # -- comparison and specialization ------------------------------------------
 
     def first_mismatch(self, other: "LaurentSeries", through: int) -> Optional[Mismatch]:
@@ -338,6 +338,22 @@ class LaurentSeries:
 
     def __str__(self) -> str:
         return self.render()
+
+
+def _factor_bits(coeffs: list, order: int) -> int:
+    """About the bits each factor of P, of these coefficients, adds to P^n:
+    `ratio_bits` of M/D, M the sum of the numerators' magnitudes over their
+    common denominator D, times phi(order) unless all are rational. For one
+    coefficient r times a +-root of unity, P^n costs what r^n does."""
+    den = math.lcm(*(c.den for c in coeffs))
+    nums = [x * (den // c.den) for c in coeffs for x in c.nums]
+    g = math.gcd(*nums)
+    unit = tuple(x // g for x in nums)
+    if len(coeffs) == 1 and any(zeta_power(order, e).nums in (unit, tuple(-x for x in unit))
+                                for e in range(order)):
+        return ratio_bits(Fraction(g, den))
+    entries = 1 if all(not any(c.nums[1:]) for c in coeffs) else len(coeffs[0].nums)
+    return entries * ratio_bits(Fraction(sum(map(abs, nums)), den))
 
 
 # -- the product kernel ---------------------------------------------------------
@@ -445,8 +461,6 @@ def _is_dense(xs: list, ys: list, packing: tuple) -> bool:
 
 def _sparse_convolution(xs: list, ys: list, validity: int) -> dict:
     """The convolution by pairwise products of the nonzero entries."""
-    if not xs or not ys:
-        return {}
     width = 2 * len(xs[0][2]) - 1
     right = [(p, q, p + q, [(j, c) for j, c in enumerate(v) if c]) for p, q, v in ys]
     acc: dict[tuple[int, int], list[int]] = {}

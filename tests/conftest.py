@@ -26,12 +26,18 @@ from thetadissect.laurent import LaurentSeries, Monomial, ScaledMonomial  # noqa
 from thetadissect.theta import ThetaArgs, theta_index_range  # noqa: E402
 
 
+def rational_coeff(value, order=1):
+    """The int or Fraction `value` as an element of Q(zeta_order)."""
+    value = Fraction(value)
+    return CycloNum(order, (value.numerator,) + (0,) * (euler_phi(order) - 1), value.denominator)
+
+
 def make_series(entries, validity, order=1):
     """entries: {(p, q): rational or CycloNum}."""
     pairs = []
     for (p, q), c in entries.items():
         if not isinstance(c, CycloNum):
-            c = CycloNum.from_rational(Fraction(c), order)
+            c = rational_coeff(c, order)
         pairs.append((Monomial(p, q), c))
     return LaurentSeries.make(pairs, validity, order)
 
@@ -202,7 +208,7 @@ def reference_render_term(mono, coeff):
     spelling, kept as the reference."""
     mono_txt = mono.render()
     basis = reference_basis_terms(coeff)
-    if coeff.is_rational():
+    if not any(coeff.nums[1:]):
         r = coeff.as_rational()
         mag = abs(r)
         if mono_txt == "1":
@@ -238,13 +244,13 @@ def reference_theta_expand(args, bound):
     LaurentSeries.make."""
     order = args.order
     x, y = args.first, args.second
-    rational = x.ratio != 1 or y.ratio != 1
+    scaled = x.ratio != 1 or y.ratio != 1
     entries = []
     for n in theta_index_range(args, bound):
         t, u = n * (n + 1) // 2, n * (n - 1) // 2
         coeff = zeta_power(order, x.exponent * t + y.exponent * u)
-        if rational:
-            coeff = coeff * (x.ratio ** t * y.ratio ** u)
+        if scaled:
+            coeff = coeff * rational_coeff(x.ratio ** t * y.ratio ** u, order)
         entries.append((x.mono ** t * y.mono ** u, coeff))
     return LaurentSeries.make(entries, bound, order)
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     FractionCyclo, cyclo_from_pairs, denominators, evaluated_parts, make_series, numerators,
-    reference_fold, reference_transformation_text, series_expr,
+    rational_coeff, reference_fold, reference_transformation_text, series_expr,
 )
 from thetadissect import catalog, exprlang
 from thetadissect.catalog import (
@@ -90,7 +90,7 @@ def re_im_operands(draw):
         if kind == "real":
             y = y + y.conjugate()
         elif kind == "imaginary":
-            y = y - y.conjugate()
+            y = y + -y.conjugate()
         entries[mono] = y
     return make_series(entries, 10, order)
 
@@ -114,7 +114,14 @@ def test_re_im_of_series_match_the_fraction_reference(series):
 
 
 def test_evaluate_zero_constant():
-    assert evaluate(RationalConst(Fraction(0)), 5, 1).is_zero()
+    assert not evaluate(RationalConst(Fraction(0)), 5, 1).terms
+
+
+def test_evaluate_empty_product_and_non_node():
+    assert product_of([]) == rational(1)
+    assert evaluate(product_of([]), 5, 1) == LaurentSeries.one(5)
+    with pytest.raises(TypeError, match="not an expression node"):
+        evaluate("f(a,b)", 5, 1)
 
 
 def test_evaluate_scaled_product_keeps_requested_validity():
@@ -356,7 +363,7 @@ def test_specq_matches_the_collapse_of_the_bivariate_series(data, order, degree)
     bivariate = bivariate.specialize_q()
     # exact through the bivariate validity, and never less exact
     assert univariate.validity >= bivariate.validity
-    assert univariate.truncate(bivariate.validity) == bivariate
+    assert LaurentSeries.make(univariate.terms.items(), bivariate.validity, order) == bivariate
     assert all(mono.q == 0 for mono in univariate.terms)
     # what the univariate route claims past that is what more degree confirms
     deeper = evaluate(node, degree + 8, order).specialize_q()
@@ -374,8 +381,7 @@ def test_specq_validity_rises_where_a_equals_b_cancels(text, degree, terms, vali
     node = parse_expr(text)
     series = evaluate(node, degree, 1)
     assert series.validity == validity
-    assert series.terms == {mono: CycloNum.from_rational(Fraction(c), 1)
-                            for mono, c in terms.items()}
+    assert series.terms == {mono: rational_coeff(c) for mono, c in terms.items()}
     # the collapse of the bivariate series is exact through less
     assert evaluate(node.item, degree, 1).specialize_q().validity < validity
 

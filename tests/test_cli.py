@@ -666,6 +666,66 @@ def test_expand_power_takes_about_log2_n_products():
     ]
 
 
+def _power_too_large(power, terms, span, bits):
+    return ("evaluation error: RequestTooLarge: power %s of a %d-term least-degree part of"
+            " a-exponent span %d and %d bits per factor exceeds the 1048576-bit cap\n"
+            % (power, terms, span, bits))
+
+
+# X^N keeps P^N whole, P the least-degree part of X, estimated as N*s + 1
+# terms of N * 3 bits here, so (1+a*b^-1)^N is refused from N = 591 on; at
+# degree 0, 2+a is 2, refused from N = 349526 on, as 2^N is
+@pytest.mark.parametrize("expr, err", [
+    ("(1+a*b^-1)^8000", _power_too_large(8000, 2, 1, 3)),
+    ("(1+a*b^-1)^591", _power_too_large(591, 2, 1, 3)),
+    ("(a+b)^100000", _power_too_large(100000, 2, 1, 3)),
+    ("(a^-1+b^-1)^100000", _power_too_large(100000, 2, 1, 3)),
+    ("(2+a)^1000000", _power_too_large(1000000, 1, 0, 3)),
+    ("(2+a)^349526", _power_too_large(349526, 1, 0, 3)),
+    # 1 + zeta5 is no root: each factor counts on all four entries
+    ("(1+zeta(5,1))^87382", _power_too_large(87382, 1, 0, 12)),
+    # the longest exponent the parser takes, 4300 digits
+    ("(a+b)^1" + "0" * 4299, _power_too_large("1" + "0" * 4299, 2, 1, 3)),
+])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_series_power_past_the_bit_cap_is_refused_at_once(capsys, expr, err, fmt):
+    start = time.perf_counter()
+    assert main(["expand", expr, "--degree", "0", "--format", fmt]) == 3
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("expr, degree, validity, terms, first", [
+    ("(1+a*b^-1)^590", 0, 0, 591, {"monomial": "a^590*b^-590", "coeff": "1"}),
+    ("(1+a*b^-1)^400", 0, 0, 401, {"monomial": "a^400*b^-400", "coeff": "1"}),
+    ("(a+b)^50", 0, 50, 51, {"monomial": "a^50", "coeff": "1"}),
+    ("(a^-1+b^-1)^50", 0, -49, 51, {"monomial": "b^-50", "coeff": "1"}),
+    ("(2+a)^50", 0, 0, 1, {"monomial": "1", "coeff": str(2 ** 50)}),
+    ("(2+a)^349525", 0, 0, 1, {"monomial": "1", "coeff": full_digits(2 ** 349525)}),
+    # a least-degree part that is one root of unity costs nothing
+    ("(zeta(3,2)*f(a,b))^1000000000", 1, 1, 3, {"monomial": "1", "coeff": "-1 - zeta3"}),
+])
+def test_series_powers_within_the_bit_cap_still_answer(capsys, expr, degree, validity, terms,
+                                                       first):
+    assert main(["expand", expr, "--degree", str(degree), "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    doc = json.loads(out, parse_int=str)
+    assert err == "" and doc["validity"] == str(validity)
+    assert len(doc["terms"]) == terms and doc["terms"][0] == first
+
+
+def test_verify_refuses_a_series_power_past_the_bit_cap(capsys):
+    err = _power_too_large(8000, 2, 1, 3)
+    assert main(["verify", "(1+a*b^-1)^8000 = 1", "--degree", "0"]) == 3
+    assert capsys.readouterr() == ("user: error (%s)\n" % err[len("evaluation error: "):-1], err)
+    assert main(["verify", "(a+b)^100000 = 1", "--format", "json"]) == 3
+    out, err = capsys.readouterr()
+    assert err == _power_too_large(100000, 2, 1, 3)
+    assert json.loads(out)["error"] == err[len("evaluation error: "):-1]
+    assert main(["verify", "(1+a*b^-1)^400 = (a*b^-1+1)^400", "--degree", "0"]) == 0
+    assert capsys.readouterr() == ("user: verified (degree 0, lhs 401 terms, rhs 401 terms)\n", "")
+
+
 # --- the exit-code contract on generated input ----------------------------------
 
 # Atoms of the identity language; every zeta atom of one call shares its order
@@ -675,10 +735,13 @@ def test_expand_power_takes_about_log2_n_products():
 # still builds its table, up to half a second an example. A theta sum past
 # theta.MAX_THETA_TERMS indices is refused before its first term, so the
 # degree is drawn from 0..8 or from 10^20 and 10^40, and one atom is a theta
-# call whose index parabola dips to about -10^7 at any degree. Exponents stay
-# in -3..3, because the cost of a large exponent of a series (such as
-# (a+2)^N, whose coefficients grow with N) is not bounded yet; a constant
-# power is capped before it is taken.
+# call whose index parabola dips to about -10^7 at any degree. A constant
+# power is capped before it is taken, and so is the least-degree part P of a
+# series power X^N: X^N keeps P^N whole, and a P^N estimated past
+# laurent.MAX_POWER_BITS is refused before the first product. What lies
+# above P is not capped yet: (1+a)^N at degree 10^20 has P = 1 and still
+# grows with N (about 2 s at N = 2000), so exponents stay in -3..3 until
+# each node has a budget.
 _NUMBERS = st.one_of(st.integers(0, 99).map(str),
                      st.tuples(st.integers(0, 99), st.integers(0, 99)).map("%d/%d".__mod__))
 _EXPONENTS = st.integers(-3, 3).map("^%d".__mod__)
@@ -718,7 +781,8 @@ def _sides(draw, zeta_order):
 
 
 # raw text over the language's alphabet; runs of three or more digits are left
-# out, because a series raised to a large exponent is not capped yet (above)
+# out, because the terms of a series power above its least-degree part are
+# not capped yet (above)
 _RAW = st.text("abqiomegztfRIspc0123456789+-*/^(),= ", max_size=30).filter(
     lambda text: not re.search(r"\d{3}", text))
 

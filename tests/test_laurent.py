@@ -5,13 +5,14 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (KERNEL_ORDERS, cyclo_from_pairs, denominators, known_min_degree,
-                      make_series, numerators, reference_render, reference_str,
-                      schoolbook_fold, schoolbook_terms, schoolbook_tree, series_expr)
+from conftest import (KERNEL_ORDERS, cyclo_from_pairs, denominators, full_digits,
+                      known_min_degree, make_series, numerators, rational_coeff,
+                      reference_render, reference_str, schoolbook_fold, schoolbook_terms,
+                      schoolbook_tree, series_expr)
 from thetadissect import laurent
 from thetadissect.catalog import evaluate
 from thetadissect.cyclotomic import CycloNum, euler_phi, zeta_power
-from thetadissect.errors import OrderMismatch, ValidityExceeded
+from thetadissect.errors import OrderMismatch, RequestTooLarge, ValidityExceeded
 from thetadissect.expr import Power, RationalConst, Sum
 from thetadissect.laurent import LaurentSeries, Monomial, ScaledMonomial
 
@@ -25,7 +26,7 @@ def test_add_examples():
 def test_additive_inverse_cancels_to_zero():
     x = make_series({(2, 1): Fraction(3, 4), (0, 0): -2}, 6)
     total = x + (-x)
-    assert total.is_zero()
+    assert not total.terms
     assert total.render() == "0"
     assert total.validity == 6
 
@@ -47,7 +48,7 @@ def test_make_sums_drops_zeros_and_cuts_in_one_pass():
     # over Q(zeta_3), validity 2: a cancels, then reappears; a*b cancels for
     # good; a zero coefficient; a^3 above the validity
     z = zeta_power(3, 1)
-    half = CycloNum.from_rational(Fraction(1, 2), 3)
+    half = rational_coeff(Fraction(1, 2), 3)
     entries = [(Monomial(1, 0), z), (Monomial(0, 2), half), (Monomial(1, 0), -z),
                (Monomial(1, 1), z), (Monomial(0, 0), CycloNum.zero(3)),
                (Monomial(3, 0), z), (Monomial(1, 0), z + half), (Monomial(1, 1), -z),
@@ -99,14 +100,14 @@ def test_mul_with_empty_operand():
     x = make_series({(1, 0): 1}, 5)
     z = LaurentSeries.zero(3)
     prod = x * z
-    assert prod.is_zero() and prod.validity == 4
+    assert not prod.terms and prod.validity == 4
     # one completion of z: b^4 was cut off at 3, and a*b^4 lies above 4
     assert (x * make_series({(0, 4): 1}, 10)).first_mismatch(prod, 4) is None
 
 
 def test_mul_of_two_empty_operands():
     prod = LaurentSeries.zero(3) * LaurentSeries.zero(5)
-    assert prod.is_zero() and prod.validity == 3 + 5 + 1
+    assert not prod.terms and prod.validity == 3 + 5 + 1
 
 
 def test_mul_empty_operand_with_negative_min_degree():
@@ -115,10 +116,11 @@ def test_mul_empty_operand_with_negative_min_degree():
     huge = 10 ** 6
     p_exact = make_series({(0, -1): 1}, huge)
     q_exact = make_series({(2, 4): 1}, huge)
-    truncated = p_exact.truncate(5) * q_exact.truncate(5)
+    truncated = LaurentSeries.make(p_exact.terms.items(), 5, 1) * LaurentSeries.make(
+        q_exact.terms.items(), 5, 1)
     assert truncated.validity == 4
     exact = p_exact * q_exact
-    assert truncated.first_mismatch(exact.truncate(truncated.validity), truncated.validity) is None
+    assert truncated.first_mismatch(exact, truncated.validity) is None
 
 
 def test_scale_examples():
@@ -129,6 +131,8 @@ def test_scale_examples():
     assert x.scale(ScaledMonomial.make(1, 0, 0)) == x
     up = x.scale(ScaledMonomial.make(1, 2, 1))
     assert up.validity == 7
+    with pytest.raises(OrderMismatch):
+        x.scale(ScaledMonomial.make(1, 0, 0, 4))
 
 
 @given(st.sampled_from(KERNEL_ORDERS), st.data())
@@ -141,7 +145,7 @@ def test_scale_by_a_scaled_root_matches_coefficient_products(order, data):
     ratio = Fraction(data.draw(st.sampled_from((1, -1, 3))), data.draw(st.sampled_from((1, 2))))
     e = data.draw(st.integers(0, order - 1))
     s = ScaledMonomial(ratio, e, order, Monomial(2, -1))
-    factor = zeta_power(order, e) * ratio
+    factor = zeta_power(order, e) * rational_coeff(ratio, order)
     assert x.scale(s) == LaurentSeries({m * s.mono: c * factor for m, c in x.terms.items()},
                                        6, order)
 
@@ -186,7 +190,7 @@ def test_specialize_examples():
     x = make_series({(3, 1): 1, (1, 3): 1}, 9)
     assert x.specialize_q() == make_series({(4, 0): 2}, 9)
     empty = LaurentSeries.zero(5)
-    assert empty.specialize_q().is_zero()
+    assert not empty.specialize_q().terms
     assert x.specialize_q().validity == 9
 
 
@@ -244,7 +248,7 @@ def test_ring_laws_through_shared_validity(x, y, z):
 @given(small_series(), small_series())
 @settings(max_examples=80, deadline=None)
 def test_no_zero_coefficients_and_no_terms_above_validity(x, y):
-    for s in (x + y, x * y, x - y, x.specialize_q()):
+    for s in (x + y, x * y, -x, x.specialize_q()):
         assert all(not c.is_zero() for c in s.terms.values())
         assert all(m.total_degree <= s.validity for m in s.terms)
 
@@ -259,9 +263,10 @@ def test_validity_soundness_truncate_before_or_after(p_entries, q_entries, cut):
     huge = 10 ** 6  # stands in for validity infinity of exact polynomials
     p_exact = make_series(p_entries, huge)
     q_exact = make_series(q_entries, huge)
-    truncated = p_exact.truncate(cut) * q_exact.truncate(cut)
+    truncated = LaurentSeries.make(p_exact.terms.items(), cut, 1) * LaurentSeries.make(
+        q_exact.terms.items(), cut, 1)
     exact = p_exact * q_exact
-    assert truncated.first_mismatch(exact.truncate(truncated.validity), truncated.validity) is None
+    assert truncated.first_mismatch(exact, truncated.validity) is None
 
 
 @given(small_series(), small_series())
@@ -280,8 +285,6 @@ def test_specialize_is_linear_and_multiplicative(x, y):
 
 def kronecker(xs, ys, validity):
     """The packed convolution, laid out as the product lays it out."""
-    if not xs or not ys:
-        return {}
     return laurent._kronecker_convolution(xs, ys, validity, laurent._packing(xs, ys))
 
 
@@ -290,7 +293,9 @@ def kernel_terms(convolve, x, y, validity):
     front and back ends."""
     xs, x_den, _, _ = laurent._operand(x)
     ys, y_den, _, _ = laurent._operand(y)
-    rows = laurent._reduced_rows(convolve(xs, ys, validity), x.order)
+    # `_times` returns before either middle when an operand is empty
+    conv = convolve(xs, ys, validity) if xs and ys else {}
+    rows = laurent._reduced_rows(conv, x.order)
     return laurent._from_operand((rows, x_den * y_den, validity, None), x.order).terms
 
 
@@ -401,6 +406,42 @@ def test_power_by_squaring_matches_the_left_fold(case):
     assert x.power(1) is x
 
 
+def test_power_refuses_a_least_degree_part_past_the_bit_cap():
+    with pytest.raises(ValueError):
+        LaurentSeries.one(3).power(0)
+    # 1 + a*b^-1: (591 * 1 + 1) * 591 * 3 bits pass 2^20, 590 copies do not
+    x = make_series({(0, 0): 1, (1, -1): 1}, 0)
+    assert x.power(590) == make_series({(k, -k): math.comb(590, k) for k in range(591)}, 0)
+    with pytest.raises(RequestTooLarge, match="power 591 of a 2-term"):
+        x.power(591)
+    # only the least-degree part counts: 1 + a + a^2 at degree 10 has P = 1
+    assert make_series({(0, 0): 1, (1, 0): 1, (2, 0): 1}, 10).power(10 ** 30).validity == 10
+    # an exponent past the 4300-digit int-to-str limit is named in full
+    with pytest.raises(RequestTooLarge, match="power %s of" % full_digits(10 ** 5000)):
+        x.power(10 ** 5000)
+
+
+@pytest.mark.parametrize("ratio, exponent, order", [
+    (2, 0, 1), (Fraction(-3, 7), 0, 1), (Fraction(5, 2), 5, 12), (3, 2, 3),
+    (Fraction(1, 3), 4, 5), (-1, 1, 3), (1, 7, 9),
+])
+def test_power_of_a_scaled_root_is_refused_exactly_where_its_ratio_power_is(ratio, exponent,
+                                                                           order):
+    s = ScaledMonomial(ratio, exponent, order, Monomial(1, 0))
+    x = LaurentSeries({s.mono: s.coeff}, 1, order)
+    bits = laurent.ratio_bits(s.ratio)
+    if not bits:  # a +-root of unity: no cap
+        n = 10 ** 30 + 1
+        assert x.power(n) == LaurentSeries({(s ** n).mono: (s ** n).coeff}, n, order)
+        return
+    edge = laurent.MAX_POWER_BITS // bits
+    assert x.power(edge) == LaurentSeries({(s ** edge).mono: (s ** edge).coeff}, edge, order)
+    with pytest.raises(RequestTooLarge):
+        s ** (edge + 1)
+    with pytest.raises(RequestTooLarge, match="1-term least-degree part"):
+        x.power(edge + 1)
+
+
 @given(st.one_of(chains(), chains(longest=9)))
 @settings(max_examples=150, deadline=None)
 def test_product_equals_the_left_fold(chain):
@@ -435,7 +476,7 @@ def test_product_pinned_chains(chain, validity):
     prod = LaurentSeries.product(chain)
     assert prod.validity == expected.validity == validity
     assert prod.terms == expected.terms
-    assert prod.is_zero() == (_EMPTY in chain)
+    assert (not prod.terms) == (_EMPTY in chain)
 
 
 def test_product_pinned_values():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import rational_coeff
 from thetadissect.cyclotomic import CycloNum, zeta_power
 from thetadissect.errors import OrderMismatch, RequestTooLarge
 from thetadissect.laurent import MAX_POWER_BITS, LaurentSeries, Monomial, ScaledMonomial
@@ -28,7 +29,7 @@ def scaled_pairs(draw):
 @given(_orders, _ratios, _exponents, _monos)
 def test_coeff_is_the_scaled_root(order, r, e, mono):
     s = ScaledMonomial(r, e, order, mono)
-    assert s.coeff == zeta_power(order, e) * r
+    assert s.coeff == zeta_power(order, e) * rational_coeff(r, order)
     assert 0 <= s.exponent < order
     assert s.ratio > 0 or order % 2 == 1
 
@@ -95,8 +96,8 @@ def _direct_theta(x_coeff, x_mono, y_coeff, y_mono, order, bound):
 def test_theta_expand_matches_direct_cyclonum_sum(order, r1, e1, r2, e2, m1, m2, bound):
     x_mono, y_mono = Monomial(*m1), Monomial(*m2)
     assume(x_mono.total_degree + y_mono.total_degree > 0)
-    x_coeff = zeta_power(order, e1) * r1
-    y_coeff = zeta_power(order, e2) * r2
+    x_coeff = zeta_power(order, e1) * rational_coeff(r1, order)
+    y_coeff = zeta_power(order, e2) * rational_coeff(r2, order)
     args = ThetaArgs(ScaledMonomial(r1, e1, order, x_mono),
                      ScaledMonomial(r2, e2, order, y_mono))
     assert theta_expand(args, bound) == _direct_theta(x_coeff, x_mono, y_coeff, y_mono, order, bound)

@@ -10,7 +10,7 @@ from thetadissect.catalog import evaluate
 from thetadissect.cyclotomic import zeta_power
 from thetadissect import dissect, theta
 from thetadissect.dissect import dissect_filter
-from thetadissect.errors import NonConvergent, RequestTooLarge
+from thetadissect.errors import NonConvergent, OrderMismatch, RequestTooLarge
 from thetadissect.exprlang import parse_expr
 from thetadissect.laurent import LaurentSeries, Monomial, ScaledMonomial
 from thetadissect.theta import (
@@ -62,7 +62,7 @@ def test_negative_bound_collects_negative_degree_terms():
     args = args_of(1, 22, 18, 1, -6, -2)
     s = theta_expand(args, -7)
     assert s == make_series({(-6, -2): 1}, -7)
-    assert theta_expand(args, -49).is_zero()
+    assert not theta_expand(args, -49).terms
 
 
 def test_pochhammer_a_ab_through_2():
@@ -112,6 +112,14 @@ def test_pochhammer_scaled_root_argument():
 def test_pochhammer_nonconvergent_ratio():
     with pytest.raises(NonConvergent):
         pochhammer_expand(ScaledMonomial.make(1, 1, 0), ScaledMonomial.make(1, 1, -1), 5)
+
+
+def test_arguments_of_two_orders_are_refused():
+    x, y = ScaledMonomial.make(1, 1, 0, 3), ScaledMonomial.make(1, 0, 1, 4)
+    with pytest.raises(OrderMismatch):
+        ThetaArgs(x, y)
+    with pytest.raises(OrderMismatch):
+        pochhammer_expand(x, y, 5)
 
 
 def test_triple_product_matches_theta_at_9():
