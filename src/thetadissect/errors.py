@@ -41,12 +41,11 @@ class NonInvertible(EngineError):
 
 class RequestTooLarge(EngineError):
     """A request whose cost is refused before any work: a constant power, or
-    the power of a series' least-degree part, whose exact value would run
-    past a fixed bit budget, a working order whose L x phi(L) table of root
-    powers would pass a fixed entry budget, or a theta sum, Pochhammer
-    ladder, dissection filter or dissection run over every class past a
-    fixed index count (a theta sum also past a bit budget for its ratio
-    powers)."""
+    the power of a series' least-degree part, past a fixed bit budget, a
+    working order whose L x phi(L) root-power table would pass a fixed entry
+    budget, or a theta sum, Pochhammer ladder, dissection filter or run over
+    every class past a fixed index count (a theta sum also past a bit budget
+    for its ratio powers)."""
 
 
 class UsageError(EngineError):

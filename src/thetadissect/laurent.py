@@ -42,9 +42,8 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 from .cyclotomic import CycloNum, _digits, join_signed, reduce_powers, zeta_power
 from .errors import OrderMismatch, RequestTooLarge, ValidityExceeded
 
-# r^n for a ratio r other than +-1 has about |n| times the bits of r; a
-# constant power, or a series power whose least-degree part's power is
-# estimated, past this many bits is refused before it is taken
+# r^n for a ratio r other than +-1 has about |n| times the bits of r; a constant
+# power, or the estimated power of a series' least-degree part, past this many bits is refused
 MAX_POWER_BITS = 1 << 20
 
 
@@ -247,23 +246,22 @@ class LaurentSeries:
     def power(self, n: int) -> "LaurentSeries":
         """self^n for n >= 1, by squaring: about log2(n) products, each under
         the binary validity rule, so the result is what the product of n
-        copies gives. The validity keeps P^n whole, P the least-degree part,
-        so a P^n estimated past MAX_POWER_BITS, n*s + 1 terms (s the
-        a-exponent span of P) of n * `_factor_bits(P)` bits, raises
-        RequestTooLarge before the first product."""
+        copies gives. P^n is kept whole, P the least-degree part, so one
+        estimated past MAX_POWER_BITS (n*s + 1 terms, s the a-exponent span of
+        P, of n * `_factor_bits` bits) raises RequestTooLarge at once."""
         if n < 1:
             raise ValueError("power needs n >= 1, got %d" % n)
+        if n == 1:
+            return self
         least = self.min_total_degree()
         part = {m: c for m, c in self.terms.items() if m.total_degree == least}
-        bits = _factor_bits(list(part.values()), self.order)
+        bits = _factor_bits(list(part.values()), self.order) if part else 0
         span = max(m.p for m in part) - min(m.p for m in part) if part else 0
         if (n * span + 1) * n * bits > MAX_POWER_BITS:
             raise RequestTooLarge(
                 "power %s of a %d-term least-degree part of a-exponent span %d and"
                 " %d bits per factor exceeds the %d-bit cap"
                 % (_digits(n), len(part), span, bits, MAX_POWER_BITS))
-        if n == 1:
-            return self
         base, result = _operand(self), None
         while n:
             if n & 1:
@@ -341,19 +339,22 @@ class LaurentSeries:
 
 
 def _factor_bits(coeffs: list, order: int) -> int:
-    """About the bits each factor of P, of these coefficients, adds to P^n:
-    `ratio_bits` of M/D, M the sum of the numerators' magnitudes over their
-    common denominator D, times phi(order) unless all are rational. For one
-    coefficient r times a +-root of unity, P^n costs what r^n does."""
+    """About the bits each factor of P, of these coefficients, adds to P^n: one
+    coefficient r times a +-root of unity costs what r does; otherwise the bits
+    of M and of D, M the numerators' magnitudes summed over their common
+    denominator D, at least 3, times phi(order) unless all are rational. An
+    integer u with u * conj(u) = 1 has every conjugate on the unit circle, so
+    it is a root of unity (Kronecker); the test is one coefficient product, the
+    work of P's first squaring."""
     den = math.lcm(*(c.den for c in coeffs))
     nums = [x * (den // c.den) for c in coeffs for x in c.nums]
     g = math.gcd(*nums)
-    unit = tuple(x // g for x in nums)
-    if len(coeffs) == 1 and any(zeta_power(order, e).nums in (unit, tuple(-x for x in unit))
-                                for e in range(order)):
-        return ratio_bits(Fraction(g, den))
+    if len(coeffs) == 1:
+        unit = CycloNum(order, tuple(x // g for x in nums))
+        if unit * unit.conjugate() == CycloNum.one(order):
+            return ratio_bits(Fraction(g, den))
     entries = 1 if all(not any(c.nums[1:]) for c in coeffs) else len(coeffs[0].nums)
-    return entries * ratio_bits(Fraction(sum(map(abs, nums)), den))
+    return entries * (sum(map(abs, nums)).bit_length() + den.bit_length())
 
 
 # -- the product kernel ---------------------------------------------------------

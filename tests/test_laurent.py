@@ -248,7 +248,7 @@ def test_ring_laws_through_shared_validity(x, y, z):
 @given(small_series(), small_series())
 @settings(max_examples=80, deadline=None)
 def test_no_zero_coefficients_and_no_terms_above_validity(x, y):
-    for s in (x + y, x * y, -x, x.specialize_q()):
+    for s in (x + y, x * y, x + -y, x.specialize_q()):
         assert all(not c.is_zero() for c in s.terms.values())
         assert all(m.total_degree <= s.validity for m in s.terms)
 
@@ -414,6 +414,29 @@ def test_power_refuses_a_least_degree_part_past_the_bit_cap():
     assert x.power(590) == make_series({(k, -k): math.comb(590, k) for k in range(591)}, 0)
     with pytest.raises(RequestTooLarge, match="power 591 of a 2-term"):
         x.power(591)
+    # coefficients whose magnitudes sum to 1 still cost the bits of 2/2 each:
+    # (512 + 1) * 512 * 4 bits pass 2^20, and 1/2 + 1/2*zeta5 is no root
+    half = make_series({(0, 0): Fraction(1, 2), (1, -1): Fraction(1, 2)}, 0)
+    assert half.power(511).terms[Monomial(0, 0)] == rational_coeff(Fraction(1, 2 ** 511), 1)
+    with pytest.raises(RequestTooLarge, match="power 512 of a 2-term .* 4 bits per factor"):
+        half.power(512)
+    mean = LaurentSeries({Monomial(0, 0): rational_coeff(Fraction(1, 2), 5) + CycloNum(
+        5, (0, 1, 0, 0), 2)}, 0, 5)
+    with pytest.raises(RequestTooLarge, match="power 65537 of a 1-term .* 16 bits per factor"):
+        mean.power(65537)
+    # (3 + 4i)/5 lies on the unit circle but is no root of unity: 3 + 4i
+    # times its conjugate is 25, and its powers grow
+    gauss = LaurentSeries({Monomial(0, 0): CycloNum(4, (3, 4), 5)}, 0, 4)
+    with pytest.raises(RequestTooLarge, match="power 87382 of a 1-term .* 12 bits per factor"):
+        gauss.power(87382)
+    assert gauss.power(87381).terms[Monomial(0, 0)].den == 5 ** 87381
+    # a first power does no work, so it answers whatever P costs
+    big = make_series({(5, 0): 2 ** 300000, (0, 5): 1}, 5)
+    assert big.power(1) is big
+    with pytest.raises(RequestTooLarge):
+        big.power(2)
+    # an empty series has no P, and its powers cost nothing
+    assert LaurentSeries.zero(2).power(10 ** 30).validity == 2 + (10 ** 30 - 1) * 3
     # only the least-degree part counts: 1 + a + a^2 at degree 10 has P = 1
     assert make_series({(0, 0): 1, (1, 0): 1, (2, 0): 1}, 10).power(10 ** 30).validity == 10
     # an exponent past the 4300-digit int-to-str limit is named in full
