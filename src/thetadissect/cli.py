@@ -10,11 +10,8 @@ contract, and `main` alone turns exceptions into them:
      m above MAX_MODULUS, an --out path that cannot be written): a
      UsageError or an OSError
   3  evaluation errors (non-convergent theta arguments, non-monomial
-     arguments, order problems, a constant power or a series' least-degree
-     part's power past the bit cap, a working order whose root-power table
-     passes MAX_ROOT_TABLE, a theta sum, a dissection filter or a dissect
-     run over every class past theta.MAX_THETA_TERMS indices, or a theta
-     sum past theta.MAX_THETA_BITS bits of ratio powers): any other EngineError
+     arguments, order problems, and each RequestTooLarge refusal that the
+     README's refusal table lists with its cap): any other EngineError
 """
 from __future__ import annotations
 

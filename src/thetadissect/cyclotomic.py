@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import IncompatibleOrders, OrderMismatch
+from .errors import IncompatibleOrders, check_orders
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -152,14 +152,8 @@ class CycloNum:
 
     # -- ring operations -----------------------------------------------------
 
-    def _check_order(self, other: "CycloNum"):
-        if self.order != other.order:
-            raise OrderMismatch(
-                "orders differ: %d vs %d (embed first)" % (self.order, other.order)
-            )
-
     def __add__(self, other: "CycloNum") -> "CycloNum":
-        self._check_order(other)
+        check_orders("coefficient", self.order, other.order)
         d, e = self.den, other.den
         return CycloNum(self.order, tuple([a * e + b * d for a, b in zip(self.nums, other.nums)]), d * e)
 
@@ -169,7 +163,7 @@ class CycloNum:
     def __mul__(self, other) -> "CycloNum":
         if not isinstance(other, CycloNum):
             return NotImplemented
-        self._check_order(other)
+        check_orders("coefficient", self.order, other.order)
         conv = [0] * (2 * len(self.nums) - 1)
         for i, a in enumerate(self.nums):
             if a:

@@ -19,6 +19,9 @@ root-of-unity transformation
 
 which catalog.transformation_identity builds as an identity-language AST for
 any m-th root of unity zeta = zeta_m^e, not only a primitive one.
+
+Each class window, and a run over every class, is handed to
+theta.check_index_cap as a range; theta.py alone reads the index cap.
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ import math
 
 from .cyclotomic import CycloNum
 from .laurent import LaurentSeries, Monomial, ScaledMonomial
-from .theta import MAX_THETA_TERMS, ThetaArgs, check_index_cap, theta_expand
+from .theta import ThetaArgs, check_index_cap, theta_expand
 
 
 def _tri(n: int) -> int:
@@ -43,39 +46,37 @@ def closed_form_parts(m: int, k: int) -> tuple[Monomial, ThetaArgs]:
     return Monomial(_tri(k), _tri(-k)), args
 
 
-def _class_indices(m: int, k: int, bound: int) -> tuple[range, int]:
-    """The indices n = k (mod m) with n^2 <= bound, ascending, and their count.
+def _class_indices(m: int, k: int, bound: int) -> range:
+    """The indices n = k (mod m) with n^2 <= bound, ascending.
 
     The index-n term of f(a, b) has total degree T(n) + T(-n) = n^2, so the
     cutoff is |n| <= isqrt(bound): the class's least n >= -isqrt(bound), then
-    every m-th index, about 2*isqrt(bound)/m of them. The count is read from
-    the ends, since len() overflows past 2^63 indices.
+    every m-th index, about 2*isqrt(bound)/m of them.
     """
     if bound < 0:
-        return range(0), 0
+        return range(0)
     top = math.isqrt(bound)
-    start = -top + (k + top) % m
-    return range(start, top + 1, m), (top - start) // m + 1
+    return range(-top + (k + top) % m, top + 1, m)
 
 
 def check_run_size(bound: int) -> None:
     """Refuse a dissection over every class whose indices, every n with
-    n^2 <= bound, pass MAX_THETA_TERMS: each class is capped on its own, so
+    n^2 <= bound, pass the index cap: each class is capped on its own, so
     this bounds the loop over classes."""
-    check_index_cap("dissection run", _class_indices(1, 0, bound)[1], MAX_THETA_TERMS)
+    check_index_cap("dissection run", _class_indices(1, 0, bound))
 
 
 def dissect_filter(m: int, k: int, bound: int) -> LaurentSeries:
     """Oracle path: direct sum over n = k (mod m) with n^2 <= bound.
 
-    The walk visits the class's indices alone, and more than MAX_THETA_TERMS
+    The walk visits the class's indices alone, and more than the index cap
     of them raise RequestTooLarge before the walk. Shares nothing with the
     theta kernel.
     """
     if m < 1:
         raise ValueError("modulus m must be >= 1")
-    indices, count = _class_indices(m, k, bound)
-    check_index_cap("dissection filter", count, MAX_THETA_TERMS)
+    indices = _class_indices(m, k, bound)
+    check_index_cap("dissection filter", indices)
     entries = [(Monomial(_tri(n), _tri(-n)), CycloNum.one()) for n in indices]
     return LaurentSeries.make(entries, bound, 1)
 

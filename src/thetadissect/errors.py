@@ -14,6 +14,13 @@ class OrderMismatch(EngineError):
     """Two cyclotomic values (or series) of different orders were combined."""
 
 
+def check_orders(what: str, first: int, second: int) -> None:
+    """Raise OrderMismatch, naming `what` and both orders, unless they agree:
+    the one check of the rule that two operands share one cyclotomic order."""
+    if first != second:
+        raise OrderMismatch("%s orders differ: %d vs %d" % (what, first, second))
+
+
 class IncompatibleOrders(EngineError):
     """A root of unity of order m met a working order L that m does not divide:
     zeta(m, e) folded at order L, or CycloNum.embed into L."""
@@ -40,12 +47,8 @@ class NonInvertible(EngineError):
 
 
 class RequestTooLarge(EngineError):
-    """A request whose cost is refused before any work: a constant power, or
-    the power of a series' least-degree part, past a fixed bit budget, a
-    working order whose L x phi(L) root-power table would pass a fixed entry
-    budget, or a theta sum, Pochhammer ladder, dissection filter or run over
-    every class past a fixed index count (a theta sum also past a bit budget
-    for its ratio powers)."""
+    """A request whose cost passes a fixed cap, refused before any work; the
+    README's refusal table lists every cap."""
 
 
 class UsageError(EngineError):

@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .cyclotomic import CycloNum, _digits, join_signed, reduce_powers, zeta_power
-from .errors import OrderMismatch, RequestTooLarge, ValidityExceeded
+from .errors import RequestTooLarge, ValidityExceeded, check_orders
 
 # r^n for a ratio r other than +-1 has about |n| times the bits of r; a constant
 # power, or the estimated power of a series' least-degree part, past this many bits is refused
@@ -120,8 +120,7 @@ class ScaledMonomial:
         return self.mono.total_degree
 
     def __mul__(self, other: "ScaledMonomial") -> "ScaledMonomial":
-        if self.order != other.order:
-            raise OrderMismatch("orders differ: %d vs %d" % (self.order, other.order))
+        check_orders("scaled monomial", self.order, other.order)
         return ScaledMonomial(self.ratio * other.ratio, self.exponent + other.exponent,
                               self.order, self.mono * other.mono)
 
@@ -167,7 +166,7 @@ class LaurentSeries:
         acc: dict[Monomial, CycloNum] = {}
         for mono, coeff in entries:
             if coeff.order != order:
-                raise OrderMismatch("coefficient order %d != series order %d" % (coeff.order, order))
+                check_orders("coefficient and series", coeff.order, order)
             if mono.p + mono.q > validity:
                 continue
             if mono in acc:
@@ -201,10 +200,6 @@ class LaurentSeries:
     def sorted_terms(self) -> list[tuple[Monomial, CycloNum]]:
         return sorted(self.terms.items(), key=lambda item: _term_key(item[0]))
 
-    def _check_order(self, other: "LaurentSeries"):
-        if self.order != other.order:
-            raise OrderMismatch("series orders differ: %d vs %d" % (self.order, other.order))
-
     # -- ring operations -------------------------------------------------------
 
     @staticmethod
@@ -213,7 +208,7 @@ class LaurentSeries:
         least of theirs."""
         first = items[0]
         for other in items[1:]:
-            first._check_order(other)
+            check_orders("series", first.order, other.order)
         entries = [term for s in items for term in s.terms.items()]
         return LaurentSeries.make(entries, min(s.validity for s in items), first.order)
 
@@ -238,7 +233,7 @@ class LaurentSeries:
         """
         first = items[0]
         for other in items[1:]:
-            first._check_order(other)
+            check_orders("series", first.order, other.order)
         if len(items) == 1:
             return first
         return _from_operand(_tree([_operand(s) for s in items], first.order), first.order)
@@ -280,8 +275,7 @@ class LaurentSeries:
         integers: its numerators shifted up e powers of zeta and reduced, then
         times the numerator of r, over its denominator times that of r. A
         nonzero factor keeps every (nonzero) term nonzero."""
-        if s.order != self.order:
-            raise OrderMismatch("scalar order %d != series order %d" % (s.order, self.order))
+        check_orders("scalar and series", s.order, self.order)
         order, exponent, mono = self.order, s.exponent, s.mono
         num, den = s.ratio.numerator, s.ratio.denominator
         unit = exponent == 0 and num == 1 and den == 1
@@ -304,7 +298,7 @@ class LaurentSeries:
 
     def first_mismatch(self, other: "LaurentSeries", through: int) -> Optional[Mismatch]:
         """Least differing monomial (term order) of total degree <= through, or None."""
-        self._check_order(other)
+        check_orders("series", self.order, other.order)
         if through > min(self.validity, other.validity):
             raise ValidityExceeded(
                 "comparison through %d exceeds validity min(%d, %d)"
@@ -340,9 +334,10 @@ class LaurentSeries:
 
 def _factor_bits(coeffs: list, order: int) -> int:
     """About the bits each factor of P, of these coefficients, adds to P^n: one
-    coefficient r times a +-root of unity costs what r does; otherwise the bits
-    of M and of D, M the numerators' magnitudes summed over their common
-    denominator D, at least 3, times phi(order) unless all are rational. An
+    coefficient r times a +-root of unity costs what r does; otherwise
+    ceil(log2) of M and of D, the bits M^n and D^n grow by per factor, M the
+    numerators' magnitudes summed over their common denominator D, times
+    phi(order) unless all are rational. An
     integer u with u * conj(u) = 1 has every conjugate on the unit circle, so
     it is a root of unity (Kronecker); the test is one coefficient product, the
     work of P's first squaring."""
@@ -354,7 +349,7 @@ def _factor_bits(coeffs: list, order: int) -> int:
         if unit * unit.conjugate() == CycloNum.one(order):
             return ratio_bits(Fraction(g, den))
     entries = 1 if all(not any(c.nums[1:]) for c in coeffs) else len(coeffs[0].nums)
-    return entries * (sum(map(abs, nums)).bit_length() + den.bit_length())
+    return entries * ((sum(map(abs, nums)) - 1).bit_length() + (den - 1).bit_length())
 
 
 # -- the product kernel ---------------------------------------------------------

@@ -15,6 +15,9 @@ ratio read as its numerator and denominator: no Fraction is built. Its cost
 is read off the index range first, and a sum past MAX_THETA_TERMS indices
 or MAX_THETA_BITS bits of ratio powers raises RequestTooLarge. So does a
 Pochhammer ladder past MAX_THETA_TERMS factors, counted from the degrees.
+This module alone reads MAX_THETA_TERMS: theta sums, ladders and the
+dissection windows of dissect.py all hand their index range to
+check_index_cap.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .cyclotomic import CycloNum, _digits, _zeta_powers
-from .errors import NonConvergent, OrderMismatch, RequestTooLarge
+from .errors import NonConvergent, RequestTooLarge, check_orders
 from .laurent import LaurentSeries, Monomial, ScaledMonomial, ratio_bits
 
 # a theta sum, a Pochhammer ladder, a dissection filter or a whole dissection
@@ -33,12 +36,15 @@ MAX_THETA_TERMS = 1 << 18
 MAX_THETA_BITS = 1 << 24
 
 
-def check_index_cap(what: str, count: int, cap: int) -> None:
-    """Raise RequestTooLarge, naming `what` and its index count, when the
-    count passes the cap."""
-    if count > cap:
+def check_index_cap(what: str, indices: range) -> int:
+    """The number of indices in the window, counted from its ends for any
+    step, since len() overflows past 2^63; past MAX_THETA_TERMS it raises
+    RequestTooLarge, naming `what` and the count in full."""
+    count = (indices[-1] - indices[0]) // indices.step + 1 if indices else 0
+    if count > MAX_THETA_TERMS:
         raise RequestTooLarge("%s of %s indices passes the %d-index cap"
-                              % (what, _digits(count), cap))
+                              % (what, _digits(count), MAX_THETA_TERMS))
+    return count
 
 
 @dataclass(frozen=True)
@@ -47,11 +53,7 @@ class ThetaArgs:
     second: ScaledMonomial
 
     def __post_init__(self):
-        if self.first.order != self.second.order:
-            raise OrderMismatch(
-                "theta argument coefficient orders differ: %d vs %d"
-                % (self.first.order, self.second.order)
-            )
+        check_orders("theta argument", self.first.order, self.second.order)
         if self.first.total_degree + self.second.total_degree <= 0:
             raise NonConvergent(
                 "theta argument degrees d1=%d, d2=%d need d1+d2 > 0"
@@ -110,9 +112,7 @@ def theta_expand(args: ThetaArgs, bound: int) -> LaurentSeries:
     n2, d2 = y.ratio.numerator, y.ratio.denominator
     rational = n1 != 1 or d1 != 1 or n2 != 1 or d2 != 1
     indices = theta_index_range(args, bound)
-    # from the ends, since len() overflows past 2^63 indices
-    count = indices.stop - indices.start
-    check_index_cap("theta sum", count, MAX_THETA_TERMS)
+    count = check_index_cap("theta sum", indices)
     b1, b2 = ratio_bits(x.ratio), ratio_bits(y.ratio)
     bits = max((n * n + n) // 2 * b1 + (n * n - n) // 2 * b2
                for n in (indices.start, indices.stop - 1))
@@ -145,15 +145,15 @@ def pochhammer_expand(x: ScaledMonomial, qq: ScaledMonomial, bound: int) -> Laur
     """
     if qq.total_degree <= 0:
         raise NonConvergent("Pochhammer ratio degree %d must be positive" % qq.total_degree)
-    if x.order != qq.order:
-        raise OrderMismatch("Pochhammer coefficient orders differ")
+    check_orders("Pochhammer", x.order, qq.order)
     order = x.order
-    count = max(0, (bound - x.total_degree) // qq.total_degree + 1)
-    check_index_cap("Pochhammer ladder", count, MAX_THETA_TERMS)
+    # the degrees of the factors x*qq^k
+    ladder = range(x.total_degree, bound + 1, qq.total_degree)
+    check_index_cap("Pochhammer ladder", ladder)
     # one(bound) first: it sets the validity the product starts from
     factors = [LaurentSeries.one(bound, order)]
     term = x
-    for _ in range(count):
+    for _ in ladder:
         factors.append(LaurentSeries.make(
             [(Monomial(0, 0), CycloNum.one(order)), (term.mono, -term.coeff)], bound, order
         ))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import full_digits
-from thetadissect import cli, cyclotomic, dissect
+from thetadissect import cli, cyclotomic, theta
 from thetadissect.catalog import _monomial_series, builtin_catalog
 from thetadissect.cli import main
 from thetadissect.exprlang import parse_expr, print_expr
@@ -591,7 +591,7 @@ def test_a_wide_dissection_run_is_refused_at_once(capsys, mode, fmt):
 def test_the_dissection_run_cap_holds_at_its_edge(capsys, monkeypatch):
     # degree 4 holds the 5 indices -2..2 over all classes, degree 9 the 7
     # indices -3..3; a run with --k keeps the cap of its class
-    monkeypatch.setattr(dissect, "MAX_THETA_TERMS", 5)
+    monkeypatch.setattr(theta, "MAX_THETA_TERMS", 5)
     assert main(["dissect", "--m", "3", "--degree", "4", "--mode", "filter"]) == 0
     assert capsys.readouterr().out.count("\n") == 3
     assert main(["dissect", "--m", "3", "--degree", "9", "--mode", "filter"]) == 3
@@ -673,26 +673,28 @@ def _power_too_large(power, terms, span, bits):
 
 
 # X^N keeps P^N whole, P the least-degree part of X, estimated as N*s + 1
-# terms of N * 3 bits here, so (1+a*b^-1)^N is refused from N = 591 on; at
-# degree 0, 2+a is 2, refused from N = 349526 on, as 2^N is. Halving P's
-# coefficients leaves their sum 1, yet each factor still costs the 2 + 2
-# bits of that sum and of the denominator 2
+# terms of N bits here (ceil(log2) of the magnitude sum 2), so (1+a*b^-1)^N
+# is refused from N = 1024 on; at degree 0, 2+a is 2, refused from N = 349526
+# on, as 2^N is. Halving P's coefficients leaves their sum 1, yet each factor
+# still costs the 1 + 1 bits of that sum 2 and of the denominator 2
 @pytest.mark.parametrize("expr, err", [
-    ("(1+a*b^-1)^8000", _power_too_large(8000, 2, 1, 3)),
-    ("(1+a*b^-1)^591", _power_too_large(591, 2, 1, 3)),
-    ("(a+b)^100000", _power_too_large(100000, 2, 1, 3)),
-    ("(a^-1+b^-1)^100000", _power_too_large(100000, 2, 1, 3)),
+    ("(1+a*b^-1)^8000", _power_too_large(8000, 2, 1, 1)),
+    ("(1+a*b^-1)^1024", _power_too_large(1024, 2, 1, 1)),
+    ("(a+b)^100000", _power_too_large(100000, 2, 1, 1)),
+    ("(a^-1+b^-1)^100000", _power_too_large(100000, 2, 1, 1)),
     ("(2+a)^1000000", _power_too_large(1000000, 1, 0, 3)),
     ("(2+a)^349526", _power_too_large(349526, 1, 0, 3)),
     # 1 + zeta5 is no root: each factor counts on all four entries
-    ("(1+zeta(5,1))^87382", _power_too_large(87382, 1, 0, 12)),
-    ("(1/2+1/2*a*b^-1)^8000", _power_too_large(8000, 2, 1, 4)),
-    ("(1/2+1/2*a*b^-1)^512", _power_too_large(512, 2, 1, 4)),
-    ("(1/2*a+1/2*b)^1000000000", _power_too_large(1000000000, 2, 1, 4)),
-    ("(1/2+1/2*zeta(5,1))^1000000000", _power_too_large(1000000000, 1, 0, 16)),
-    ("(1/2+1/2*zeta(5,1))^65537", _power_too_large(65537, 1, 0, 16)),
+    ("(1+zeta(5,1))^262145", _power_too_large(262145, 1, 0, 4)),
+    # and 1 + zeta105*a*b^-1 on all 48
+    ("(1+zeta(105,1)*a*b^-1)^148", _power_too_large(148, 2, 1, 48)),
+    ("(1/2+1/2*a*b^-1)^8000", _power_too_large(8000, 2, 1, 2)),
+    ("(1/2+1/2*a*b^-1)^724", _power_too_large(724, 2, 1, 2)),
+    ("(1/2*a+1/2*b)^1000000000", _power_too_large(1000000000, 2, 1, 2)),
+    ("(1/2+1/2*zeta(5,1))^1000000000", _power_too_large(1000000000, 1, 0, 8)),
+    ("(1/2+1/2*zeta(5,1))^131073", _power_too_large(131073, 1, 0, 8)),
     # the longest exponent the parser takes, 4300 digits
-    ("(a+b)^1" + "0" * 4299, _power_too_large("1" + "0" * 4299, 2, 1, 3)),
+    ("(a+b)^1" + "0" * 4299, _power_too_large("1" + "0" * 4299, 2, 1, 1)),
 ])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_a_series_power_past_the_bit_cap_is_refused_at_once(capsys, expr, err, fmt):
@@ -715,6 +717,12 @@ def test_a_series_power_past_the_bit_cap_is_refused_at_once(capsys, expr, err, f
     ("(2^300000*a^5+b^5)^1", 5, 5, 2, {"monomial": "a^5", "coeff": full_digits(2 ** 300000)}),
     # a least-degree part that is one root of unity costs nothing
     ("(zeta(3,2)*f(a,b))^1000000000", 1, 1, 3, {"monomial": "1", "coeff": "-1 - zeta3"}),
+    # the largest N of these forms that answers
+    ("(1+a*b^-1)^1023", 0, 0, 1024, {"monomial": "a^1023*b^-1023", "coeff": "1"}),
+    ("(1/2+1/2*a*b^-1)^723", 0, 0, 724, {"monomial": "a^723*b^-723", "coeff": "1/%d" % 2 ** 723}),
+    ("(1/2+1/2*zeta(5,1))^131072", 0, 0, 1, None),
+    ("(1+zeta(5,1))^262144", 0, 0, 1, None),
+    ("(1+zeta(105,1)*a*b^-1)^147", 0, 0, 148, {"monomial": "a^147*b^-147", "coeff": "zeta105^42"}),
 ])
 def test_series_powers_within_the_bit_cap_still_answer(capsys, expr, degree, validity, terms,
                                                        first):
@@ -726,12 +734,12 @@ def test_series_powers_within_the_bit_cap_still_answer(capsys, expr, degree, val
 
 
 def test_verify_refuses_a_series_power_past_the_bit_cap(capsys):
-    err = _power_too_large(8000, 2, 1, 3)
+    err = _power_too_large(8000, 2, 1, 1)
     assert main(["verify", "(1+a*b^-1)^8000 = 1", "--degree", "0"]) == 3
     assert capsys.readouterr() == ("user: error (%s)\n" % err[len("evaluation error: "):-1], err)
     assert main(["verify", "(a+b)^100000 = 1", "--format", "json"]) == 3
     out, err = capsys.readouterr()
-    assert err == _power_too_large(100000, 2, 1, 3)
+    assert err == _power_too_large(100000, 2, 1, 1)
     assert json.loads(out)["error"] == err[len("evaluation error: "):-1]
     assert main(["verify", "(1+a*b^-1)^400 = (a*b^-1+1)^400", "--degree", "0"]) == 0
     assert capsys.readouterr() == ("user: verified (degree 0, lhs 401 terms, rhs 401 terms)\n", "")

@@ -409,21 +409,22 @@ def test_power_by_squaring_matches_the_left_fold(case):
 def test_power_refuses_a_least_degree_part_past_the_bit_cap():
     with pytest.raises(ValueError):
         LaurentSeries.one(3).power(0)
-    # 1 + a*b^-1: (591 * 1 + 1) * 591 * 3 bits pass 2^20, 590 copies do not
+    # 1 + a*b^-1: each factor doubles the magnitude sum, 1 bit, and
+    # (1024 * 1 + 1) * 1024 * 1 bits pass 2^20, 1023 copies do not
     x = make_series({(0, 0): 1, (1, -1): 1}, 0)
-    assert x.power(590) == make_series({(k, -k): math.comb(590, k) for k in range(591)}, 0)
-    with pytest.raises(RequestTooLarge, match="power 591 of a 2-term"):
-        x.power(591)
+    assert x.power(1023) == make_series({(k, -k): math.comb(1023, k) for k in range(1024)}, 0)
+    with pytest.raises(RequestTooLarge, match="power 1024 of a 2-term .* 1 bits per factor"):
+        x.power(1024)
     # coefficients whose magnitudes sum to 1 still cost the bits of 2/2 each:
-    # (512 + 1) * 512 * 4 bits pass 2^20, and 1/2 + 1/2*zeta5 is no root
+    # (724 + 1) * 724 * 2 bits pass 2^20, and 1/2 + 1/2*zeta5 is no root
     half = make_series({(0, 0): Fraction(1, 2), (1, -1): Fraction(1, 2)}, 0)
-    assert half.power(511).terms[Monomial(0, 0)] == rational_coeff(Fraction(1, 2 ** 511), 1)
-    with pytest.raises(RequestTooLarge, match="power 512 of a 2-term .* 4 bits per factor"):
-        half.power(512)
+    assert half.power(723).terms[Monomial(0, 0)] == rational_coeff(Fraction(1, 2 ** 723), 1)
+    with pytest.raises(RequestTooLarge, match="power 724 of a 2-term .* 2 bits per factor"):
+        half.power(724)
     mean = LaurentSeries({Monomial(0, 0): rational_coeff(Fraction(1, 2), 5) + CycloNum(
         5, (0, 1, 0, 0), 2)}, 0, 5)
-    with pytest.raises(RequestTooLarge, match="power 65537 of a 1-term .* 16 bits per factor"):
-        mean.power(65537)
+    with pytest.raises(RequestTooLarge, match="power 131073 of a 1-term .* 8 bits per factor"):
+        mean.power(131073)
     # (3 + 4i)/5 lies on the unit circle but is no root of unity: 3 + 4i
     # times its conjugate is 25, and its powers grow
     gauss = LaurentSeries({Monomial(0, 0): CycloNum(4, (3, 4), 5)}, 0, 4)

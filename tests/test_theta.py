@@ -7,14 +7,14 @@ from conftest import (
     KERNEL_ORDERS, make_series, plain_theta_args, reference_theta_expand, schoolbook_fold,
 )
 from thetadissect.catalog import evaluate
-from thetadissect.cyclotomic import zeta_power
+from thetadissect.cyclotomic import CycloNum, zeta_power
 from thetadissect import dissect, theta
 from thetadissect.dissect import dissect_filter
 from thetadissect.errors import NonConvergent, OrderMismatch, RequestTooLarge
 from thetadissect.exprlang import parse_expr
 from thetadissect.laurent import LaurentSeries, Monomial, ScaledMonomial
 from thetadissect.theta import (
-    ThetaArgs, pochhammer_expand, theta_expand, theta_index_range,
+    ThetaArgs, check_index_cap, pochhammer_expand, theta_expand, theta_index_range,
     triple_product_rhs,
 )
 
@@ -120,6 +120,35 @@ def test_arguments_of_two_orders_are_refused():
         ThetaArgs(x, y)
     with pytest.raises(OrderMismatch):
         pochhammer_expand(x, y, 5)
+
+
+_ORDER_3, _ORDER_4 = LaurentSeries.one(3, 3), LaurentSeries.one(3, 4)
+
+
+# every operation that combines two orders raises through errors.check_orders
+@pytest.mark.parametrize("call, message", [
+    (lambda: CycloNum.one(3) + CycloNum.one(4), "coefficient orders differ: 3 vs 4"),
+    (lambda: CycloNum.one(3) * CycloNum.one(4), "coefficient orders differ: 3 vs 4"),
+    (lambda: ScaledMonomial.make(1, 1, 0, 3) * ScaledMonomial.make(1, 0, 1, 4),
+     "scaled monomial orders differ: 3 vs 4"),
+    (lambda: LaurentSeries.make([(Monomial(0, 0), CycloNum.one(4))], 3, 3),
+     "coefficient and series orders differ: 4 vs 3"),
+    (lambda: LaurentSeries.sum([_ORDER_3, _ORDER_3, _ORDER_4]), "series orders differ: 3 vs 4"),
+    (lambda: LaurentSeries.product([_ORDER_3, _ORDER_4]), "series orders differ: 3 vs 4"),
+    (lambda: _ORDER_3.scale(ScaledMonomial.make(1, 0, 0, 4)),
+     "scalar and series orders differ: 4 vs 3"),
+    (lambda: _ORDER_3.first_mismatch(_ORDER_4, 3), "series orders differ: 3 vs 4"),
+    (lambda: ThetaArgs(ScaledMonomial.make(1, 1, 0, 3), ScaledMonomial.make(1, 0, 1, 4)),
+     "theta argument orders differ: 3 vs 4"),
+    (lambda: pochhammer_expand(ScaledMonomial.make(1, 1, 0, 3),
+                               ScaledMonomial.make(1, 0, 1, 4), 5),
+     "Pochhammer orders differ: 3 vs 4"),
+], ids=["coefficient-sum", "coefficient-product", "scaled-monomial-product", "make", "sum",
+        "product", "scale", "first_mismatch", "ThetaArgs", "pochhammer_expand"])
+def test_every_order_mismatch_names_both_orders(call, message):
+    with pytest.raises(OrderMismatch) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_triple_product_matches_theta_at_9():
@@ -258,10 +287,42 @@ def test_the_index_cap_holds_at_its_edge(monkeypatch):
     assert theta_expand(plain_theta_args(), 8).term_count == 5
     with pytest.raises(RequestTooLarge):
         theta_expand(plain_theta_args(), 12)
-    monkeypatch.setattr(dissect, "MAX_THETA_TERMS", 3)
+    monkeypatch.setattr(theta, "MAX_THETA_TERMS", 3)
     assert dissect_filter(2, 0, 8).term_count == 3
     with pytest.raises(RequestTooLarge):
         dissect_filter(2, 0, 16)
+
+
+def test_the_theta_cap_alone_bounds_every_dissection_window(monkeypatch):
+    # dissect.py keeps no copy of the cap. At degree 16 the class n = 1 mod 3
+    # holds the 3 indices -2, 1, 4 and at degree 25 also -5; a run over every
+    # class holds the 3 indices -1..1 at degree 1 and the 5 indices -2..2 at 4
+    monkeypatch.setattr(theta, "MAX_THETA_TERMS", 3)
+    assert dissect_filter(3, 1, 16).term_count == 3
+    with pytest.raises(RequestTooLarge,
+                       match="^dissection filter of 4 indices passes the 3-index cap$"):
+        dissect_filter(3, 1, 25)
+    dissect.check_run_size(1)
+    with pytest.raises(RequestTooLarge,
+                       match="^dissection run of 5 indices passes the 3-index cap$"):
+        dissect.check_run_size(4)
+
+
+def test_the_index_cap_counts_a_window_from_its_ends(monkeypatch):
+    for window in (range(5), range(-3, 9, 4), range(10, 0, -3), range(4, 4), range(7, 3),
+                   range(3, 7, -1)):
+        assert check_index_cap("window", window) == len(window)
+    # len() overflows past 2^63; the count is read off the ends at any step
+    # and named in full
+    count = (2 * 10 ** 30 + 6) // 7
+    for window in (range(-10 ** 30, 10 ** 30, 7), range(10 ** 30, -10 ** 30, -7)):
+        with pytest.raises(RequestTooLarge,
+                           match="^window of %d indices passes the %d-index cap$"
+                           % (count, theta.MAX_THETA_TERMS)):
+            check_index_cap("window", window)
+        monkeypatch.setattr(theta, "MAX_THETA_TERMS", count)
+        assert check_index_cap("window", window) == count
+        monkeypatch.undo()
 
 
 def test_the_ladder_cap_holds_at_its_edge(monkeypatch):
