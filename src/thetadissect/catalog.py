@@ -9,7 +9,8 @@ that is not a monomial. Under f(,) that node is a NonMonomialArgument named
 in the message; in a product or a power it marks a series operand, so no
 exception steers evaluation. Re and Im are identities between series:
 with conj x the coefficientwise conjugate, Re x = (x + conj x)/2 and
-Im x = (conj x - x)*i/2, i = zeta_L^(L/4), so 4 must divide L.
+Im x = (conj x - x)*i/2, i = zeta_L^(L/4), so 4 must divide L, or
+IncompatibleOrders is raised as for any root whose order does not divide L.
 specq(E) is evaluated as E with every b read as q, a one-variable series
 from the leaves up: a, b -> q is a ring homomorphism that keeps total
 degrees, which are all the validity calculus reads, so the result is the
@@ -34,10 +35,7 @@ from typing import Mapping, Optional
 
 from .cyclotomic import CycloNum
 from .dissect import closed_form_parts
-from .errors import (
-    EngineError, IncompatibleOrders, NonInvertible, NonMonomialArgument, OrderNotDivisibleBy4,
-    UnknownIdentityName,
-)
+from .errors import EngineError, NonInvertible, NonMonomialArgument, UsageError, check_divides
 from .expr import (
     Expr, ImagPart, Negate, Power, Product, RationalConst, RealPart, RootOfUnity,
     SpecializeQ, Sum, ThetaCall, Var, b_as_q, product_of, required_order, sum_of,
@@ -68,8 +66,7 @@ def _fold(node: Expr, order: int):
             result = part if result is None else result * part
         return result
     if isinstance(node, RootOfUnity):
-        if order % node.order != 0:
-            raise IncompatibleOrders("order %d does not divide %d" % (node.order, order))
+        check_divides(node.order, order)
         return ScaledMonomial(1, node.exponent * (order // node.order), order, Monomial(0, 0))
     if isinstance(node, RationalConst):
         if node.value == 0:
@@ -132,8 +129,7 @@ def evaluate(node: Expr, degree: int, order: int) -> LaurentSeries:
     if isinstance(node, Negate):
         return -evaluate(node.item, degree, order)
     if isinstance(node, (RealPart, ImagPart)):
-        if order % 4 != 0:
-            raise OrderNotDivisibleBy4("order %d is not divisible by 4" % order)
+        check_divides(4, order)  # i = zeta_L^(L/4)
         x = evaluate(node.item, degree, order)
         conj = x.map_coeffs(CycloNum.conjugate)
         if isinstance(node, RealPart):
@@ -344,7 +340,7 @@ def builtin_catalog() -> tuple[Identity, ...]:
 def get_identity(name: str) -> Identity:
     table = catalog_by_name()
     if name not in table:
-        raise UnknownIdentityName(
+        raise UsageError(
             "no catalog entry named %r (known: %s)" % (name, ", ".join(sorted(table)))
         )
     return table[name]

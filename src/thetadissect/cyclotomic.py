@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import IncompatibleOrders, check_orders
+from .errors import check_divides, check_orders
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -185,13 +185,24 @@ class CycloNum:
             n >>= 1
         return result
 
+    def scaled(self, num: int, den: int = 1, shift: int = 0) -> "CycloNum":
+        """self * (num/den) * zeta^shift, built once on integers: the
+        numerators shifted up `shift` powers of zeta and reduced, times num,
+        over den times the denominator; self itself for the factor 1."""
+        shift %= self.order
+        if not shift and num == 1 and den == 1:
+            return self
+        nums = reduce_powers(self.order, self.nums, 1, shift) if shift else self.nums
+        if num != 1:
+            nums = [v * num for v in nums]
+        return CycloNum(self.order, tuple(nums), self.den * den)
+
     # -- automorphisms and embeddings ----------------------------------------
 
     def embed(self, target_order: int) -> "CycloNum":
         """Ring embedding into Q(zeta_target) sending zeta_m to zeta_target^(target/m)."""
         m = self.order
-        if target_order % m != 0:
-            raise IncompatibleOrders("order %d does not divide %d" % (m, target_order))
+        check_divides(m, target_order)
         if target_order == m:
             return self
         nums = reduce_powers(target_order, self.nums, target_order // m)

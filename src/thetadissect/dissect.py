@@ -77,7 +77,8 @@ def dissect_filter(m: int, k: int, bound: int) -> LaurentSeries:
         raise ValueError("modulus m must be >= 1")
     indices = _class_indices(m, k, bound)
     check_index_cap("dissection filter", indices)
-    entries = [(Monomial(_tri(n), _tri(-n)), CycloNum.one()) for n in indices]
+    one = CycloNum.one()
+    entries = [(Monomial(_tri(n), _tri(-n)), one) for n in indices]
     return LaurentSeries.make(entries, bound, 1)
 
 

@@ -1,8 +1,11 @@
 """Exception types shared across the engine.
 
 Everything the library raises deliberately derives from EngineError. The CLI
-exits 2 on a UsageError (ParseError, UnknownIdentityName, a bad option value)
-and 3 on any other EngineError, naming its leaf class in the message.
+exits 2 on a UsageError (a ParseError, an unknown catalog name, a bad option
+value) and 3 on any other EngineError, naming its leaf class in the message.
+A class exists only where a caller or a CLI line tells it apart, and each
+order rule of the field is raised by one check: check_orders and
+check_divides.
 """
 
 
@@ -23,11 +26,15 @@ def check_orders(what: str, first: int, second: int) -> None:
 
 class IncompatibleOrders(EngineError):
     """A root of unity of order m met a working order L that m does not divide:
-    zeta(m, e) folded at order L, or CycloNum.embed into L."""
+    zeta(m, e) folded at order L, CycloNum.embed into L, or a Re/Im split,
+    which needs i, the root of order 4, at order L."""
 
 
-class OrderNotDivisibleBy4(EngineError):
-    """Real/imaginary split needs i = zeta_L^(L/4), so 4 must divide L."""
+def check_divides(m: int, order: int) -> None:
+    """Raise IncompatibleOrders unless m divides order: the one check of the
+    rule that a root of order m lives in Q(zeta_order)."""
+    if order % m != 0:
+        raise IncompatibleOrders("order %d does not divide %d" % (m, order))
 
 
 class ValidityExceeded(EngineError):
@@ -66,18 +73,3 @@ class ParseError(UsageError):
             detail += " (expected: %s)" % ", ".join(sorted(self.expected))
         super().__init__("%s at offset %d" % (detail, offset))
 
-
-class ExponentNotInteger(ParseError):
-    """'^' must be followed by a literal (optionally signed) integer."""
-
-
-class MissingEquals(ParseError):
-    """An identity needs exactly one top-level '='; none was found."""
-
-
-class MultipleEquals(ParseError):
-    """An identity needs exactly one top-level '='; several were found."""
-
-
-class UnknownIdentityName(UsageError):
-    """A requested catalog entry does not exist."""

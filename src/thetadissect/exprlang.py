@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import ExponentNotInteger, MissingEquals, MultipleEquals, ParseError
+from .errors import ParseError
 from .expr import (
     Expr, ImagPart, Negate, Power, Product, RationalConst, RealPart, RootOfUnity,
     SpecializeQ, Sum, ThetaCall, Var, product_of, sum_of,
@@ -159,7 +159,7 @@ class _Parser:
             sign = -1
             tok = self.peek()
         if tok.kind != "integer":
-            raise ExponentNotInteger(
+            raise ParseError(
                 "exponent must be a literal integer, got %s" % _describe(tok),
                 tok.offset,
                 {"integer"},
@@ -267,11 +267,9 @@ def parse_identity(text: str) -> tuple[Expr, Expr]:
     tokens = tokenize(text)
     eq_positions = [idx for idx, t in enumerate(tokens) if t.kind == "equals"]
     if not eq_positions:
-        raise MissingEquals("identity needs '='", len(text), {"equals"})
+        raise ParseError("identity needs '='", len(text), {"equals"})
     if len(eq_positions) > 1:
-        raise MultipleEquals(
-            "identity has more than one '='", tokens[eq_positions[1]].offset
-        )
+        raise ParseError("identity has more than one '='", tokens[eq_positions[1]].offset)
     split = eq_positions[0]
     end = tokens[-1]
     lhs = _parse_tokens(tokens[:split] + [end])

@@ -111,9 +111,9 @@ class ScaledMonomial:
     @property
     def coeff(self) -> CycloNum:
         """r * zeta_order^e as an element of Q(zeta_order): the root's row of
-        the shared table times the numerator of r, over its denominator."""
-        r, root = self.ratio, zeta_power(self.order, self.exponent)
-        return CycloNum(self.order, tuple([v * r.numerator for v in root.nums]), r.denominator)
+        the shared table scaled by r."""
+        return zeta_power(self.order, self.exponent).scaled(self.ratio.numerator,
+                                                            self.ratio.denominator)
 
     @property
     def total_degree(self) -> int:
@@ -249,9 +249,10 @@ class LaurentSeries:
         if n == 1:
             return self
         least = self.min_total_degree()
-        part = {m: c for m, c in self.terms.items() if m.total_degree == least}
-        bits = _factor_bits(list(part.values()), self.order) if part else 0
-        span = max(m.p for m in part) - min(m.p for m in part) if part else 0
+        low = {m: c for m, c in self.terms.items() if m.total_degree == least}
+        part, den, _, _ = _operand(LaurentSeries(low, self.validity, self.order))
+        bits = _factor_bits(part, den, self.order) if part else 0
+        span = max(p for p, _, _ in part) - min(p for p, _, _ in part) if part else 0
         if (n * span + 1) * n * bits > MAX_POWER_BITS:
             raise RequestTooLarge(
                 "power %s of a %d-term least-degree part of a-exponent span %d and"
@@ -271,23 +272,13 @@ class LaurentSeries:
 
     def scale(self, s: ScaledMonomial) -> "LaurentSeries":
         """Multiply by a single scaled monomial r * zeta^e * a^p * b^q;
-        validity rises with its degree. Each coefficient is built once, on
-        integers: its numerators shifted up e powers of zeta and reduced, then
-        times the numerator of r, over its denominator times that of r. A
-        nonzero factor keeps every (nonzero) term nonzero."""
+        validity rises with its degree. Each coefficient is built once by
+        CycloNum.scaled. A nonzero factor keeps every (nonzero) term nonzero."""
         check_orders("scalar and series", s.order, self.order)
-        order, exponent, mono = self.order, s.exponent, s.mono
+        exponent, mono = s.exponent, s.mono
         num, den = s.ratio.numerator, s.ratio.denominator
-        unit = exponent == 0 and num == 1 and den == 1
-        entries = {}
-        for m, c in self.terms.items():
-            if not unit:
-                nums = reduce_powers(order, c.nums, 1, exponent) if exponent else c.nums
-                if num != 1:
-                    nums = [v * num for v in nums]
-                c = CycloNum(order, tuple(nums), c.den * den)
-            entries[m * mono] = c
-        return LaurentSeries(entries, self.validity + s.total_degree, order)
+        entries = {m * mono: c.scaled(num, den, exponent) for m, c in self.terms.items()}
+        return LaurentSeries(entries, self.validity + s.total_degree, self.order)
 
     def map_coeffs(self, fn: Callable[[CycloNum], CycloNum]) -> "LaurentSeries":
         """Coefficientwise map by a field automorphism, such as conjugation: it
@@ -332,23 +323,21 @@ class LaurentSeries:
         return self.render()
 
 
-def _factor_bits(coeffs: list, order: int) -> int:
-    """About the bits each factor of P, of these coefficients, adds to P^n: one
-    coefficient r times a +-root of unity costs what r does; otherwise
-    ceil(log2) of M and of D, the bits M^n and D^n grow by per factor, M the
-    numerators' magnitudes summed over their common denominator D, times
-    phi(order) unless all are rational. An
-    integer u with u * conj(u) = 1 has every conjugate on the unit circle, so
-    it is a root of unity (Kronecker); the test is one coefficient product, the
-    work of P's first squaring."""
-    den = math.lcm(*(c.den for c in coeffs))
-    nums = [x * (den // c.den) for c in coeffs for x in c.nums]
+def _factor_bits(rows: list, den: int, order: int) -> int:
+    """About the bits each factor of P, the operand rows over den, adds to
+    P^n: one coefficient r times a +-root of unity costs what r does;
+    otherwise ceil(log2) of M and of den, the bits M^n and den^n grow by per
+    factor, M the numerators' magnitudes summed, times phi(order) unless all
+    are rational. An integer u with u * conj(u) = 1 has every conjugate on
+    the unit circle, so it is a root of unity (Kronecker); the test is one
+    coefficient product, the work of P's first squaring."""
+    nums = [x for _, _, v in rows for x in v]
     g = math.gcd(*nums)
-    if len(coeffs) == 1:
+    if len(rows) == 1:
         unit = CycloNum(order, tuple(x // g for x in nums))
         if unit * unit.conjugate() == CycloNum.one(order):
             return ratio_bits(Fraction(g, den))
-    entries = 1 if all(not any(c.nums[1:]) for c in coeffs) else len(coeffs[0].nums)
+    entries = 1 if all(not any(v[1:]) for _, _, v in rows) else len(rows[0][2])
     return entries * ((sum(map(abs, nums)) - 1).bit_length() + (den - 1).bit_length())
 
 

@@ -127,8 +127,7 @@ def theta_expand(args: ThetaArgs, bound: int) -> LaurentSeries:
         u = t - n  # T(-n) = n(n-1)/2
         coeff = powers[(e1 * t + e2 * u) % order]
         if rational:
-            num = n1 ** t * n2 ** u
-            coeff = CycloNum(order, tuple([v * num for v in coeff.nums]), d1 ** t * d2 ** u)
+            coeff = coeff.scaled(n1 ** t * n2 ** u, d1 ** t * d2 ** u)
         entries.append((Monomial(p1 * t + p2 * u, q1 * t + q2 * u), coeff))
     return LaurentSeries.make(entries, bound, order)
 
@@ -152,11 +151,11 @@ def pochhammer_expand(x: ScaledMonomial, qq: ScaledMonomial, bound: int) -> Laur
     check_index_cap("Pochhammer ladder", ladder)
     # one(bound) first: it sets the validity the product starts from
     factors = [LaurentSeries.one(bound, order)]
+    one = CycloNum.one(order)
     term = x
     for _ in ladder:
-        factors.append(LaurentSeries.make(
-            [(Monomial(0, 0), CycloNum.one(order)), (term.mono, -term.coeff)], bound, order
-        ))
+        factors.append(LaurentSeries.make([(Monomial(0, 0), one), (term.mono, -term.coeff)],
+                                          bound, order))
         term = term * qq
     return LaurentSeries.product(factors)
 

@@ -17,8 +17,7 @@ from thetadissect.catalog import (
 from thetadissect.cli import DEFAULT_DEGREE
 from thetadissect.cyclotomic import CycloNum, euler_phi, zeta_power
 from thetadissect.errors import (
-    EngineError, IncompatibleOrders, NonConvergent, NonInvertible, NonMonomialArgument,
-    OrderNotDivisibleBy4, UnknownIdentityName,
+    EngineError, IncompatibleOrders, NonConvergent, NonInvertible, NonMonomialArgument, UsageError,
 )
 from thetadissect.expr import (
     ImagPart, Negate, Power, Product, RationalConst, RealPart, RootOfUnity, SpecializeQ, Sum,
@@ -67,11 +66,11 @@ def test_evaluate_negative_power_needs_monomial_base():
 
 
 def test_evaluate_real_part_needs_order_divisible_by_4():
-    with pytest.raises(OrderNotDivisibleBy4):
+    with pytest.raises(IncompatibleOrders, match="^order 4 does not divide 1$"):
         evaluate(RealPart(F_AB), 9, 1)
     # the order is checked before the operand is read, so a zero one fails too
     for part in (RealPart, ImagPart):
-        with pytest.raises(OrderNotDivisibleBy4):
+        with pytest.raises(IncompatibleOrders, match="^order 4 does not divide 6$"):
             evaluate(part(RationalConst(Fraction(0))), 9, 6)
 
 
@@ -147,6 +146,17 @@ def test_foreign_root_raises_incompatible_orders_on_either_side_of_a_product():
     with pytest.raises(NonMonomialArgument,
                        match="^ThetaCall does not fold to a scaled monomial$"):
         fold_scaled_monomial(parse_expr("f(a,b)*zeta(3,1)"), 4)
+
+
+@pytest.mark.parametrize("call, m, order", [
+    (lambda: catalog._fold(OMEGA, 4), 3, 4),
+    (lambda: zeta_power(3, 1).embed(4), 3, 4),
+    (lambda: evaluate(RealPart(F_AB), 9, 6), 4, 6),
+    (lambda: evaluate(ImagPart(F_AB), 9, 6), 4, 6),
+], ids=["fold", "embed", "Re", "Im"])
+def test_every_order_that_does_not_divide_raises_one_error(call, m, order):
+    with pytest.raises(IncompatibleOrders, match="^order %d does not divide %d$" % (m, order)):
+        call()
 
 
 # Orders 1..12 against L in {1, 2, 3, 4, 6, 12}: some divide L, some do not.
@@ -260,7 +270,7 @@ def test_verify_captures_evaluation_errors_as_status():
     report = verify_identity(
         Identity("bad_order", RealPart(F_AB), F_AB, 1, "negative control"), 10)
     assert report.status == "error"
-    assert "OrderNotDivisibleBy4" in report.error
+    assert report.error == "IncompatibleOrders: order 4 does not divide 1"
 
 
 def test_report_is_deterministic_apart_from_elapsed_time():
@@ -288,7 +298,7 @@ def test_report_serialization_schema():
 
 
 def test_unknown_identity_name_raises():
-    with pytest.raises(UnknownIdentityName):
+    with pytest.raises(UsageError, match="^no catalog entry named 'no_such_entry' "):
         get_identity("no_such_entry")
 
 

@@ -280,6 +280,19 @@ def test_over_long_integer_literal_exits_2():
     assert proc.stderr == "parse error: integer literal has too many digits at offset 0\n"
 
 
+@pytest.mark.parametrize("argv, line", [
+    (("expand", "a^b"),
+     "parse error: exponent must be a literal integer, got ident 'b' (expected: integer)"
+     " at offset 2"),
+    (("verify", "a"), "parse error: identity needs '=' (expected: equals) at offset 1"),
+    (("verify", "a = b = c"), "parse error: identity has more than one '=' at offset 6"),
+])
+def test_parse_error_lines_exit_2(capsys, argv, line):
+    assert main(list(argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == line + "\n"
+
+
 def test_usage_error_leaves_the_shared_parser_as_fresh(capsys):
     good = ("dissect", "--m", "3", "--k", "1", "--degree", "12")
     fresh = run_cli(*good)

@@ -13,7 +13,7 @@ from conftest import (
 from thetadissect.cyclotomic import (
     CycloNum, cyclotomic_polynomial, euler_phi, zeta_power,
 )
-from thetadissect.errors import IncompatibleOrders, OrderMismatch, OrderNotDivisibleBy4
+from thetadissect.errors import IncompatibleOrders, OrderMismatch
 from thetadissect.laurent import LaurentSeries, Monomial, ScaledMonomial
 
 ORDERS = [1, 2, 3, 4, 6, 8, 12]
@@ -178,7 +178,7 @@ def test_real_imag_examples():
     assert re == r and im.is_zero()
     re, im = constant_parts(CycloNum.zero(8))
     assert re.is_zero() and im.is_zero()
-    with pytest.raises(OrderNotDivisibleBy4):
+    with pytest.raises(IncompatibleOrders, match="^order 4 does not divide 6$"):
         constant_parts(CycloNum.one(6))
 
 
@@ -330,4 +330,16 @@ def test_scale_by_a_root_is_the_product_with_the_root(case):
     series = LaurentSeries.make([(one, x)], 0, x.order)
     got = series.scale(ScaledMonomial(1, e, x.order, one)).coefficient(one)
     assert got == x * zeta_power(x.order, e)
+    assert_canonical(got)
+
+
+@given(st.integers(1, 30).flatmap(lambda order: st.tuples(
+    cyclo_values(order), numerators.filter(bool), denominators,
+    st.integers(-2 * order, 2 * order))))
+@settings(max_examples=200, deadline=None)
+def test_scaled_matches_the_fraction_reference(case):
+    x, num, den, shift = case
+    root = FractionCyclo.combine(x.order, [0] * (shift % x.order) + [Fraction(1)])
+    got = x.scaled(num, den, shift)
+    assert FractionCyclo.of(got) == FractionCyclo.of(x) * root * Fraction(num, den)
     assert_canonical(got)

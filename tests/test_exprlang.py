@@ -6,9 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import reference_tokenize
 from thetadissect.catalog import builtin_catalog
-from thetadissect.errors import (
-    ExponentNotInteger, MissingEquals, MultipleEquals, ParseError,
-)
+from thetadissect.errors import ParseError
 from thetadissect.expr import (
     ImagPart, Negate, Power, Product, RationalConst, RealPart, RootOfUnity,
     SpecializeQ, Sum, ThetaCall, Var, required_order,
@@ -82,7 +80,7 @@ def test_juxtaposition_is_not_multiplication():
 
 
 def test_exponent_must_be_integer_literal():
-    with pytest.raises(ExponentNotInteger) as err:
+    with pytest.raises(ParseError, match="^exponent must be a literal integer, got ") as err:
         parse_expr("a^(2)")
     assert err.value.offset == 2
 
@@ -91,9 +89,9 @@ def test_parse_identity_examples():
     lhs, rhs = parse_identity("f(a,b) = f(b,a)")
     assert lhs == ThetaCall(A, B)
     assert rhs == ThetaCall(B, A)
-    with pytest.raises(MissingEquals):
+    with pytest.raises(ParseError, match="^identity needs '='"):
         parse_identity("f(a,b)")
-    with pytest.raises(MultipleEquals):
+    with pytest.raises(ParseError, match="^identity has more than one '='"):
         parse_identity("x = y = z")
 
 

@@ -135,6 +135,12 @@ def test_scale_examples():
         x.scale(ScaledMonomial.make(1, 0, 0, 4))
 
 
+def test_scale_by_one_keeps_the_coefficient_objects():
+    x = make_series({(0, 0): Fraction(1, 2), (1, 2): 3}, 4, 3)
+    scaled = x.scale(ScaledMonomial(1, 0, 3, Monomial(1, 0)))
+    assert [id(c) for c in scaled.terms.values()] == [id(c) for c in x.terms.values()]
+
+
 @given(st.sampled_from(KERNEL_ORDERS), st.data())
 @settings(max_examples=100, deadline=None)
 def test_scale_by_a_scaled_root_matches_coefficient_products(order, data):
