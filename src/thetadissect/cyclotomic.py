@@ -11,7 +11,8 @@ built by the Moebius product over the squarefree divisors of L.
 Ring operations build every element from integers, and so does the text form
 every report prints: `CycloNum.signed_parts` spells each basis term from the
 stored integers, `join_signed` joins signed parts. Only `as_rational`
-leaves the integers, for callers that check rational coefficients.
+leaves the integers. Only `perfbench/` calls it, where a workload checks
+rational coefficients; ROADMAP's Benchmark v2 deletes it.
 """
 from __future__ import annotations
 

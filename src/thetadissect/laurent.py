@@ -307,9 +307,11 @@ class LaurentSeries:
         """Collapse a^p*b^q to a^(p+q): the a-slot holds the univariate q-series.
 
         Total degree is preserved termwise, so validity is unchanged.
-        `specq` does not come here (it evaluates its argument at b = q);
-        this is the collapse of a bivariate series that the tests check it
-        against.
+        `specq` does not come here (it evaluates its argument at b = q); the
+        tests check `specq` against the collapse in `perfbench/oracles.py`.
+        Apart from its own tests, only `perfbench/` reaches this method,
+        through its `laurent.specialize` span; ROADMAP's Benchmark v2 deletes
+        both.
         """
         entries = [(Monomial(m.total_degree, 0), c) for m, c in self.terms.items()]
         return LaurentSeries.make(entries, self.validity, self.order)

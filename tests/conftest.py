@@ -11,19 +11,23 @@ ROOT = os.path.dirname(TESTS_DIR)
 SRC = os.path.join(ROOT, "src")
 if SRC not in sys.path:
     sys.path.insert(0, SRC)
+# the benchmark's oracles import nothing from thetadissect, so they serve the
+# tests as references that do not lean on the engine they check
+ORACLES_DIR = os.path.join(ROOT, "perfbench")
+if ORACLES_DIR not in sys.path:
+    sys.path.insert(0, ORACLES_DIR)
 
+import oracles as orc  # noqa: E402
 from thetadissect.catalog import evaluate  # noqa: E402
 from thetadissect.dissect import closed_form_parts  # noqa: E402
-from thetadissect.cyclotomic import (  # noqa: E402
-    CycloNum, cyclotomic_polynomial, euler_phi, zeta_power,
-)
+from thetadissect.cyclotomic import CycloNum, euler_phi  # noqa: E402
 from thetadissect.errors import IncompatibleOrders, NonMonomialArgument, ParseError  # noqa: E402
 from thetadissect.expr import (  # noqa: E402
     ImagPart, Negate, Power, Product, RationalConst, RealPart, RootOfUnity, Var, sum_of,
 )
 from thetadissect.exprlang import _SYMBOLS  # noqa: E402
 from thetadissect.laurent import LaurentSeries, Monomial, ScaledMonomial  # noqa: E402
-from thetadissect.theta import ThetaArgs, theta_index_range  # noqa: E402
+from thetadissect.theta import ThetaArgs  # noqa: E402
 
 
 def rational_coeff(value, order=1):
@@ -83,7 +87,8 @@ def rand_cyclo(rng, order, span=9):
 class FractionCyclo:
     """The Fraction-vector arithmetic of Q(zeta_order) that CycloNum used
     before it stored integer numerators over one denominator, kept as the
-    reference: coeffs is the power-basis vector of Fractions."""
+    reference: coeffs is the power-basis vector of Fractions, and every
+    reduction modulo Phi_order goes through the oracles' roots."""
 
     order: int
     coeffs: tuple
@@ -94,33 +99,26 @@ class FractionCyclo:
 
     @staticmethod
     def combine(order, values, step=1):
-        """The sum of values[j] * zeta_order^(j*step), reduced modulo Phi_order:
-        the powers are folded modulo x^order - 1, then long-divided by Phi_order
-        from the top, without the engine's table of root powers."""
-        folded = [Fraction(0)] * order
+        """The sum of values[j] * zeta_order^(j*step): the oracles' power-basis
+        rows of the roots, scaled and added, without the engine's table."""
+        total = (Fraction(0),) * orc.phi(order)
         for j, c in enumerate(values):
-            folded[j * step % order] += c
-        modulus = cyclotomic_polynomial(order)  # monic, degree phi
-        phi = len(modulus) - 1
-        for top in range(order - 1, phi - 1, -1):
-            lead = folded[top]
-            if lead:
-                for i, v in enumerate(modulus):
-                    folded[top - phi + i] -= lead * v
-        return FractionCyclo(order, tuple(folded[:phi]))
+            if c:
+                total = orc.vec_add(total, orc.vec_scale(orc.root(order, j * step), c))
+        return FractionCyclo(order, total)
 
     def __add__(self, other):
-        return FractionCyclo(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return FractionCyclo(self.order, orc.vec_add(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
-        return FractionCyclo(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + -other
 
     def __neg__(self):
-        return FractionCyclo(self.order, tuple(-a for a in self.coeffs))
+        return self * -1
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return FractionCyclo(self.order, tuple(a * other for a in self.coeffs))
+            return FractionCyclo(self.order, orc.vec_scale(self.coeffs, other))
         conv = [Fraction(0)] * (2 * len(self.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
@@ -178,81 +176,20 @@ def full_digits(n):
         sys.set_int_max_str_digits(limit)
 
 
-def reference_basis_terms(c):
-    """Nonzero (power, Fraction coefficient) pairs, power ascending."""
-    return [(j, Fraction(x, c.den)) for j, x in enumerate(c.nums) if x]
+def fraction_terms(series):
+    """A series as the oracles hold one: {(p, q): power-basis Fraction tuple}."""
+    return {(m.p, m.q): FractionCyclo.of(c).coeffs for m, c in series.terms.items()}
 
 
-def reference_str(c):
-    """The Fraction-based spelling of a CycloNum that the text formatter
-    replaced, kept as the reference."""
-    terms = reference_basis_terms(c)
-    if not terms:
-        return "0"
-    parts = []
-    for j, r in terms:
-        if j == 0:
-            body = str(abs(r))
-        else:
-            z = "zeta%d" % c.order if j == 1 else "zeta%d^%d" % (c.order, j)
-            body = z if abs(r) == 1 else "%s*%s" % (abs(r), z)
-        if not parts:
-            parts.append(("-" if r < 0 else "") + body)
-        else:
-            parts.append((" - " if r < 0 else " + ") + body)
-    return "".join(parts)
-
-
-def reference_render_term(mono, coeff):
-    """(negative-sign, body) for one series term, by the Fraction-based
-    spelling, kept as the reference."""
-    mono_txt = mono.render()
-    basis = reference_basis_terms(coeff)
-    if not any(coeff.nums[1:]):
-        r = coeff.as_rational()
-        mag = abs(r)
-        if mono_txt == "1":
-            return r < 0, str(mag)
-        return r < 0, mono_txt if mag == 1 else "%s*%s" % (mag, mono_txt)
-    if len(basis) == 1:
-        j, r = basis[0]
-        z = "zeta%d" % coeff.order if j == 1 else "zeta%d^%d" % (coeff.order, j)
-        head = z if abs(r) == 1 else "%s*%s" % (abs(r), z)
-        return r < 0, head if mono_txt == "1" else "%s*%s" % (head, mono_txt)
-    wrapped = "(%s)" % reference_str(coeff)
-    return False, wrapped if mono_txt == "1" else "%s*%s" % (wrapped, mono_txt)
-
-
-def reference_render(series):
-    """The rendering of a series by the Fraction-based spelling."""
-    if not series.terms:
-        return "0"
-    parts = []
-    for mono, coeff in series.sorted_terms():
-        negative, body = reference_render_term(mono, coeff)
-        if not parts:
-            parts.append(("-" if negative else "") + body)
-        else:
-            parts.append((" - " if negative else " + ") + body)
-    return "".join(parts)
-
-
-def reference_theta_expand(args, bound):
-    """The theta sum as it was built before it ran on plain integers, kept as
-    the reference: each index's monomial by Monomial powers, its root by
-    zeta_power, its ratio by Fraction powers, and the terms normalized by
-    LaurentSeries.make."""
-    order = args.order
-    x, y = args.first, args.second
-    scaled = x.ratio != 1 or y.ratio != 1
-    entries = []
-    for n in theta_index_range(args, bound):
-        t, u = n * (n + 1) // 2, n * (n - 1) // 2
-        coeff = zeta_power(order, x.exponent * t + y.exponent * u)
-        if scaled:
-            coeff = coeff * rational_coeff(x.ratio ** t * y.ratio ** u, order)
-        entries.append((x.mono ** t * y.mono ** u, coeff))
-    return LaurentSeries.make(entries, bound, order)
+def collapse_q(series):
+    """The bivariate series at a = b = q by the oracles' collapse, as a series
+    of the same validity and order: the reference that specq is checked
+    against."""
+    order = series.order
+    return LaurentSeries.make(
+        [(Monomial(*mono), cyclo_from_pairs(order, [c.as_integer_ratio() for c in vec]))
+         for mono, vec in orc.specialize_q(fraction_terms(series)).items()],
+        series.validity, order)
 
 
 def schoolbook_terms(x, y, validity):

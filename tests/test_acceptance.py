@@ -10,7 +10,7 @@ import sys
 import time
 from fractions import Fraction
 
-from conftest import constant_parts, plain_theta_args, rand_cyclo, rational_coeff
+from conftest import collapse_q, constant_parts, plain_theta_args, rand_cyclo, rational_coeff
 from thetadissect.catalog import (
     builtin_catalog, evaluate, get_identity, make_identity, transformation_identity,
     verify_identity,
@@ -111,10 +111,10 @@ def test_criterion_6_q_specialization_of_quartic_components():
     even_direct = evaluate(parse_expr("f(q^16, q^16) + q^4*f(q^32, 1)"), 60, 1)
     odd_direct = evaluate(parse_expr("q*f(q^24, q^8) + q^9*f(q^40, q^-8)"), 60, 1)
     ok = (
-        even.specialize_q().first_mismatch(even_direct, 60) is None
-        and odd.specialize_q().first_mismatch(odd_direct, 60) is None
-        and even_closed.specialize_q().first_mismatch(even_direct, 60) is None
-        and odd_closed.specialize_q().first_mismatch(odd_direct, 60) is None
+        collapse_q(even).first_mismatch(even_direct, 60) is None
+        and collapse_q(odd).first_mismatch(odd_direct, 60) is None
+        and collapse_q(even_closed).first_mismatch(even_direct, 60) is None
+        and collapse_q(odd_closed).first_mismatch(odd_direct, 60) is None
     )
     _criterion(6, ok, "a=b=q collapse of the m=4 components equals the "
                       "directly-built univariate theta sums through N=60")

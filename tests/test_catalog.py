@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
-    FractionCyclo, cyclo_from_pairs, denominators, evaluated_parts, make_series, numerators,
-    rational_coeff, reference_fold, reference_transformation_text, series_expr,
+    FractionCyclo, collapse_q, cyclo_from_pairs, denominators, evaluated_parts, make_series,
+    numerators, rational_coeff, reference_fold, reference_transformation_text, series_expr,
 )
 from thetadissect import catalog, exprlang
 from thetadissect.catalog import (
@@ -310,7 +310,7 @@ def test_q_specialization_two_routes_agree():
     assert via_specialize == direct
     # specq evaluates its argument univariate, so the collapse of the
     # bivariate series keeps a second route in this test
-    assert evaluate(parse_expr("f(a^3*b, a*b^3)"), 40, 1).specialize_q() == direct
+    assert collapse_q(evaluate(parse_expr("f(a^3*b, a*b^3)"), 40, 1)) == direct
 
 
 # --- specq(E) as E at b = q ---------------------------------------------------------
@@ -370,13 +370,13 @@ def test_specq_matches_the_collapse_of_the_bivariate_series(data, order, degree)
     if not isinstance(bivariate, LaurentSeries):
         assert univariate is bivariate
         return
-    bivariate = bivariate.specialize_q()
+    bivariate = collapse_q(bivariate)
     # exact through the bivariate validity, and never less exact
     assert univariate.validity >= bivariate.validity
     assert LaurentSeries.make(univariate.terms.items(), bivariate.validity, order) == bivariate
     assert all(mono.q == 0 for mono in univariate.terms)
     # what the univariate route claims past that is what more degree confirms
-    deeper = evaluate(node, degree + 8, order).specialize_q()
+    deeper = collapse_q(evaluate(node, degree + 8, order))
     through = min(univariate.validity, deeper.validity)
     assert univariate.first_mismatch(deeper, through) is None
 
@@ -393,7 +393,7 @@ def test_specq_validity_rises_where_a_equals_b_cancels(text, degree, terms, vali
     assert series.validity == validity
     assert series.terms == {mono: rational_coeff(c) for mono, c in terms.items()}
     # the collapse of the bivariate series is exact through less
-    assert evaluate(node.item, degree, 1).specialize_q().validity < validity
+    assert collapse_q(evaluate(node.item, degree, 1)).validity < validity
 
 
 def test_no_theta_call_under_specq_sees_b(monkeypatch):

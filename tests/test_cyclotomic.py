@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
-    KERNEL_ORDERS, FractionCyclo, constant_parts, denominators, full_digits, numerators,
+    KERNEL_ORDERS, FractionCyclo, constant_parts, denominators, full_digits, numerators, orc,
     rand_cyclo, rational_coeff,
 )
 from thetadissect.cyclotomic import (
@@ -20,59 +20,8 @@ ORDERS = [1, 2, 3, 4, 6, 8, 12]
 SAMPLES = 120
 
 
-# --- independent oracle: Phi_m via the Moebius product -----------------------
-# Phi_m(x) = prod over d | m of (x^(m/d) - 1)^mu(d), computed with naive
-# integer polynomial multiplication and long division.
-
-def _mu(n):
-    result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if n > 1:
-        result = -result
-    return result
-
-
-def _pmul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _pdiv_exact(num, den):
-    num = list(num)
-    quot = [0] * (len(num) - len(den) + 1)
-    for i in range(len(num) - len(den), -1, -1):
-        q, r = divmod(num[i + len(den) - 1], den[-1])
-        assert r == 0
-        quot[i] = q
-        for j, d in enumerate(den):
-            num[i + j] -= q * d
-    assert all(c == 0 for c in num)
-    return quot
-
-
-def phi_oracle(m):
-    num = [1]
-    den = [1]
-    for d in range(1, m + 1):
-        if m % d:
-            continue
-        factor = [-1] + [0] * (m // d - 1) + [1]  # x^(m/d) - 1
-        if _mu(d) == 1:
-            num = _pmul(num, factor)
-        elif _mu(d) == -1:
-            den = _pmul(den, factor)
-    return _pdiv_exact(num, den)
-
+# --- two independent paths to Phi_m: the oracles' Moebius product, and
+# x^m - 1 divided by Phi_d over the proper divisors d
 
 def test_cyclotomic_polynomial_base_cases():
     assert cyclotomic_polynomial(1) == (-1, 1)      # x - 1
@@ -81,19 +30,16 @@ def test_cyclotomic_polynomial_base_cases():
 
 def test_cyclotomic_polynomial_phi6_by_division_oracle():
     # divide x^6 - 1 by Phi_1 * Phi_2 * Phi_3, all from the oracle
-    den = _pmul(_pmul(phi_oracle(1), phi_oracle(2)), phi_oracle(3))
-    expected = _pdiv_exact([-1, 0, 0, 0, 0, 0, 1], den)
+    den = orc._poly_mul(orc._poly_mul(orc.cyclotomic(1), orc.cyclotomic(2)), orc.cyclotomic(3))
+    expected = orc._poly_div([-1, 0, 0, 0, 0, 0, 1], den)
     assert expected == [1, -1, 1]                          # x^2 - x + 1
     assert cyclotomic_polynomial(6) == tuple(expected)
 
 
 @pytest.mark.parametrize("m", list(range(1, 31)))
 def test_cyclotomic_polynomial_matches_moebius_oracle(m):
-    assert list(cyclotomic_polynomial(m)) == phi_oracle(m)
+    assert cyclotomic_polynomial(m) == orc.cyclotomic(m)
     assert len(cyclotomic_polynomial(m)) - 1 == euler_phi(m)
-
-
-# --- second independent path: x^n - 1 divided by Phi_d over the proper divisors d
 
 
 @functools.lru_cache(maxsize=None)
@@ -101,7 +47,7 @@ def phi_by_division(n):
     poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            poly = _pdiv_exact(poly, phi_by_division(d))
+            poly = orc._poly_div(poly, phi_by_division(d))
     return tuple(poly)
 
 
@@ -339,7 +285,7 @@ def test_scale_by_a_root_is_the_product_with_the_root(case):
 @settings(max_examples=200, deadline=None)
 def test_scaled_matches_the_fraction_reference(case):
     x, num, den, shift = case
-    root = FractionCyclo.combine(x.order, [0] * (shift % x.order) + [Fraction(1)])
+    root = FractionCyclo(x.order, orc.root(x.order, shift))
     got = x.scaled(num, den, shift)
     assert FractionCyclo.of(got) == FractionCyclo.of(x) * root * Fraction(num, den)
     assert_canonical(got)

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_series, plain_theta_args
+from conftest import collapse_q, make_series, plain_theta_args
 from thetadissect.catalog import evaluate, transformation_identity
 from thetadissect.dissect import closed_form_parts, dissect_closed, dissect_filter
 from thetadissect.cyclotomic import CycloNum
@@ -149,7 +149,7 @@ def test_scaling_the_inner_theta_reproduces_the_odd_part():
 
 
 def test_specialize_of_m4_component_s0():
-    s0 = dissect_filter(4, 0, 60).specialize_q()
+    s0 = collapse_q(dissect_filter(4, 0, 60))
     direct = theta_expand(
         ThetaArgs(ScaledMonomial.make(1, 16, 0), ScaledMonomial.make(1, 16, 0)), 60)
     assert s0 == direct

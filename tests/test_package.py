@@ -1,10 +1,12 @@
 """The package surface: every public name resolves from a star import, and
-the runtime imports nothing outside the standard library."""
+the runtime imports nothing outside the standard library. The benchmark's
+oracles, the tests' references, import nothing from the package."""
 import os
 import subprocess
 import sys
 
 import thetadissect
+from conftest import ORACLES_DIR
 
 # imports the package and the CLI, runs one catalog entry in JSON with stdout
 # captured, then prints every top-level module name outside the standard
@@ -17,6 +19,14 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = main(["catalog", "entry9b", "--degree", "8", "--format", "json"])
 names = {name.partition(".")[0] for name in sys.modules}
 print(code, " ".join(sorted(names - set(sys.stdlib_module_names))))
+"""
+
+
+# imports the oracles and prints every loaded module of the package
+_ORACLES_ALONE_SCRIPT = """
+import sys
+import oracles
+print(" ".join(name for name in sys.modules if name.partition(".")[0] == "thetadissect"))
 """
 
 
@@ -34,3 +44,13 @@ def test_runtime_imports_only_the_standard_library():
                             env=dict(os.environ, PYTHONPATH=src),
                             capture_output=True, text=True, check=True)
     assert result.stdout.split() == ["0", "__main__", "thetadissect"]
+
+
+def test_oracles_import_nothing_from_the_engine():
+    # the references stay independent of the engine only while the oracles
+    # load none of it, though the package is on the path
+    src = os.path.dirname(os.path.dirname(os.path.abspath(thetadissect.__file__)))
+    result = subprocess.run([sys.executable, "-S", "-c", _ORACLES_ALONE_SCRIPT],
+                            env=dict(os.environ, PYTHONPATH=os.pathsep.join((ORACLES_DIR, src))),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.split() == []

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
-    KERNEL_ORDERS, make_series, plain_theta_args, reference_theta_expand, schoolbook_fold,
+    KERNEL_ORDERS, fraction_terms, make_series, orc, plain_theta_args, schoolbook_fold,
 )
 from thetadissect.catalog import evaluate
 from thetadissect.cyclotomic import CycloNum, zeta_power
@@ -259,13 +259,35 @@ def kernel_cases(draw):
     return ThetaArgs(first, second), draw(st.integers(-30, 60))
 
 
+def index_order(x, y, bound):
+    """The monomials of the indices n of f(x, y) with degree <= bound, n
+    ascending, each at the last n that reaches it, where the terms that meet
+    on it are summed. With s = d1 + d2 >= 1 and t = d1 - d2 the index-n
+    degree (s*n^2 + t*n)/2 is at least |n|(|n| - |t|)/2, which passes |bound|
+    once |n| > |t| + 2|bound|."""
+    (_, _, p1, q1), (_, _, p2, q2) = x, y
+    d1, d2 = p1 + q1, p2 + q2
+    reach = abs(d1 - d2) + 2 * abs(bound) + 1
+    order = {}
+    for n in range(-reach, reach + 1):
+        t, u = n * (n + 1) // 2, n * (n - 1) // 2
+        if d1 * t + d2 * u <= bound:
+            mono = (p1 * t + p2 * u, q1 * t + q2 * u)
+            order.pop(mono, None)
+            order[mono] = None
+    return list(order)
+
+
 @given(kernel_cases())
 @settings(max_examples=400, deadline=None)
 def test_theta_expand_matches_the_fraction_power_reference(case):
     args, bound = case
-    got, expected = theta_expand(args, bound), reference_theta_expand(args, bound)
-    assert got == expected
-    assert list(got.terms) == list(expected.terms)
+    x, y = ((s.ratio, s.exponent, *s.mono) for s in (args.first, args.second))
+    got, expected = theta_expand(args, bound), orc.theta_direct(x, y, bound, args.order)
+    assert (got.validity, got.order) == (bound, args.order)
+    assert fraction_terms(got) == expected
+    # terms stand in index order; a monomial two indices meet on stands at the last
+    assert list(got.terms) == [m for m in index_order(x, y, bound) if m in expected]
 
 
 @pytest.mark.parametrize("order", [1, 2, 4])
