@@ -3,14 +3,17 @@
 Evaluation is bottom-up into LaurentSeries over a single working order L
 (every root of unity in the expression must live in a field embedding into
 Q(zeta_L)). Theta-call arguments, product factors, leaves and powers are
-constant-folded to scaled monomials by one fold that returns, instead of a
-scaled monomial, the first node that stops it: a zero constant or a node
-that is not a monomial. Under f(,) that node is a NonMonomialArgument named
-in the message; in a product or a power it marks a series operand, so no
-exception steers evaluation. Re and Im are identities between series:
-with conj x the coefficientwise conjugate, Re x = (x + conj x)/2 and
-Im x = (conj x - x)*i/2, i = zeta_L^(L/4), so 4 must divide L, or
-IncompatibleOrders is raised as for any root whose order does not divide L.
+constant-folded to scaled monomials by one fold that carries (r, e, p, q)
+for r * zeta_L^e * a^p * b^q as plain values, r an int unless rational
+input or a negative power makes it a Fraction, and builds one ScaledMonomial
+per folded node; or returns the first node that stops it: a zero constant
+or a node that is not a monomial. Under f(,) that node is a
+NonMonomialArgument named in the message; in a product or a power it marks
+a series operand, so no exception steers evaluation. Re and Im are
+identities between series: with conj x the coefficientwise conjugate,
+Re x = (x + conj x)/2 and Im x = (conj x - x)*i/2, i = zeta_L^(L/4), so 4
+must divide L, or IncompatibleOrders is raised as for any root whose order
+does not divide L.
 specq(E) is evaluated as E with every b read as q, a one-variable series
 from the leaves up: a, b -> q is a ring homomorphism that keeps total
 degrees, which are all the validity calculus reads, so the result is the
@@ -41,41 +44,53 @@ from .expr import (
     SpecializeQ, Sum, ThetaCall, Var, b_as_q, product_of, required_order, sum_of,
 )
 from .exprlang import parse_identity
-from .laurent import LaurentSeries, Mismatch, Monomial, ScaledMonomial
+from .laurent import LaurentSeries, Mismatch, Monomial, ScaledMonomial, ratio_power
 from .theta import ThetaArgs, theta_expand
 
-_VAR_MONOMIALS = {"a": Monomial(1, 0), "b": Monomial(0, 1), "q": Monomial(1, 0)}
+_VAR_PARTS = {"a": (1, 0, 1, 0), "b": (1, 0, 0, 1), "q": (1, 0, 1, 0)}
 
 
-def _fold(node: Expr, order: int):
-    """The scaled monomial that node folds to; or, when it does not fold, the
-    first node (depth first, left to right) that stops it: a zero
-    RationalConst or a node that is not a monomial. A root of unity whose
-    order does not divide `order` raises IncompatibleOrders."""
+def _fold(node: Expr, order: int, series: Optional[list] = None):
+    """(r, e, p, q) for the r * zeta_order^e * a^p * b^q that node folds to,
+    e reduced mod order at each step; or, when it does not fold, the first
+    node (depth first, left to right) that stops it: a zero RationalConst or
+    a node that is not a monomial. Given a list `series`, a product appends
+    its items that do not fold there and folds the rest. A root of unity
+    whose order does not divide `order` raises IncompatibleOrders."""
     if isinstance(node, Var):
-        return ScaledMonomial(1, 0, order, _VAR_MONOMIALS[node.name])
+        return _VAR_PARTS[node.name]
     if isinstance(node, Power):
-        base = _fold(node.base, order)
-        return base ** node.exponent if isinstance(base, ScaledMonomial) else base
+        base, n = _fold(node.base, order), node.exponent
+        if type(base) is not tuple:
+            return base
+        return ratio_power(base[0], n), base[1] * n % order, base[2] * n, base[3] * n
     if isinstance(node, Product):
-        result = None
+        r, e, p, q = 1, 0, 0, 0
         for item in node.items:
             part = _fold(item, order)
-            if not isinstance(part, ScaledMonomial):
+            if type(part) is tuple:
+                r, e, p, q = r * part[0], (e + part[1]) % order, p + part[2], q + part[3]
+            elif series is None:
                 return part
-            result = part if result is None else result * part
-        return result
+            else:
+                series.append(item)
+        return r, e, p, q
     if isinstance(node, RootOfUnity):
         check_divides(node.order, order)
-        return ScaledMonomial(1, node.exponent * (order // node.order), order, Monomial(0, 0))
+        return 1, node.exponent * (order // node.order) % order, 0, 0
     if isinstance(node, RationalConst):
-        if node.value == 0:
-            return node
-        return ScaledMonomial(node.value, 0, order, Monomial(0, 0))
+        v = node.value  # an int ratio unless the constant is not an integer
+        return (v.numerator if v.denominator == 1 else v, 0, 0, 0) if v else node
     if isinstance(node, Negate):
         item = _fold(node.item, order)
-        return -item if isinstance(item, ScaledMonomial) else item
+        return (-item[0],) + item[1:] if type(item) is tuple else item
     return node
+
+
+def _scaled(parts: tuple, order: int) -> ScaledMonomial:
+    """The one ScaledMonomial of a folded node's (r, e, p, q)."""
+    r, e, p, q = parts
+    return ScaledMonomial(r, e, order, Monomial(p, q))
 
 
 def fold_scaled_monomial(node: Expr, order: int) -> ScaledMonomial:
@@ -84,8 +99,8 @@ def fold_scaled_monomial(node: Expr, order: int) -> ScaledMonomial:
     q folds to the a-slot (the univariate convention of specialize_q).
     """
     folded = _fold(node, order)
-    if isinstance(folded, ScaledMonomial):
-        return folded
+    if type(folded) is tuple:
+        return _scaled(folded, order)
     if isinstance(folded, RationalConst):
         raise NonMonomialArgument("zero cannot be a theta-argument coefficient")
     raise NonMonomialArgument(
@@ -106,19 +121,13 @@ def evaluate(node: Expr, degree: int, order: int) -> LaurentSeries:
         return LaurentSeries.sum([evaluate(item, degree, order) for item in node.items])
     if isinstance(node, Product):
         # the items that fold form one monomial prefix; the rest are series
-        prefix = None
         series_items = []
-        for item in node.items:
-            part = _fold(item, order)
-            if not isinstance(part, ScaledMonomial):
-                series_items.append(item)
-            else:
-                prefix = part if prefix is None else prefix * part
+        prefix = _fold(node, order, series_items)
         if not series_items:
-            return _monomial_series(prefix, degree)
+            return _monomial_series(_scaled(prefix, order), degree)
         result = LaurentSeries.product([evaluate(item, degree, order) for item in series_items])
-        if prefix is not None:
-            result = result.scale(prefix)
+        if prefix != (1, 0, 0, 0):
+            result = result.scale(_scaled(prefix, order))
         return result
     if isinstance(node, ThetaCall):
         args = ThetaArgs(
@@ -142,8 +151,8 @@ def evaluate(node: Expr, degree: int, order: int) -> LaurentSeries:
         return evaluate(b_as_q(node.item), degree, order)
     # one fold serves the nodes that can be monomials: Var, RootOfUnity, RationalConst, Power
     folded = _fold(node, order)
-    if isinstance(folded, ScaledMonomial):
-        return _monomial_series(folded, degree)
+    if type(folded) is tuple:
+        return _monomial_series(_scaled(folded, order), degree)
     if isinstance(node, RationalConst):  # zero
         return LaurentSeries.zero(degree, order)
     if not isinstance(node, Power):

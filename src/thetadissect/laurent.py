@@ -70,12 +70,26 @@ class Monomial(NamedTuple):
         return "*".join(parts) if parts else "1"
 
 
-def ratio_bits(ratio: Fraction) -> int:
+def ratio_bits(ratio: int | Fraction) -> int:
     """The bits of a ratio's numerator and denominator, about the bits that
     each power of it adds; 0 for +-1, the only ratios of 2 bits, whose powers
     add none."""
     bits = ratio.numerator.bit_length() + ratio.denominator.bit_length()
     return bits if bits > 2 else 0
+
+
+def ratio_power(ratio: int | Fraction, n: int) -> int | Fraction:
+    """ratio^n, an int for an int ratio and n >= 0, else a Fraction (never a
+    float); +-1 is taken by the parity of n, and any other ratio whose power
+    would pass MAX_POWER_BITS raises RequestTooLarge before it is taken."""
+    bits = ratio_bits(ratio)
+    if not bits:
+        return ratio if n % 2 else 1
+    if abs(n) * bits > MAX_POWER_BITS:
+        raise RequestTooLarge(
+            "power %s of a ratio with %d numerator and denominator bits exceeds"
+            " the %d-bit cap" % (_digits(n), bits, MAX_POWER_BITS))
+    return Fraction(ratio) ** n if n < 0 else ratio ** n
 
 
 def _term_key(mono: Monomial) -> tuple[int, int]:
@@ -85,13 +99,15 @@ def _term_key(mono: Monomial) -> tuple[int, int]:
 @dataclass(frozen=True)
 class ScaledMonomial:
     """r * zeta_order^e * a^p * b^q with r a nonzero rational: the only legal
-    theta argument. Products, powers and negation are rational and exponent
-    arithmetic; a power whose ratio would pass MAX_POWER_BITS raises
-    RequestTooLarge before it is taken. The form is canonical (0 <= e <
-    order, and r > 0 when order is even, since -1 = zeta^(order/2)), so equal
-    values compare equal."""
+    theta argument. r is kept as given: an int unless rational input or a
+    negative power makes it a Fraction, which compares and hashes as the int
+    of its value does. Products, powers and negation are rational and
+    exponent arithmetic; a power whose ratio would pass MAX_POWER_BITS raises
+    RequestTooLarge before it is taken (`ratio_power`). The form is canonical
+    (0 <= e < order, and r > 0 when order is even, since -1 =
+    zeta^(order/2)), so equal values compare equal."""
 
-    ratio: Fraction
+    ratio: int | Fraction
     exponent: int
     order: int
     mono: Monomial
@@ -100,7 +116,8 @@ class ScaledMonomial:
         if self.ratio == 0:
             raise ValueError("scaled monomial coefficient must be nonzero")
         half = self.order // 2 if self.ratio < 0 and self.order % 2 == 0 else 0
-        object.__setattr__(self, "ratio", Fraction(-self.ratio if half else self.ratio))
+        if half:
+            object.__setattr__(self, "ratio", -self.ratio)
         object.__setattr__(self, "exponent", (self.exponent + half) % self.order)
 
     @staticmethod
@@ -125,17 +142,8 @@ class ScaledMonomial:
                               self.order, self.mono * other.mono)
 
     def __pow__(self, n: int) -> "ScaledMonomial":
-        ratio = self.ratio
-        bits = ratio_bits(ratio)
-        if bits:
-            if abs(n) * bits > MAX_POWER_BITS:
-                raise RequestTooLarge(
-                    "power %s of a ratio with %d numerator and denominator bits exceeds"
-                    " the %d-bit cap" % (_digits(n), bits, MAX_POWER_BITS))
-            ratio **= n
-        elif n % 2 == 0:  # r is +-1
-            ratio = 1
-        return ScaledMonomial(ratio, self.exponent * n, self.order, self.mono ** n)
+        return ScaledMonomial(ratio_power(self.ratio, n), self.exponent * n, self.order,
+                              self.mono ** n)
 
     def __neg__(self) -> "ScaledMonomial":
         return ScaledMonomial(-self.ratio, self.exponent, self.order, self.mono)

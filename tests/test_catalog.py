@@ -183,7 +183,23 @@ def _outcome(fold, node, order):
 @given(_MONOMIAL_TREES, st.sampled_from([1, 2, 3, 4, 6, 12]))
 @settings(max_examples=400, deadline=None)
 def test_fold_matches_the_raising_reference_fold(node, order):
-    assert _outcome(fold_scaled_monomial, node, order) == _outcome(reference_fold, node, order)
+    folded = _outcome(fold_scaled_monomial, node, order)
+    assert folded == _outcome(reference_fold, node, order)
+    if isinstance(folded, ScaledMonomial):
+        assert type(folded.ratio) in (int, Fraction)
+
+
+def test_the_fold_keeps_an_int_ratio_until_a_fraction_is_needed():
+    # an integer-only subtree keeps an int ratio
+    s = fold_scaled_monomial(parse_expr("zeta(5,4)*a^3*b^-2*(-1)^3"), 10)
+    assert s == ScaledMonomial(1, 3, 10, Monomial(3, -2)) and type(s.ratio) is int
+    assert type(fold_scaled_monomial(parse_expr("-3*a*2"), 4).ratio) is int
+    # a negative power makes a Fraction, never a float; equality alone cannot
+    # tell, since 0.125 == Fraction(1, 8) and the two hash equal
+    s = fold_scaled_monomial(parse_expr("(2*a)^-3"), 1)
+    assert s.ratio == Fraction(1, 8) and type(s.ratio) is Fraction
+    # so does rational input, even when it reduces to an integer
+    assert type(fold_scaled_monomial(parse_expr("2*1/2*a"), 1).ratio) is Fraction
 
 
 

@@ -330,6 +330,13 @@ def test_usage_error_leaves_the_shared_parser_as_fresh(capsys):
     ("zeta(5,2)", 0, "zeta5^2\nvalidity: 3\n", ""),
     ("(i*a)^5", 0, "zeta4*a^5\nvalidity: 5\n", ""),
     ("0^-1", 3, "", "evaluation error: NonInvertible: negative power needs a monomial base\n"),
+    # the fold caps a power by its reduced ratio: 2*1/2 is 1, whose powers
+    # cost no bits, and 4 has 3 numerator bits and 1 denominator bit, so
+    # 4 * 262145 passes 2^20
+    ("(2*1/2*a)^1000000", 0, "a^1000000\nvalidity: 1000000\n", ""),
+    ("(4*a)^262145", 3, "",
+     "evaluation error: RequestTooLarge: power 262145 of a ratio with 4 numerator and"
+     " denominator bits exceeds the 1048576-bit cap\n"),
     ("(a+b)^-1", 3, "",
      "evaluation error: NonInvertible: negative power needs a monomial base\n"),
 ])

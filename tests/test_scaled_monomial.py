@@ -71,6 +71,18 @@ def test_negative_power_of_scaled_root():
         zeta_power(12, 5) ** -1
 
 
+@pytest.mark.parametrize("ratio", [1, -3])
+@pytest.mark.parametrize("order", [5, 6])
+def test_int_and_fraction_ratios_compare_and_hash_equal(ratio, order):
+    # ThetaArgs and dict keys do not split on the type of the ratio
+    x = ScaledMonomial(ratio, 1, order, Monomial(1, 0))
+    y = ScaledMonomial(Fraction(ratio), 1, order, Monomial(1, 0))
+    assert x == y and hash(x) == hash(y)
+    assert len({x: 0, y: 1}) == 1
+    z = ScaledMonomial(1, 0, order, Monomial(0, 1))
+    assert ThetaArgs(x, z) == ThetaArgs(y, z) and hash(ThetaArgs(x, z)) == hash(ThetaArgs(y, z))
+
+
 def test_product_needs_one_order():
     with pytest.raises(OrderMismatch):
         ScaledMonomial.make(1, 1, 0, 3) * ScaledMonomial.make(1, 0, 1, 4)
