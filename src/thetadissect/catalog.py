@@ -38,7 +38,9 @@ from typing import Mapping, Optional
 
 from .cyclotomic import CycloNum
 from .dissect import closed_form_parts
-from .errors import EngineError, NonInvertible, NonMonomialArgument, UsageError, check_divides
+from .errors import (
+    EngineError, NonInvertible, NonMonomialArgument, UsageError, check_divides, describe,
+)
 from .expr import (
     Expr, ImagPart, Negate, Power, Product, RationalConst, RealPart, RootOfUnity,
     SpecializeQ, Sum, ThetaCall, Var, b_as_q, product_of, required_order, sum_of,
@@ -183,8 +185,9 @@ def make_identity(name: str, lhs: Expr, rhs: Expr, paper_ref: str) -> Identity:
 
 @dataclass(frozen=True)
 class Report:
-    """Outcome of one verification. lhs and rhs hold the two evaluated
-    series (None on error); they are not serialized or compared."""
+    """Outcome of one verification, spelled by to_dict and to_line. The two
+    evaluated series (None on error) and the EngineError of an error status,
+    its traceback dropped, are neither serialized nor compared."""
 
     name: str
     paper_ref: str
@@ -197,6 +200,7 @@ class Report:
     error: Optional[str] = None
     lhs: Optional[LaurentSeries] = field(default=None, compare=False, repr=False)
     rhs: Optional[LaurentSeries] = field(default=None, compare=False, repr=False)
+    exception: Optional[EngineError] = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         doc = {
@@ -209,24 +213,32 @@ class Report:
             "millis": round(self.millis, 3),
         }
         if self.first_mismatch is not None:
-            doc["first_mismatch"] = {
-                "monomial": self.first_mismatch.monomial.render(),
-                "lhs": str(self.first_mismatch.left),
-                "rhs": str(self.first_mismatch.right),
-            }
+            doc["first_mismatch"] = self.first_mismatch.to_dict("lhs", "rhs")
         if self.error is not None:
             doc["error"] = self.error
         return doc
 
+    def to_line(self) -> str:
+        """The fields of to_dict as one line of text."""
+        doc = self.to_dict()
+        if self.status == "verified":
+            return ("%(name)s: verified (degree %(degree)d, lhs %(lhs_terms)d terms,"
+                    " rhs %(rhs_terms)d terms)" % doc)
+        if self.status == "failed":
+            return ("%(name)s: failed at %(monomial)s (lhs %(lhs)s, rhs %(rhs)s;"
+                    " degree %(degree)d)" % dict(doc, **doc["first_mismatch"]))
+        return "%(name)s: error (%(error)s)" % doc
+
 
 def verify_identity(identity: Identity, degree: int) -> Report:
     """Evaluate both sides at the identity's root order and compare through
-    `degree`. Evaluation errors become status="error", never exceptions."""
+    `degree`. Evaluation errors become status="error", never exceptions; the
+    report keeps the error for a caller that raises it."""
     start = time.perf_counter()
     status = "verified"
     mismatch = None
     lhs_terms = rhs_terms = 0
-    error = None
+    exception = None
     try:
         lhs = evaluate(identity.lhs, degree, identity.required_root_order)
         rhs = evaluate(identity.rhs, degree, identity.required_root_order)
@@ -236,11 +248,12 @@ def verify_identity(identity: Identity, degree: int) -> Report:
             status = "failed"
     except EngineError as exc:
         status = "error"
-        error = "%s: %s" % (type(exc).__name__, exc)
+        exception = exc.with_traceback(None)  # its frames would hold the series
         lhs = rhs = None
     millis = (time.perf_counter() - start) * 1000.0
+    error = None if exception is None else describe(exception)
     return Report(identity.name, identity.paper_ref, degree, status,
-                  mismatch, lhs_terms, rhs_terms, millis, error, lhs, rhs)
+                  mismatch, lhs_terms, rhs_terms, millis, error, lhs, rhs, exception)
 
 
 def summarize(reports) -> dict:

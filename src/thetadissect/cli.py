@@ -2,7 +2,8 @@
 
 Subcommands: expand, verify, catalog, dissect. Results go to stdout (or the
 --out path); diagnostics go to stderr only. Exit codes are a scriptable
-contract, and `main` alone turns exceptions into them:
+contract, and `main` alone turns exceptions into them and writes to stderr;
+`verify` prints its report of an evaluation error first, then re-raises it:
 
   0  success / verified / all agree
   1  an identity failed (or a catalog/dissection run had failures)
@@ -23,7 +24,7 @@ import sys
 from . import catalog as cat
 from .cyclotomic import _digits, euler_phi
 from .dissect import check_run_size, dissect_closed, dissect_filter
-from .errors import EngineError, ParseError, RequestTooLarge, UsageError
+from .errors import EngineError, ParseError, RequestTooLarge, UsageError, describe
 from .expr import required_order
 from .exprlang import parse_expr, parse_identity, print_expr
 
@@ -147,24 +148,10 @@ def _cmd_verify(args) -> int:
     if args.format == "json":
         _emit(json.dumps(report.to_dict(), indent=2), args)
     else:
-        _emit(_report_line(report), args)
-    if report.status == "verified":
-        return 0
-    if report.status == "failed":
-        return 1
-    print("evaluation error: %s" % report.error, file=sys.stderr)
-    return 3
-
-
-def _report_line(report: cat.Report) -> str:
-    if report.status == "verified":
-        return "%s: verified (degree %d, lhs %d terms, rhs %d terms)" % (
-            report.name, report.degree, report.lhs_terms, report.rhs_terms)
-    if report.status == "failed":
-        mm = report.first_mismatch
-        return "%s: failed at %s (lhs %s, rhs %s; degree %d)" % (
-            report.name, mm.monomial.render(), mm.left, mm.right, report.degree)
-    return "%s: error (%s)" % (report.name, report.error)
+        _emit(report.to_line(), args)
+    if report.exception is not None:
+        raise report.exception  # the report is out; main maps the error to exit 3
+    return 0 if report.status == "verified" else 1
 
 
 def _cmd_catalog(args) -> int:
@@ -183,7 +170,7 @@ def _cmd_catalog(args) -> int:
         lines = []
         show_series = not run_all
         for report in reports:
-            lines.append(_report_line(report))
+            lines.append(report.to_line())
             if show_series and report.status != "error":
                 lines.append("  lhs: %s" % report.lhs.render())
                 lines.append("  rhs: %s" % report.rhs.render())
@@ -226,11 +213,7 @@ def _cmd_dissect(args) -> int:
             if mm is None:
                 lines.append("%s: agree" % tag)
             else:
-                entry["mismatch"] = {
-                    "monomial": mm.monomial.render(),
-                    "filter": str(mm.left),
-                    "closed": str(mm.right),
-                }
+                entry["mismatch"] = mm.to_dict("filter", "closed")
                 lines.append(tag + ": disagree at %(monomial)s (filter %(filter)s, "
                              "closed %(closed)s)" % entry["mismatch"])
         entries.append(entry)
@@ -254,7 +237,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         message, code = str(exc), 2
     except EngineError as exc:
-        message, code = "evaluation error: %s: %s" % (type(exc).__name__, exc), 3
+        message, code = "evaluation error: %s" % describe(exc), 3
     except OSError as exc:  # writing the result is the only I/O a command does
         message, code = "cannot write output: %s" % exc, 2
     print(message, file=sys.stderr)
@@ -263,7 +246,3 @@ def main(argv=None) -> int:
 
 def entrypoint():
     raise SystemExit(main())
-
-
-if __name__ == "__main__":
-    entrypoint()

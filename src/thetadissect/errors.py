@@ -13,6 +13,12 @@ class EngineError(Exception):
     """Base class for all errors raised on purpose by this package."""
 
 
+def describe(error: EngineError) -> str:
+    """The error as `Type: message`, naming its leaf class: the one spelling
+    of an evaluation error, in a report and on the CLI's stderr."""
+    return "%s: %s" % (type(error).__name__, error)
+
+
 class OrderMismatch(EngineError):
     """Two cyclotomic values (or series) of different orders were combined."""
 

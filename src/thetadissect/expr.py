@@ -113,10 +113,6 @@ def product_of(items) -> Expr:
     return Product(items)
 
 
-def rational(num, den=1) -> RationalConst:
-    return RationalConst(Fraction(num, den))
-
-
 def required_order(*exprs: Expr) -> int:
     """lcm of all root orders appearing in the given expressions (at least 1),
     bumped to a multiple of 4 when a real/imaginary split appears."""

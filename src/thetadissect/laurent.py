@@ -154,6 +154,11 @@ class Mismatch(NamedTuple):
     left: CycloNum
     right: CycloNum
 
+    def to_dict(self, left: str, right: str) -> dict:
+        """{"monomial": ..., left: ..., right: ...}, the sides named by the
+        caller: the one spelling of a mismatch, which text lines format."""
+        return {"monomial": self.monomial.render(), left: str(self.left), right: str(self.right)}
+
 
 @dataclass(frozen=True)
 class LaurentSeries:

@@ -19,7 +19,7 @@ from thetadissect.cyclotomic import CycloNum, cyclotomic_polynomial, zeta_power
 from thetadissect.dissect import dissect_closed, dissect_filter
 from thetadissect.expr import (
     ImagPart, Negate, Power, Product, RationalConst, RealPart, RootOfUnity,
-    SpecializeQ, Sum, ThetaCall, Var, product_of, rational, sum_of,
+    SpecializeQ, Sum, ThetaCall, Var, product_of, sum_of,
 )
 from thetadissect.exprlang import parse_expr, parse_identity, print_expr, print_identity
 from thetadissect.theta import theta_expand, triple_product_rhs
@@ -222,7 +222,7 @@ def test_criterion_9_negative_control_corrupted_cubic():
         sum_of([
             product_of([RootOfUnity(3, 1), ThetaCall(Var("a"), Var("b"))]),
             product_of([
-                sum_of([rational(1), RootOfUnity(3, 1)]),  # (1 + omega), corrupted
+                sum_of([RationalConst(Fraction(1)), RootOfUnity(3, 1)]),  # (1 + omega), corrupted
                 ThetaCall(parse_expr("a^6*b^3"), parse_expr("a^3*b^6")),
             ]),
         ]),

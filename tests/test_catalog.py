@@ -1,5 +1,7 @@
 import dataclasses
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,10 +20,11 @@ from thetadissect.cli import DEFAULT_DEGREE
 from thetadissect.cyclotomic import CycloNum, euler_phi, zeta_power
 from thetadissect.errors import (
     EngineError, IncompatibleOrders, NonConvergent, NonInvertible, NonMonomialArgument, UsageError,
+    describe,
 )
 from thetadissect.expr import (
     ImagPart, Negate, Power, Product, RationalConst, RealPart, RootOfUnity, SpecializeQ, Sum,
-    ThetaCall, Var, product_of, rational, required_order, sum_of,
+    ThetaCall, Var, product_of, required_order, sum_of,
 )
 from thetadissect.exprlang import parse_expr, parse_identity, print_identity
 from thetadissect.laurent import LaurentSeries, Monomial, ScaledMonomial
@@ -117,7 +120,7 @@ def test_evaluate_zero_constant():
 
 
 def test_evaluate_empty_product_and_non_node():
-    assert product_of([]) == rational(1)
+    assert product_of([]) == RationalConst(Fraction(1))
     assert evaluate(product_of([]), 5, 1) == LaurentSeries.one(5)
     with pytest.raises(TypeError, match="not an expression node"):
         evaluate("f(a,b)", 5, 1)
@@ -251,7 +254,7 @@ def test_corrupted_entry7_fails_with_concrete_mismatch():
         sum_of([
             product_of([OMEGA, F_AB]),
             # (1 + omega) in place of (1 - omega)
-            product_of([sum_of([rational(1), OMEGA]),
+            product_of([sum_of([RationalConst(Fraction(1)), OMEGA]),
                         ThetaCall(parse_expr("a^6*b^3"), parse_expr("a^3*b^6"))]),
         ]),
         "negative control",
@@ -287,6 +290,19 @@ def test_verify_captures_evaluation_errors_as_status():
         Identity("bad_order", RealPart(F_AB), F_AB, 1, "negative control"), 10)
     assert report.status == "error"
     assert report.error == "IncompatibleOrders: order 4 does not divide 1"
+    assert report.to_line() == "bad_order: error (IncompatibleOrders: order 4 does not divide 1)"
+
+
+def test_an_error_report_keeps_its_exception_out_of_comparison_and_repr():
+    identity = Identity("bad_order", RealPart(F_AB), F_AB, 1, "negative control")
+    report = verify_identity(identity, 10)
+    assert isinstance(report.exception, IncompatibleOrders)
+    assert report.exception.__traceback__ is None  # no frames or series kept alive
+    assert describe(report.exception) == report.error
+    assert "exception" not in repr(report)
+    other = dataclasses.replace(report, exception=IncompatibleOrders("another"))
+    assert other == report
+    assert verify_identity(get_identity("entry7"), 10).exception is None
 
 
 def test_report_is_deterministic_apart_from_elapsed_time():
@@ -302,10 +318,12 @@ def test_report_serialization_schema():
         "name", "paper_ref", "degree", "status", "lhs_terms", "rhs_terms", "millis",
     }
     lhs, rhs = parse_identity("f(a,b) = f(a,b) + a")
-    failed = verify_identity(Identity("user", lhs, rhs, 1, "negative control"), 10).to_dict()
+    report = verify_identity(Identity("user", lhs, rhs, 1, "negative control"), 10)
+    failed = report.to_dict()
     assert failed["status"] == "failed"
-    assert set(failed["first_mismatch"]) == {"monomial", "lhs", "rhs"}
-    assert failed["first_mismatch"]["monomial"] == "a"
+    assert failed["first_mismatch"] == {"monomial": "a", "lhs": "1", "rhs": "2"}
+    assert failed["first_mismatch"] == report.first_mismatch.to_dict("lhs", "rhs")
+    assert report.to_line() == "user: failed at a (lhs 1, rhs 2; degree 10)"
     reports = [verify_identity(e, 10) for e in builtin_catalog()]
     summary = summarize(reports)
     assert set(summary) == {"total", "verified", "failed", "error"}
@@ -434,6 +452,21 @@ def test_no_theta_call_under_specq_sees_b(monkeypatch):
 def test_notebook_statements_are_in_canonical_printed_form():
     for name, statement, _ in _NOTEBOOK_ENTRIES:
         assert print_identity(*parse_identity(statement)) == statement, name
+
+
+def test_the_readme_catalog_table_matches_the_catalog():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("\n## Catalog entries\n\n", 1)[1].split("\n\n", 1)[0]
+    # below the header and its rule, each row is | name | `statement` |
+    rows = dict(re.fullmatch(r"\| (.+?) \| (.+) \|", line).groups()
+                for line in table.splitlines()[2:])
+    # one row stands for the six generated entries thm_m3 .. thm_m8
+    assert "transformation_identity(m)" in rows.pop("thm_m3 .. thm_m8")
+    entries = catalog_by_name()
+    assert list(rows) + ["thm_m%d" % m for m in range(3, 9)] == list(entries)
+    for name, statement in rows.items():
+        identity = entries[name]
+        assert statement == "`%s`" % print_identity(identity.lhs, identity.rhs), name
 
 
 def test_transformation_identity_at_a_non_primitive_root():

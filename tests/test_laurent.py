@@ -3,7 +3,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (KERNEL_ORDERS, FractionCyclo, cyclo_from_pairs, denominators,
                       fraction_terms, full_digits, known_min_degree, make_series, numerators,
@@ -177,6 +177,9 @@ def test_mismatch_with_a_term_stored_on_one_side():
     assert str(mm.right) == "1/2 - 3/4*zeta8^3"
     flipped = y.first_mismatch(x, 6)
     assert (flipped.left, flipped.right) == (mm.right, CycloNum.zero(8))
+    # the caller names the sides of the one spelling
+    assert mm.to_dict("filter", "closed") == {
+        "monomial": "a^-1*b^2", "filter": "0", "closed": "1/2 - 3/4*zeta8^3"}
 
 
 def test_equal_through_examples():
@@ -398,18 +401,37 @@ def powers(draw):
     return x, draw(st.integers(0, 12))
 
 
+# an operand `powers()` draws whose least-degree part the X^N cap refuses at
+# n = 12 (2,464 bits per factor) and answers at n = 11
+_REFUSED_AT_12 = make_series({
+    (0, 0): cyclo_from_pairs(15, [(10 ** 30 + 3, 10 ** 30 + 1), (-3, 7)] + [(0, 1)] * 6),
+    (3, -3): cyclo_from_pairs(15, [(0, 1)] * 6 + [(-10 ** 30 + 2, 12), (10 ** 30, 10 ** 30 + 1)]),
+}, 5, 15)
+
+
 @given(powers())
+@example((_REFUSED_AT_12, 12))
+@example((_REFUSED_AT_12, 11))
 @settings(max_examples=150, deadline=None)
 def test_power_by_squaring_matches_the_left_fold(case):
     x, n = case
     # the sum with 0 keeps a one-term x off the exact monomial route, so the
     # power is taken on the series
     power = Power(Sum((series_expr(x), RationalConst(Fraction(0)))), n)
+    assert x.power(1) is x
+    if n:
+        try:
+            direct = x.power(n)
+        except RequestTooLarge as refusal:
+            # evaluate takes the power through the same cap and message
+            with pytest.raises(RequestTooLarge) as info:
+                evaluate(power, x.validity, x.order)
+            assert str(info.value) == str(refusal)
+            return
     expected = schoolbook_fold([x] * n)[-1] if n else LaurentSeries.one(x.validity, x.order)
     assert evaluate(power, x.validity, x.order) == expected
     if n:
-        assert x.power(n) == expected
-    assert x.power(1) is x
+        assert direct == expected
 
 
 def test_power_refuses_a_least_degree_part_past_the_bit_cap():
