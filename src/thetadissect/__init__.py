@@ -12,7 +12,7 @@ from .theta import ThetaArgs, pochhammer_expand, theta_expand, triple_product_rh
 from .dissect import closed_form_parts, dissect_closed, dissect_filter
 from .expr import (
     ImagPart, Negate, Power, Product, RationalConst, RealPart, RootOfUnity,
-    SpecializeQ, Sum, ThetaCall, Var, product_of, required_order, sum_of,
+    SpecializeQ, Sum, ThetaCall, Var, product_of, sum_of,
 )
 from .exprlang import parse_expr, parse_identity, print_expr, print_identity, tokenize
 from .catalog import (
@@ -23,7 +23,6 @@ from .catalog import (
     evaluate,
     fold_scaled_monomial,
     get_identity,
-    make_identity,
     summarize,
     transformation_identity,
     verify_identity,
@@ -43,11 +42,11 @@ __all__ = [
     # expression language
     "Sum", "Product", "Power", "ThetaCall", "Var", "RootOfUnity",
     "RationalConst", "Negate", "RealPart", "ImagPart", "SpecializeQ",
-    "sum_of", "product_of", "required_order",
+    "sum_of", "product_of",
     "parse_expr", "parse_identity", "print_expr", "print_identity", "tokenize",
     # catalog
     "Identity", "Report", "builtin_catalog", "catalog_by_name", "evaluate",
-    "fold_scaled_monomial", "get_identity", "make_identity", "summarize",
+    "fold_scaled_monomial", "get_identity", "summarize",
     "transformation_identity", "verify_identity",
     "__version__",
 ]

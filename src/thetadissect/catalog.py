@@ -43,7 +43,7 @@ from .errors import (
 )
 from .expr import (
     Expr, ImagPart, Negate, Power, Product, RationalConst, RealPart, RootOfUnity,
-    SpecializeQ, Sum, ThetaCall, Var, b_as_q, product_of, required_order, sum_of,
+    SpecializeQ, Sum, ThetaCall, Var, b_as_q, product_of, sum_of,
 )
 from .exprlang import parse_identity
 from .laurent import LaurentSeries, Mismatch, Monomial, ScaledMonomial, ratio_power
@@ -177,10 +177,6 @@ class Identity:
     rhs: Expr
     required_root_order: int
     paper_ref: str
-
-
-def make_identity(name: str, lhs: Expr, rhs: Expr, paper_ref: str) -> Identity:
-    return Identity(name, lhs, rhs, required_order(lhs, rhs), paper_ref)
 
 
 @dataclass(frozen=True)
@@ -348,7 +344,7 @@ def transformation_identity(m: int, e: int = 1) -> Identity:
 def catalog_by_name() -> Mapping[str, Identity]:
     """The built-in identities by name, each carrying its notebook reference
     string. Built on first use and shared, so the mapping is read-only."""
-    entries = [make_identity(name, *parse_identity(statement), paper_ref)
+    entries = [Identity(name, *parse_identity(statement), paper_ref)
                for name, statement, paper_ref in _NOTEBOOK_ENTRIES]
     entries += [transformation_identity(m) for m in range(2, 9)]
     return MappingProxyType({identity.name: identity for identity in entries})

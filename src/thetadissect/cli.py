@@ -25,7 +25,6 @@ from . import catalog as cat
 from .cyclotomic import _digits, euler_phi
 from .dissect import check_run_size, dissect_closed, dissect_filter
 from .errors import EngineError, ParseError, RequestTooLarge, UsageError, describe
-from .expr import required_order
 from .exprlang import parse_expr, parse_identity, print_expr
 
 DEFAULT_DEGREE = 60
@@ -101,8 +100,7 @@ def _emit(text: str, args):
         print(text)
 
 
-def _resolve_order(requested, *exprs) -> int:
-    needed = required_order(*exprs)
+def _resolve_order(requested, needed: int) -> int:
     order = needed if requested is None else requested
     if order < 1 or order % needed != 0:
         raise UsageError(
@@ -117,8 +115,8 @@ def _resolve_order(requested, *exprs) -> int:
 
 
 def _cmd_expand(args) -> int:
-    ast = parse_expr(args.expr)
-    order = _resolve_order(args.order, ast)
+    ast, needed = parse_expr(args.expr)
+    order = _resolve_order(args.order, needed)
     series = cat.evaluate(ast, args.degree, order)
     if args.format == "json":
         doc = {
@@ -141,8 +139,8 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    lhs, rhs = parse_identity(args.identity)
-    order = _resolve_order(args.order, lhs, rhs)
+    lhs, rhs, needed = parse_identity(args.identity)
+    order = _resolve_order(args.order, needed)
     identity = cat.Identity("user", lhs, rhs, order, "user-supplied identity")
     report = cat.verify_identity(identity, args.degree)
     if args.format == "json":

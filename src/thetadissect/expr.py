@@ -2,11 +2,11 @@
 
 Nodes are frozen dataclasses, so structural equality is ==. Sums and products
 are n-ary (n >= 2 when built through the helpers below); Power exponents are
-plain Python ints and may be negative.
+plain Python ints and may be negative. The working order an expression
+needs is reported by the parser (exprlang), not computed here.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -111,29 +111,6 @@ def product_of(items) -> Expr:
     if len(items) == 1:
         return items[0]
     return Product(items)
-
-
-def required_order(*exprs: Expr) -> int:
-    """lcm of all root orders appearing in the given expressions (at least 1),
-    bumped to a multiple of 4 when a real/imaginary split appears."""
-    order = 1
-    pending = list(exprs)
-    while pending:
-        node = pending.pop()
-        if isinstance(node, RootOfUnity):
-            order = math.lcm(order, node.order)
-        elif isinstance(node, (Sum, Product)):
-            pending.extend(node.items)
-        elif isinstance(node, Power):
-            pending.append(node.base)
-        elif isinstance(node, ThetaCall):
-            pending += (node.first, node.second)
-        elif isinstance(node, (RealPart, ImagPart)):
-            order = math.lcm(order, 4)
-            pending.append(node.item)
-        elif isinstance(node, (Negate, SpecializeQ)):
-            pending.append(node.item)
-    return order
 
 
 def b_as_q(node: Expr) -> Expr:

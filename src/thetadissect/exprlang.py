@@ -17,9 +17,15 @@ Precedence: "^" > unary "-" > "*" > binary "+"/"-". "^" is non-associative
 (a^2^3 is a syntax error). Juxtaposition is never multiplication: "a b" is a
 syntax error, because "ab" vs "a*b" is the classic q-series notation trap.
 Reserved meanings: i = zeta(4,1), omega = zeta(3,1).
+
+The parser also reports the working order the text needs: the lcm of every
+root order it names (zeta(m,e) needs m, i needs 4, omega 3), made a multiple
+of 4 by Re or Im. parse_expr returns (expr, order), and parse_identity
+parses both sides in one pass and returns (lhs, rhs, order).
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -82,9 +88,13 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
+# every named leaf, shared by all the trees that name it
+_LEAVES = {"a": Var("a"), "b": Var("b"), "q": Var("q"),
+           "i": RootOfUnity(4, 1), "omega": RootOfUnity(3, 1)}
 _CALLS = {"Re": RealPart, "Im": ImagPart, "specq": SpecializeQ}
-_NAMED_ROOTS = {"i": RootOfUnity(4, 1), "omega": RootOfUnity(3, 1)}
-_ROOT_NAMES = {root: name for name, root in _NAMED_ROOTS.items()}
+# the root order a name needs of the working order; zeta(m,e) needs m
+_NEEDS = {"i": 4, "omega": 3, "Re": 4, "Im": 4}
+_ROOT_NAMES = {leaf: name for name, leaf in _LEAVES.items() if isinstance(leaf, RootOfUnity)}
 _CALL_NAMES = {call: name for name, call in _CALLS.items()}
 
 # Deepest nesting of parenthesized subexpressions (including f(...), Re(...)
@@ -98,6 +108,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
+        self.order = 1  # lcm of the root orders read so far
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -113,6 +124,15 @@ class _Parser:
         if tok.kind != kind:
             raise ParseError("unexpected %s" % _describe(tok), tok.offset, {kind})
         return self.advance()
+
+    def whole(self, stop: str) -> Expr:
+        """An expr, then the token of kind stop that must end it."""
+        node = self.expr()
+        trailing = self.advance()
+        if trailing.kind != stop:
+            raise ParseError("unexpected %s after expression" % _describe(trailing),
+                             trailing.offset)
+        return node
 
     # expr := term (("+"|"-") term)*
     def expr(self) -> Expr:
@@ -194,10 +214,10 @@ class _Parser:
     def named_atom(self) -> Expr:
         tok = self.advance()
         name = tok.text
-        if name in ("a", "b", "q"):
-            return Var(name)
-        if name in _NAMED_ROOTS:
-            return _NAMED_ROOTS[name]
+        if name in _NEEDS:
+            self.order = math.lcm(self.order, _NEEDS[name])
+        if name in _LEAVES:
+            return _LEAVES[name]
         if name == "zeta":
             self.expect("lparen")
             m_tok = self.expect("integer")
@@ -207,6 +227,7 @@ class _Parser:
             self.expect("comma")
             e = _int(self.expect("integer"))
             self.expect("rparen")
+            self.order = math.lcm(self.order, m)
             return RootOfUnity(m, e)
         if name == "f":
             self.expect("lparen")
@@ -223,7 +244,7 @@ class _Parser:
         raise ParseError(
             "unknown name %r" % name,
             tok.offset,
-            {"a", "b", "q", "zeta", "f", *_NAMED_ROOTS, *_CALLS},
+            {*_LEAVES, "zeta", "f", *_CALLS},
         )
 
 
@@ -248,33 +269,24 @@ def _negate(node: Expr) -> Expr:
     return Negate(node)
 
 
-def _parse_tokens(tokens: list[Token]) -> Expr:
-    parser = _Parser(tokens)
-    node = parser.expr()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        raise ParseError("unexpected %s after expression" % _describe(trailing), trailing.offset)
-    return node
+def parse_expr(text: str) -> tuple[Expr, int]:
+    """Parse a single expression (no '=' allowed); return it with the
+    working order it needs."""
+    parser = _Parser(tokenize(text))
+    return parser.whole("end"), parser.order
 
 
-def parse_expr(text: str) -> Expr:
-    """Parse a single expression (no '=' allowed)."""
-    return _parse_tokens(tokenize(text))
-
-
-def parse_identity(text: str) -> tuple[Expr, Expr]:
-    """Split on the unique top-level '=' and parse both sides."""
+def parse_identity(text: str) -> tuple[Expr, Expr, int]:
+    """Parse both sides of the unique '=' in one pass; return them with the
+    working order they need."""
     tokens = tokenize(text)
-    eq_positions = [idx for idx, t in enumerate(tokens) if t.kind == "equals"]
-    if not eq_positions:
+    equals = [tok for tok in tokens if tok.kind == "equals"]
+    if not equals:
         raise ParseError("identity needs '='", len(text), {"equals"})
-    if len(eq_positions) > 1:
-        raise ParseError("identity has more than one '='", tokens[eq_positions[1]].offset)
-    split = eq_positions[0]
-    end = tokens[-1]
-    lhs = _parse_tokens(tokens[:split] + [end])
-    rhs = _parse_tokens(tokens[split + 1:])
-    return lhs, rhs
+    if len(equals) > 1:
+        raise ParseError("identity has more than one '='", equals[1].offset)
+    parser = _Parser(tokens)
+    return parser.whole("equals"), parser.whole("end"), parser.order
 
 
 # -- printing -----------------------------------------------------------------

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from conftest import collapse_q, constant_parts, plain_theta_args, rand_cyclo, rational_coeff
 from thetadissect.catalog import (
-    builtin_catalog, evaluate, get_identity, make_identity, transformation_identity,
+    Identity, builtin_catalog, evaluate, get_identity, transformation_identity,
     verify_identity,
 )
 from thetadissect.cyclotomic import CycloNum, cyclotomic_polynomial, zeta_power
@@ -108,8 +108,8 @@ def test_criterion_6_q_specialization_of_quartic_components():
     odd = dissect_filter(4, 1, 60) + dissect_filter(4, 3, 60)
     even_closed = dissect_closed(4, 0, 60) + dissect_closed(4, 2, 60)
     odd_closed = dissect_closed(4, 1, 60) + dissect_closed(4, 3, 60)
-    even_direct = evaluate(parse_expr("f(q^16, q^16) + q^4*f(q^32, 1)"), 60, 1)
-    odd_direct = evaluate(parse_expr("q*f(q^24, q^8) + q^9*f(q^40, q^-8)"), 60, 1)
+    even_direct = evaluate(parse_expr("f(q^16, q^16) + q^4*f(q^32, 1)")[0], 60, 1)
+    odd_direct = evaluate(parse_expr("q*f(q^24, q^8) + q^9*f(q^40, q^-8)")[0], 60, 1)
     ok = (
         collapse_q(even).first_mismatch(even_direct, 60) is None
         and collapse_q(odd).first_mismatch(odd_direct, 60) is None
@@ -192,13 +192,13 @@ def test_criterion_8_parser_round_trip_and_cli_exit_codes():
     ok = True
     for identity in builtin_catalog():
         text = print_identity(identity.lhs, identity.rhs)
-        lhs, rhs = parse_identity(text)
+        lhs, rhs, _ = parse_identity(text)
         ok = ok and lhs == identity.lhs and rhs == identity.rhs
     rng = random.Random(20260808)
     count = 0
     while count < 220:
         ast = _random_ast(rng, 4)
-        ok = ok and parse_expr(print_expr(ast)) == ast
+        ok = ok and parse_expr(print_expr(ast))[0] == ast
         count += 1
     verified = _run_cli(
         "verify",
@@ -215,7 +215,7 @@ def test_criterion_8_parser_round_trip_and_cli_exit_codes():
 
 
 def test_criterion_9_negative_control_corrupted_cubic():
-    corrupted = make_identity(
+    corrupted = Identity(
         "entry7_corrupted",
         ThetaCall(product_of([RootOfUnity(3, 1), Var("a")]),
                   product_of([RootOfUnity(3, 1), Var("b")])),
@@ -223,9 +223,10 @@ def test_criterion_9_negative_control_corrupted_cubic():
             product_of([RootOfUnity(3, 1), ThetaCall(Var("a"), Var("b"))]),
             product_of([
                 sum_of([RationalConst(Fraction(1)), RootOfUnity(3, 1)]),  # (1 + omega), corrupted
-                ThetaCall(parse_expr("a^6*b^3"), parse_expr("a^3*b^6")),
+                ThetaCall(parse_expr("a^6*b^3")[0], parse_expr("a^3*b^6")[0]),
             ]),
         ]),
+        3,
         "negative control",
     )
     report = verify_identity(corrupted, 40)

@@ -13,7 +13,7 @@ from conftest import (
 from thetadissect import catalog, exprlang
 from thetadissect.catalog import (
     _NOTEBOOK_ENTRIES, Identity, builtin_catalog, catalog_by_name, evaluate,
-    fold_scaled_monomial, get_identity, make_identity, summarize, transformation_identity,
+    fold_scaled_monomial, get_identity, summarize, transformation_identity,
     verify_identity,
 )
 from thetadissect.cli import DEFAULT_DEGREE
@@ -24,7 +24,7 @@ from thetadissect.errors import (
 )
 from thetadissect.expr import (
     ImagPart, Negate, Power, Product, RationalConst, RealPart, RootOfUnity, SpecializeQ, Sum,
-    ThetaCall, Var, product_of, required_order, sum_of,
+    ThetaCall, Var, product_of, sum_of,
 )
 from thetadissect.exprlang import parse_expr, parse_identity, print_identity
 from thetadissect.laurent import LaurentSeries, Monomial, ScaledMonomial
@@ -42,28 +42,28 @@ def test_evaluate_f_ab():
 
 
 def test_evaluate_cubic_combination_matches_omega_expansion():
-    rhs = parse_expr("omega*f(a,b) + (1-omega)*f(a^6*b^3, a^3*b^6)")
-    lhs = parse_expr("f(omega*a, omega*b)")
+    rhs = parse_expr("omega*f(a,b) + (1-omega)*f(a^6*b^3, a^3*b^6)")[0]
+    lhs = parse_expr("f(omega*a, omega*b)")[0]
     assert evaluate(rhs, 9, 3) == evaluate(lhs, 9, 3)
 
 
 def test_evaluate_rejects_non_monomial_theta_argument():
     with pytest.raises(NonMonomialArgument):
-        evaluate(parse_expr("f(a+b, b)"), 9, 1)
+        evaluate(parse_expr("f(a+b, b)")[0], 9, 1)
     with pytest.raises(NonMonomialArgument):
-        fold_scaled_monomial(parse_expr("Re(a)"), 4)
+        fold_scaled_monomial(parse_expr("Re(a)")[0], 4)
 
 
 def test_evaluate_propagates_nonconvergence():
     with pytest.raises(NonConvergent):
-        evaluate(parse_expr("f(a, a^-1)"), 9, 1)
+        evaluate(parse_expr("f(a, a^-1)")[0], 9, 1)
 
 
 def test_evaluate_negative_power_needs_monomial_base():
     with pytest.raises(NonInvertible):
-        evaluate(parse_expr("f(a,b)^-1"), 9, 1)
+        evaluate(parse_expr("f(a,b)^-1")[0], 9, 1)
     # but a monomial base with a root-of-unity coefficient is fine
-    s = evaluate(parse_expr("(omega*a)^-2"), 9, 3)
+    s = evaluate(parse_expr("(omega*a)^-2")[0], 9, 3)
     assert s.term_count == 1
     assert s.coefficient(Monomial(-2, 0)) == zeta_power(3, 1)
 
@@ -129,7 +129,7 @@ def test_evaluate_empty_product_and_non_node():
 def test_evaluate_scaled_product_keeps_requested_validity():
     # q^9 * f(q^40, q^-8): the theta factor alone dips to degree -8, but the
     # monomial prefix is applied by scaling, so exactness through 9 survives
-    s = evaluate(parse_expr("q^9*f(q^40, q^-8)"), 9, 1)
+    s = evaluate(parse_expr("q^9*f(q^40, q^-8)")[0], 9, 1)
     assert s.validity >= 9
     assert s.render() == "a + a^9"
 
@@ -142,13 +142,13 @@ def test_foreign_root_raises_incompatible_orders_on_either_side_of_a_product():
     # of order 3 is met at order 4 wherever it stands
     for text in ("zeta(3,1)*f(a,b)", "f(a,b)*zeta(3,1)"):
         with pytest.raises(IncompatibleOrders, match="^order 3 does not divide 4$"):
-            evaluate(parse_expr(text), 3, 4)
+            evaluate(parse_expr(text)[0], 3, 4)
     # the fold itself stops at the first item that does not fold
     with pytest.raises(IncompatibleOrders):
-        fold_scaled_monomial(parse_expr("zeta(3,1)*f(a,b)"), 4)
+        fold_scaled_monomial(parse_expr("zeta(3,1)*f(a,b)")[0], 4)
     with pytest.raises(NonMonomialArgument,
                        match="^ThetaCall does not fold to a scaled monomial$"):
-        fold_scaled_monomial(parse_expr("f(a,b)*zeta(3,1)"), 4)
+        fold_scaled_monomial(parse_expr("f(a,b)*zeta(3,1)")[0], 4)
 
 
 @pytest.mark.parametrize("call, m, order", [
@@ -194,15 +194,15 @@ def test_fold_matches_the_raising_reference_fold(node, order):
 
 def test_the_fold_keeps_an_int_ratio_until_a_fraction_is_needed():
     # an integer-only subtree keeps an int ratio
-    s = fold_scaled_monomial(parse_expr("zeta(5,4)*a^3*b^-2*(-1)^3"), 10)
+    s = fold_scaled_monomial(parse_expr("zeta(5,4)*a^3*b^-2*(-1)^3")[0], 10)
     assert s == ScaledMonomial(1, 3, 10, Monomial(3, -2)) and type(s.ratio) is int
-    assert type(fold_scaled_monomial(parse_expr("-3*a*2"), 4).ratio) is int
+    assert type(fold_scaled_monomial(parse_expr("-3*a*2")[0], 4).ratio) is int
     # a negative power makes a Fraction, never a float; equality alone cannot
     # tell, since 0.125 == Fraction(1, 8) and the two hash equal
-    s = fold_scaled_monomial(parse_expr("(2*a)^-3"), 1)
+    s = fold_scaled_monomial(parse_expr("(2*a)^-3")[0], 1)
     assert s.ratio == Fraction(1, 8) and type(s.ratio) is Fraction
     # so does rational input, even when it reduces to an integer
-    assert type(fold_scaled_monomial(parse_expr("2*1/2*a"), 1).ratio) is Fraction
+    assert type(fold_scaled_monomial(parse_expr("2*1/2*a")[0], 1).ratio) is Fraction
 
 
 
@@ -248,15 +248,16 @@ def test_verify_entry7_at_40():
 
 
 def test_corrupted_entry7_fails_with_concrete_mismatch():
-    corrupted = make_identity(
+    corrupted = Identity(
         "entry7_corrupted",
         ThetaCall(product_of([OMEGA, A]), product_of([OMEGA, B])),
         sum_of([
             product_of([OMEGA, F_AB]),
             # (1 + omega) in place of (1 - omega)
             product_of([sum_of([RationalConst(Fraction(1)), OMEGA]),
-                        ThetaCall(parse_expr("a^6*b^3"), parse_expr("a^3*b^6"))]),
+                        ThetaCall(parse_expr("a^6*b^3")[0], parse_expr("a^3*b^6")[0])]),
         ]),
+        3,
         "negative control",
     )
     report = verify_identity(corrupted, 40)
@@ -281,7 +282,7 @@ def test_entry9a_and_entry9b_rhs_series_are_identical():
 
 
 def test_verify_captures_evaluation_errors_as_status():
-    lhs, rhs = parse_identity("f(a, a^-1) = f(a,b)")
+    lhs, rhs, _ = parse_identity("f(a, a^-1) = f(a,b)")
     report = verify_identity(Identity("bad", lhs, rhs, 1, "negative control"), 20)
     assert report.status == "error"
     assert "NonConvergent" in report.error
@@ -317,7 +318,7 @@ def test_report_serialization_schema():
     assert set(verified) == {
         "name", "paper_ref", "degree", "status", "lhs_terms", "rhs_terms", "millis",
     }
-    lhs, rhs = parse_identity("f(a,b) = f(a,b) + a")
+    lhs, rhs, _ = parse_identity("f(a,b) = f(a,b) + a")
     report = verify_identity(Identity("user", lhs, rhs, 1, "negative control"), 10)
     failed = report.to_dict()
     assert failed["status"] == "failed"
@@ -339,17 +340,17 @@ def test_unknown_identity_name_raises():
 def test_q_specialization_two_routes_agree():
     # Entry 25(i): specialize the bivariate statement, and compare against a
     # directly-constructed univariate expansion
-    via_specialize = evaluate(SpecializeQ(parse_expr("f(a^3*b, a*b^3)")), 40, 1)
-    direct = evaluate(parse_expr("f(q^4, q^4)"), 40, 1)
+    via_specialize = evaluate(SpecializeQ(parse_expr("f(a^3*b, a*b^3)")[0]), 40, 1)
+    direct = evaluate(parse_expr("f(q^4, q^4)")[0], 40, 1)
     assert via_specialize == direct
     # specq evaluates its argument univariate, so the collapse of the
     # bivariate series keeps a second route in this test
-    assert collapse_q(evaluate(parse_expr("f(a^3*b, a*b^3)"), 40, 1)) == direct
+    assert collapse_q(evaluate(parse_expr("f(a^3*b, a*b^3)")[0], 40, 1)) == direct
 
 
 # --- specq(E) as E at b = q ---------------------------------------------------------
 
-_CANCELLING = [parse_expr(text) for text in (
+_CANCELLING = [parse_expr(text)[0] for text in (
     "a - b", "a^-1 - b^-1", "a^2 - a*b", "q - b", "a*b^-1 - 1", "i*a - i*b")]
 
 
@@ -422,7 +423,7 @@ def test_specq_matches_the_collapse_of_the_bivariate_series(data, order, degree)
     ("specq((a^-1 - b^-1)*f(a,b))", 5, {}, 5),
 ])
 def test_specq_validity_rises_where_a_equals_b_cancels(text, degree, terms, validity):
-    node = parse_expr(text)
+    node = parse_expr(text)[0]
     series = evaluate(node, degree, 1)
     assert series.validity == validity
     assert series.terms == {mono: rational_coeff(c) for mono, c in terms.items()}
@@ -438,20 +439,21 @@ def test_no_theta_call_under_specq_sees_b(monkeypatch):
         return theta_expand(args, bound)
 
     monkeypatch.setattr(catalog, "theta_expand", recording)
-    sides = [side for identity in builtin_catalog() for side in (identity.lhs, identity.rhs)]
-    for side in sides:
-        evaluate(SpecializeQ(side), 20, required_order(side))
+    sides = [(side, identity.required_root_order)
+             for identity in builtin_catalog() for side in (identity.lhs, identity.rhs)]
+    for side, order in sides:
+        evaluate(SpecializeQ(side), 20, order)
     assert seen and all(x.mono.q == 0 for args in seen for x in (args.first, args.second))
     # the bivariate sides do reach theta calls with b in their arguments
     seen.clear()
-    for side in sides:
-        evaluate(side, 20, required_order(side))
+    for side, order in sides:
+        evaluate(side, 20, order)
     assert any(x.mono.q != 0 for args in seen for x in (args.first, args.second))
 
 
 def test_notebook_statements_are_in_canonical_printed_form():
     for name, statement, _ in _NOTEBOOK_ENTRIES:
-        assert print_identity(*parse_identity(statement)) == statement, name
+        assert print_identity(*parse_identity(statement)[:2]) == statement, name
 
 
 def test_the_readme_catalog_table_matches_the_catalog():
@@ -490,15 +492,16 @@ def test_transformation_identity_is_the_parsed_statement():
     # and parsed back reads as the same tree
     for m, e in _TRANSFORMATION_CASES:
         identity = transformation_identity(m, e)
-        assert parse_identity(reference_transformation_text(m, e)) == (identity.lhs, identity.rhs)
-        assert identity.required_root_order == required_order(identity.lhs, identity.rhs) == m
+        parsed = parse_identity(reference_transformation_text(m, e))
+        assert parsed == (identity.lhs, identity.rhs, m)
+        assert identity.required_root_order == m
 
 
 def test_transformation_identity_round_trips_through_its_printed_text():
     for m, e in _TRANSFORMATION_CASES:
         identity = transformation_identity(m, e)
         statement = print_identity(identity.lhs, identity.rhs)
-        assert parse_identity(statement) == (identity.lhs, identity.rhs), (m, e)
+        assert parse_identity(statement) == (identity.lhs, identity.rhs, m), (m, e)
 
 
 def test_transformation_identity_does_not_tokenize(monkeypatch):
@@ -509,7 +512,7 @@ def test_transformation_identity_does_not_tokenize(monkeypatch):
     monkeypatch.setattr(exprlang, "tokenize", refuse)
     for m in range(1, 13):
         identity = transformation_identity(m)
-        assert (identity.lhs, identity.rhs) == parsed[m - 1]
+        assert (identity.lhs, identity.rhs, m) == parsed[m - 1]
 
 
 def test_transformation_at_a_large_modulus():
@@ -519,7 +522,7 @@ def test_transformation_at_a_large_modulus():
     statement = print_identity(identity.lhs, identity.rhs)
     bumped = statement.replace(" + zeta(2310,1)*a*f(", " + zeta(2310,2)*a*f(")
     assert bumped != statement
-    report = verify_identity(make_identity("bumped", *parse_identity(bumped), "negative control"), 60)
+    report = verify_identity(Identity("bumped", *parse_identity(bumped), "negative control"), 60)
     assert report.status == "failed"
     assert report.first_mismatch.monomial == Monomial(1, 0)
     assert report.first_mismatch.right == zeta_power(2310, 2)

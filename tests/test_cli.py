@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -28,6 +29,38 @@ def run_cli(*args):
         [sys.executable, "-m", "thetadissect", *args],
         capture_output=True, text=True, env=env,
     )
+
+
+def _readme_cli_examples():
+    """(argv, shown lines) for each `$ thetadissect ...` block of the README's
+    CLI section."""
+    with open(os.path.join(ROOT, "README.md")) as handle:
+        section = handle.read().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    examples = []
+    for block in section.split("\n\n"):
+        lines = [line[4:] for line in block.splitlines()]
+        if lines and lines[0].startswith("$ thetadissect "):
+            examples.append((shlex.split(lines[0])[2:], lines[1:]))
+    return examples
+
+
+_README_EXAMPLES = _readme_cli_examples()
+
+
+def test_the_readme_shows_five_cli_examples():
+    assert len(_README_EXAMPLES) == 5
+
+
+@pytest.mark.parametrize("argv, shown", _README_EXAMPLES,
+                         ids=[" ".join(argv)[:40] for argv, _ in _README_EXAMPLES])
+def test_the_readme_cli_examples_print_what_they_show(capsys, argv, shown):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if shown[0].startswith("..."):  # entries elided: the summary line stands for them
+        assert out.splitlines()[-1] == shown[-1]
+    else:
+        assert out.splitlines() == shown
 
 
 def test_expand_f_ab_degree_9():
@@ -286,6 +319,8 @@ def test_over_long_integer_literal_exits_2():
      " at offset 2"),
     (("verify", "a"), "parse error: identity needs '=' (expected: equals) at offset 1"),
     (("verify", "a = b = c"), "parse error: identity has more than one '=' at offset 6"),
+    # the left side ends at its '=', not at the end of the whole text
+    (("verify", "f(a = b)"), "parse error: unexpected equals '=' (expected: comma) at offset 4"),
 ])
 def test_parse_error_lines_exit_2(capsys, argv, line):
     assert main(list(argv)) == 2
@@ -358,7 +393,7 @@ def test_expand_json_monomial_zero_and_power_cases(capsys, expr, order, validity
     assert main(["expand", expr, "--degree", "3", "--format", "json"]) == 0
     out, err = capsys.readouterr()
     assert err == ""
-    assert json.loads(out) == {"expr": print_expr(parse_expr(expr)), "degree": 3,
+    assert json.loads(out) == {"expr": print_expr(parse_expr(expr)[0]), "degree": 3,
                                "order": order, "validity": validity, "terms": terms}
 
 
@@ -660,8 +695,8 @@ def test_specq_of_a_product_with_a_cancelling_operand(capsys, fmt):
     if fmt == "text":
         assert out == "2*a^5\nvalidity: 5\n"
     else:
-        assert json.loads(out) == {"expr": print_expr(parse_expr(expr)), "degree": 3, "order": 1,
-                                   "validity": 5, "terms": [{"monomial": "a^5", "coeff": "2"}]}
+        assert json.loads(out) == {"expr": print_expr(parse_expr(expr)[0]), "degree": 3,
+                                   "order": 1, "validity": 5, "terms": [{"monomial": "a^5", "coeff": "2"}]}
     identity = "specq((a^-1 - b^-1)*f(a,b)) = 0"
     assert main(["verify", identity, "--degree", "5", "--format", fmt]) == 0
     out, err = capsys.readouterr()

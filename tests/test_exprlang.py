@@ -9,7 +9,7 @@ from thetadissect.catalog import builtin_catalog
 from thetadissect.errors import ParseError
 from thetadissect.expr import (
     ImagPart, Negate, Power, Product, RationalConst, RealPart, RootOfUnity,
-    SpecializeQ, Sum, ThetaCall, Var, required_order,
+    SpecializeQ, Sum, ThetaCall, Var,
 )
 from thetadissect.exprlang import (
     Token, parse_expr, parse_identity, print_expr, print_identity, tokenize,
@@ -28,12 +28,12 @@ def test_tokenizer_offsets_strictly_increase():
 
 
 def test_parse_theta_with_i():
-    ast = parse_expr("f(i*a, i*b)")
+    ast = parse_expr("f(i*a, i*b)")[0]
     assert ast == ThetaCall(Product((I, A)), Product((I, B)))
 
 
 def test_parse_compact_quartic_rhs():
-    ast = parse_expr("1/2*(1+i)*f(a,b) + 1/2*(1-i)*f(-a,-b)")
+    ast = parse_expr("1/2*(1+i)*f(a,b) + 1/2*(1-i)*f(-a,-b)")[0]
     half = RationalConst(Fraction(1, 2))
     expected = Sum((
         Product((half, Sum((RationalConst(Fraction(1)), I)), ThetaCall(A, B))),
@@ -47,48 +47,46 @@ def test_parse_compact_quartic_rhs():
 
 
 def test_parse_negative_exponent():
-    assert parse_expr("a^-1") == Power(A, -1)
-    assert parse_expr("a^-1*b") == Product((Power(A, -1), B))
+    assert parse_expr("a^-1")[0] == Power(A, -1)
+    assert parse_expr("a^-1*b")[0] == Product((Power(A, -1), B))
 
 
 def test_parse_unary_minus_binds_below_power():
-    assert parse_expr("-a^2") == Negate(Power(A, 2))
+    assert parse_expr("-a^2")[0] == Negate(Power(A, 2))
 
 
 def test_parse_calls():
-    assert parse_expr("Re(f(a,b))") == RealPart(ThetaCall(A, B))
-    assert parse_expr("Im(i)") == ImagPart(I)
-    assert parse_expr("specq(a*b)") == SpecializeQ(Product((A, B)))
-    assert parse_expr("zeta(12,7)") == RootOfUnity(12, 7)
-    assert parse_expr("zeta(4,5)") == I  # exponent normalized mod order
-    assert parse_expr("omega") == OMEGA
+    assert parse_expr("Re(f(a,b))")[0] == RealPart(ThetaCall(A, B))
+    assert parse_expr("Im(i)")[0] == ImagPart(I)
+    assert parse_expr("specq(a*b)")[0] == SpecializeQ(Product((A, B)))
+    assert parse_expr("zeta(12,7)")[0] == RootOfUnity(12, 7)
+    assert parse_expr("zeta(4,5)")[0] == I  # exponent normalized mod order
+    assert parse_expr("omega")[0] == OMEGA
 
 
 def test_power_is_non_associative():
     with pytest.raises(ParseError) as err:
-        parse_expr("a^2^3")
+        parse_expr("a^2^3")[0]
     assert err.value.offset == 3
 
 
 def test_juxtaposition_is_not_multiplication():
     with pytest.raises(ParseError) as err:
-        parse_expr("a b")
+        parse_expr("a b")[0]
     assert err.value.offset == 2
     with pytest.raises(ParseError) as err:
-        parse_expr("2a")
+        parse_expr("2a")[0]
     assert err.value.offset == 1
 
 
 def test_exponent_must_be_integer_literal():
     with pytest.raises(ParseError, match="^exponent must be a literal integer, got ") as err:
-        parse_expr("a^(2)")
+        parse_expr("a^(2)")[0]
     assert err.value.offset == 2
 
 
 def test_parse_identity_examples():
-    lhs, rhs = parse_identity("f(a,b) = f(b,a)")
-    assert lhs == ThetaCall(A, B)
-    assert rhs == ThetaCall(B, A)
+    assert parse_identity("f(a,b) = f(b,a)") == (ThetaCall(A, B), ThetaCall(B, A), 1)
     with pytest.raises(ParseError, match="^identity needs '='"):
         parse_identity("f(a,b)")
     with pytest.raises(ParseError, match="^identity has more than one '='"):
@@ -103,14 +101,35 @@ def test_parse_error_offsets_point_into_the_input():
             if "=" in text:
                 parse_identity(text)
             else:
-                parse_expr(text)
+                parse_expr(text)[0]
         assert 0 <= err.value.offset <= len(text), text
 
 
+@pytest.mark.parametrize("text", ["f(a = b)", "(a = b)", "a + = b", "= b", "f(a, = b)"])
+def test_an_error_in_the_left_side_points_at_the_equals_sign(text):
+    # both sides are read by one parser, so the left side ends at the '='
+    # and not at the end of the whole text
+    with pytest.raises(ParseError, match="^unexpected equals '='") as err:
+        parse_identity(text)
+    assert err.value.offset == text.index("=")
+
+
+@pytest.mark.parametrize("text, order", [
+    ("a", 1),
+    ("Re(omega*a)", 12),
+    ("zeta(4,5)*i", 4),
+    ("zeta(6,3)", 6),  # a root keeps its written order though e/m reduces
+    ("specq(a) = zeta(10,3)*b", 10),  # a root on the right side only
+])
+def test_the_parser_reports_the_working_order(text, order):
+    parse = parse_identity if "=" in text else parse_expr
+    assert parse(text)[-1] == order
+
+
 def test_print_examples():
-    assert print_expr(parse_expr("f(a,b)")) == "f(a, b)"
+    assert print_expr(parse_expr("f(a,b)")[0]) == "f(a, b)"
     assert print_expr(RationalConst(Fraction(1, 2))) == "1/2"
-    assert print_expr(parse_expr("omega*f(a,b) + (1-omega)*f(a^6*b^3, a^3*b^6)")) == \
+    assert print_expr(parse_expr("omega*f(a,b) + (1-omega)*f(a^6*b^3, a^3*b^6)")[0]) == \
         "omega*f(a, b) + (1 - omega)*f(a^6*b^3, a^3*b^6)"
     assert print_identity(ThetaCall(A, B), ThetaCall(B, A)) == "f(a, b) = f(b, a)"
 
@@ -118,9 +137,8 @@ def test_print_examples():
 def test_roundtrip_catalog_renderings():
     for identity in builtin_catalog():
         text = print_identity(identity.lhs, identity.rhs)
-        lhs, rhs = parse_identity(text)
-        assert lhs == identity.lhs, identity.name
-        assert rhs == identity.rhs, identity.name
+        parsed = parse_identity(text)
+        assert parsed == (identity.lhs, identity.rhs, identity.required_root_order), identity.name
 
 
 # --- random ASTs --------------------------------------------------------------
@@ -161,19 +179,19 @@ ast_exprs = st.recursive(_atoms, _compound, max_leaves=10)
 @settings(max_examples=250, deadline=None)
 def test_roundtrip_random_asts(ast):
     text = print_expr(ast)
-    assert parse_expr(text) == ast
+    assert parse_expr(text)[0] == ast
 
 
 @given(ast_exprs)
 @settings(max_examples=100, deadline=None)
 def test_print_is_stable_after_one_parse(ast):
     text = print_expr(ast)
-    assert print_expr(parse_expr(text)) == text
+    assert print_expr(parse_expr(text)[0]) == text
 
 
 def _orders_by_recursion(node):
     """Every root order in the tree, and 4 under Re/Im: the reference for
-    required_order, which walks the tree once without recursion."""
+    the order the parser reports as it reads the tree's printed text."""
     if isinstance(node, RootOfUnity):
         return {node.order}
     children = {
@@ -192,7 +210,7 @@ def _orders_by_recursion(node):
 @settings(max_examples=200, deadline=None)
 def test_required_order_is_lcm_of_orders(lhs, rhs):
     expected = math.lcm(1, *_orders_by_recursion(lhs), *_orders_by_recursion(rhs))
-    assert required_order(lhs, rhs) == expected
+    assert parse_identity(print_identity(lhs, rhs))[2] == expected
 
 
 # --- arbitrary text -------------------------------------------------------------
@@ -250,7 +268,7 @@ def test_tokens_are_named_triples():
 ])
 def test_non_decimal_digits_are_parse_errors(text, offset):
     with pytest.raises(ParseError) as info:
-        parse_expr(text)
+        parse_expr(text)[0]
     assert info.value.offset == offset
     assert "not decimal" in str(info.value)
 
@@ -258,8 +276,8 @@ def test_non_decimal_digits_are_parse_errors(text, offset):
 @pytest.mark.parametrize("template", ["{}", "a^{}", "1/{}", "zeta({},1)", "zeta(3,{})"])
 def test_over_long_integer_literals_are_parse_errors(template):
     with pytest.raises(ParseError, match="too many digits"):
-        parse_expr(template.format("1" * 5000))
+        parse_expr(template.format("1" * 5000))[0]
 
 
 def test_decimal_digits_of_other_scripts_read_as_integers():
-    assert parse_expr("\u0663*a") == Product((RationalConst(Fraction(3)), A))
+    assert parse_expr("\u0663*a")[0] == Product((RationalConst(Fraction(3)), A))

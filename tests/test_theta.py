@@ -295,8 +295,8 @@ def test_f_q_minus_q_equals_f_minus_q4_minus_q4_at_400(order):
     # f(q, -q): indices n and -n meet on q^(n^2) with signs (-1)^T(n) and
     # (-1)^T(-n), which cancel for odd n; f(-q^4, -q^4): they meet on
     # q^(4n^2) with one sign. Each side is 1 + 2 * sum of (-1)^j q^(4j^2).
-    lhs = evaluate(parse_expr("f(q, -q)"), 400, order)
-    rhs = evaluate(parse_expr("f(-q^4, -q^4)"), 400, order)
+    lhs = evaluate(parse_expr("f(q, -q)")[0], 400, order)
+    rhs = evaluate(parse_expr("f(-q^4, -q^4)")[0], 400, order)
     expected = {(0, 0): 1, **{(4 * j * j, 0): 2 * (-1) ** j for j in range(1, 11)}}
     assert lhs == rhs == make_series(expected, 400, order)
     assert lhs.term_count == 11
