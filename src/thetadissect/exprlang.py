@@ -18,16 +18,19 @@ Precedence: "^" > unary "-" > "*" > binary "+"/"-". "^" is non-associative
 syntax error, because "ab" vs "a*b" is the classic q-series notation trap.
 Reserved meanings: i = zeta(4,1), omega = zeta(3,1).
 
-The parser also reports the working order the text needs: the lcm of every
-root order it names (zeta(m,e) needs m, i needs 4, omega 3), made a multiple
-of 4 by Re or Im. parse_expr returns (expr, order), and parse_identity
-parses both sides in one pass and returns (lhs, rhs, order).
+The text is read once, left to right: the tokenizer yields each token when
+the parser asks for it. So a parse error is the first in reading order: it
+names the token that breaks the grammar, the token kinds expected there when
+the grammar allows only some, and its offset. The parser also reports the
+working order the text needs: the lcm of every root order it names
+(zeta(m,e) needs m, i needs 4, omega 3), made a multiple of 4 by Re or Im.
+parse_expr returns (expr, order), parse_identity (lhs, rhs, order).
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import ParseError
 from .expr import (
@@ -54,8 +57,9 @@ class Token(NamedTuple):
     offset: int
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
+def tokenize(text: str) -> Iterator[Token]:
+    """Yield the tokens of text left to right, each when it is asked for, then
+    an end token; a character no token starts with raises when it is reached."""
     # tuple.__new__ skips the Python-level __new__ that NamedTuple generates
     new = tuple.__new__
     i = 0
@@ -63,7 +67,7 @@ def tokenize(text: str) -> list[Token]:
     while i < n:
         ch = text[i]
         if ch in _SYMBOLS:
-            tokens.append(new(Token, (_SYMBOLS[ch], ch, i)))
+            yield new(Token, (_SYMBOLS[ch], ch, i))
             i += 1
             continue
         if ch.isspace():
@@ -73,19 +77,18 @@ def tokenize(text: str) -> list[Token]:
             j = i + 1
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(new(Token, ("integer", text[i:j], i)))
+            yield new(Token, ("integer", text[i:j], i))
             i = j
             continue
         if ch.isalpha():
             j = i + 1
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(new(Token, ("ident", text[i:j], i)))
+            yield new(Token, ("ident", text[i:j], i))
             i = j
             continue
         raise ParseError("unexpected character %r" % ch, i)
-    tokens.append(Token("end", "", n))
-    return tokens
+    yield Token("end", "", n)
 
 
 # every named leaf, shared by all the trees that name it
@@ -104,19 +107,21 @@ MAX_NESTING = 100
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, text: str):
+        self.tokens = tokenize(text)
+        self.tok = None  # the lookahead, read only when asked for: errors come in reading order
         self.depth = 0
         self.order = 1  # lcm of the root orders read so far
 
     def peek(self) -> Token:
-        return self.tokens[self.pos]
+        if self.tok is None:
+            self.tok = next(self.tokens)
+        return self.tok
 
     def advance(self) -> Token:
-        tok = self.tokens[self.pos]
+        tok = self.peek()
         if tok.kind != "end":
-            self.pos += 1
+            self.tok = None
         return tok
 
     def expect(self, kind: str) -> Token:
@@ -131,7 +136,7 @@ class _Parser:
         trailing = self.advance()
         if trailing.kind != stop:
             raise ParseError("unexpected %s after expression" % _describe(trailing),
-                             trailing.offset)
+                             trailing.offset, {stop})
         return node
 
     # expr := term (("+"|"-") term)*
@@ -272,20 +277,14 @@ def _negate(node: Expr) -> Expr:
 def parse_expr(text: str) -> tuple[Expr, int]:
     """Parse a single expression (no '=' allowed); return it with the
     working order it needs."""
-    parser = _Parser(tokenize(text))
+    parser = _Parser(text)
     return parser.whole("end"), parser.order
 
 
 def parse_identity(text: str) -> tuple[Expr, Expr, int]:
     """Parse both sides of the unique '=' in one pass; return them with the
     working order they need."""
-    tokens = tokenize(text)
-    equals = [tok for tok in tokens if tok.kind == "equals"]
-    if not equals:
-        raise ParseError("identity needs '='", len(text), {"equals"})
-    if len(equals) > 1:
-        raise ParseError("identity has more than one '='", equals[1].offset)
-    parser = _Parser(tokens)
+    parser = _Parser(text)
     return parser.whole("equals"), parser.whole("end"), parser.order
 
 

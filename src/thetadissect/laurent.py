@@ -261,9 +261,9 @@ class LaurentSeries:
             raise ValueError("power needs n >= 1, got %d" % n)
         if n == 1:
             return self
-        least = self.min_total_degree()
-        low = {m: c for m, c in self.terms.items() if m.total_degree == least}
-        part, den, _, _ = _operand(LaurentSeries(low, self.validity, self.order))
+        base = _operand(self)
+        rows, den, _, least = base
+        part, den = _truncated_rows(rows, den, least)
         bits = _factor_bits(part, den, self.order) if part else 0
         span = max(p for p, _, _ in part) - min(p for p, _, _ in part) if part else 0
         if (n * span + 1) * n * bits > MAX_POWER_BITS:
@@ -271,7 +271,7 @@ class LaurentSeries:
                 "power %s of a %d-term least-degree part of a-exponent span %d and"
                 " %d bits per factor exceeds the %d-bit cap"
                 % (_digits(n), len(part), span, bits, MAX_POWER_BITS))
-        base, result = _operand(self), None
+        result = None
         while n:
             if n & 1:
                 result = base if result is None else _times(result, base, self.order)

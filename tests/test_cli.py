@@ -26,7 +26,7 @@ def run_cli(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
-        [sys.executable, "-m", "thetadissect", *args],
+        [sys.executable, "-W", "error", "-m", "thetadissect", *args],
         capture_output=True, text=True, env=env,
     )
 
@@ -317,10 +317,22 @@ def test_over_long_integer_literal_exits_2():
     (("expand", "a^b"),
      "parse error: exponent must be a literal integer, got ident 'b' (expected: integer)"
      " at offset 2"),
-    (("verify", "a"), "parse error: identity needs '=' (expected: equals) at offset 1"),
-    (("verify", "a = b = c"), "parse error: identity has more than one '=' at offset 6"),
+    (("verify", "a"),
+     "parse error: unexpected end of input after expression (expected: equals) at offset 1"),
+    (("verify", "a = b = c"),
+     "parse error: unexpected equals '=' after expression (expected: end) at offset 6"),
     # the left side ends at its '=', not at the end of the whole text
     (("verify", "f(a = b)"), "parse error: unexpected equals '=' (expected: comma) at offset 4"),
+    # the text is read once, left to right, so the first error in reading
+    # order is the one reported
+    (("verify", "f(a,b"), "parse error: unexpected end of input (expected: rparen) at offset 5"),
+    (("verify", "f(a = b) !"),
+     "parse error: unexpected equals '=' (expected: comma) at offset 4"),
+    (("verify", "x = y = z"),
+     "parse error: unknown name 'x' (expected: Im, Re, a, b, f, i, omega, q, specq, zeta)"
+     " at offset 0"),
+    (("expand", "a b"), "parse error: unexpected ident 'b' after expression (expected: end)"
+     " at offset 2"),
 ])
 def test_parse_error_lines_exit_2(capsys, argv, line):
     assert main(list(argv)) == 2
@@ -745,6 +757,8 @@ def _power_too_large(power, terms, span, bits):
     ("(1+zeta(105,1)*a*b^-1)^148", _power_too_large(148, 2, 1, 48)),
     ("(1/2+1/2*a*b^-1)^8000", _power_too_large(8000, 2, 1, 2)),
     ("(1/2+1/2*a*b^-1)^724", _power_too_large(724, 2, 1, 2)),
+    # at degree 0 the base keeps only P, so it is refused as the one above
+    ("(1/2+1/2*a*b^-1+1/3*a)^724", _power_too_large(724, 2, 1, 2)),
     ("(1/2*a+1/2*b)^1000000000", _power_too_large(1000000000, 2, 1, 2)),
     ("(1/2+1/2*zeta(5,1))^1000000000", _power_too_large(1000000000, 1, 0, 8)),
     ("(1/2+1/2*zeta(5,1))^131073", _power_too_large(131073, 1, 0, 8)),
@@ -778,6 +792,10 @@ def test_a_series_power_past_the_bit_cap_is_refused_at_once(capsys, expr, err, f
     ("(1/2+1/2*zeta(5,1))^131072", 0, 0, 1, None),
     ("(1+zeta(5,1))^262144", 0, 0, 1, None),
     ("(1+zeta(105,1)*a*b^-1)^147", 0, 0, 148, {"monomial": "a^147*b^-147", "coeff": "zeta105^42"}),
+    # at degree 1 the series' denominator is 6, but P's is 2, so P costs
+    # the bits of (1/2+1/2*a*b^-1) above
+    ("(1/2+1/2*a*b^-1+1/3*a)^723", 1, 1, 1447,
+     {"monomial": "a^723*b^-723", "coeff": "1/%d" % 2 ** 723}),
 ])
 def test_series_powers_within_the_bit_cap_still_answer(capsys, expr, degree, validity, terms,
                                                        first):

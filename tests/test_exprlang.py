@@ -87,10 +87,15 @@ def test_exponent_must_be_integer_literal():
 
 def test_parse_identity_examples():
     assert parse_identity("f(a,b) = f(b,a)") == (ThetaCall(A, B), ThetaCall(B, A), 1)
-    with pytest.raises(ParseError, match="^identity needs '='"):
-        parse_identity("f(a,b)")
-    with pytest.raises(ParseError, match="^identity has more than one '='"):
-        parse_identity("x = y = z")
+    for text, message in [
+        ("f(a,b)", "unexpected end of input after expression (expected: equals) at offset 6"),
+        ("a = b = c", "unexpected equals '=' after expression (expected: end) at offset 6"),
+        ("x = y = z", "unknown name 'x' (expected: Im, Re, a, b, f, i, omega, q, specq, zeta)"
+                      " at offset 0"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_identity(text)
+        assert str(err.value) == message
 
 
 def test_parse_error_offsets_point_into_the_input():
@@ -253,8 +258,32 @@ def test_tokenizer_matches_the_character_loop(text):
     assert _scan(tokenize, text) == _scan(reference_tokenize, text)
 
 
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except ParseError:
+        return None
+
+
+# printed expressions joined by one, two or no '=' signs
+_EQUATIONS = st.lists(st.builds(print_expr, ast_exprs), min_size=1, max_size=3).map(" = ".join)
+
+
+@given(st.one_of(_GRAMMAR_TEXT, _SCANNER_TEXT, _EQUATIONS))
+@settings(max_examples=400, deadline=None)
+def test_an_identity_is_two_expressions_around_one_equals_sign(text):
+    # the reference is a scan for '=' that splits the text before parsing
+    halves = text.split("=")
+    sides = [_parsed(parse_expr, half) for half in halves] if len(halves) == 2 else [None]
+    if None in sides:
+        assert _parsed(parse_identity, text) is None
+    else:
+        (lhs, lhs_order), (rhs, rhs_order) = sides
+        assert parse_identity(text) == (lhs, rhs, math.lcm(lhs_order, rhs_order))
+
+
 def test_tokens_are_named_triples():
-    token = tokenize("zeta")[0]
+    token = next(tokenize("zeta"))
     assert isinstance(token, Token)
     assert (token.kind, token.text, token.offset) == ("ident", "zeta", 0) == token
 

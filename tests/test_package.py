@@ -1,10 +1,12 @@
-"""The package surface: every public name resolves from a star import, and
-the runtime imports nothing outside the standard library. The benchmark's
-oracles, the tests' references, import nothing from the package."""
+"""The package surface: every public name resolves from a star import, every
+name the benchmark's spans wrap resolves, and the runtime imports nothing
+outside the standard library. The benchmark's oracles, the tests'
+references, import nothing from the package."""
 import os
 import subprocess
 import sys
 
+import spans
 import thetadissect
 from conftest import ORACLES_DIR
 
@@ -54,3 +56,12 @@ def test_oracles_import_nothing_from_the_engine():
                             env=dict(os.environ, PYTHONPATH=os.pathsep.join((ORACLES_DIR, src))),
                             capture_output=True, text=True, check=True)
     assert result.stdout.split() == []
+
+
+def test_every_name_the_benchmark_wraps_is_callable():
+    # perfbench/spans.py wraps these in the traced run, so deleting or
+    # renaming one fails here and not only in the benchmark's smoke run
+    names = [pair for _, pairs, _ in spans.TARGETS for pair in pairs]
+    assert names
+    for owner, attribute in names:
+        assert callable(getattr(owner, attribute, None)), (owner.__name__, attribute)
