@@ -2,14 +2,15 @@
 
 Evaluation is bottom-up into LaurentSeries over a single working order L
 (every root of unity in the expression must live in a field embedding into
-Q(zeta_L)). Theta-call arguments, product factors, leaves and powers are
-constant-folded to scaled monomials by one fold that carries (r, e, p, q)
-for r * zeta_L^e * a^p * b^q as plain values, r an int unless rational
-input or a negative power makes it a Fraction, and builds one ScaledMonomial
-per folded node; or returns the first node that stops it: a zero constant
-or a node that is not a monomial. Under f(,) that node is a
-NonMonomialArgument named in the message; in a product or a power it marks
-a series operand, so no exception steers evaluation. Re and Im are
+Q(zeta_L)). One fold carries (r, e, p, q) for r * zeta_L^e * a^p * b^q as
+plain values, r an int unless rational input or a negative power makes it
+a Fraction, and builds one ScaledMonomial per folded node. A subtree that
+does not fold is a zero constant, a node that is not a monomial, or a power
+of one. Under f(,) the fold stops at the first such node, a
+NonMonomialArgument named in the message. Every node that is not a sum,
+theta call, Re, Im or specq is split by the same fold into a scaled-monomial
+prefix (a negation gives -1) and the largest subtrees that do not fold, each
+evaluated as a series, so no exception steers evaluation. Re and Im are
 identities between series: with conj x the coefficientwise conjugate,
 Re x = (x + conj x)/2 and Im x = (conj x - x)*i/2, i = zeta_L^(L/4), so 4
 must divide L, or IncompatibleOrders is raised as for any root whose order
@@ -54,39 +55,43 @@ _VAR_PARTS = {"a": (1, 0, 1, 0), "b": (1, 0, 0, 1), "q": (1, 0, 1, 0)}
 
 def _fold(node: Expr, order: int, series: Optional[list] = None):
     """(r, e, p, q) for the r * zeta_order^e * a^p * b^q that node folds to,
-    e reduced mod order at each step; or, when it does not fold, the first
-    node (depth first, left to right) that stops it: a zero RationalConst or
-    a node that is not a monomial. Given a list `series`, a product appends
-    its items that do not fold there and folds the rest. A root of unity
-    whose order does not divide `order` raises IncompatibleOrders."""
+    e reduced mod order at each step. A node that does not fold is a zero
+    RationalConst, a node that is not a monomial, or a power of either.
+    Without `series` the fold returns the first such node (depth first, left
+    to right) or, under a power, the node that stops the base. Given a list
+    `series`, it appends every largest subtree that does not fold there,
+    inside products and negations too, and counts it as 1, so the node is the
+    returned prefix times the product of `series`. A root of unity whose order
+    does not divide `order` raises IncompatibleOrders."""
+    stop = node
     if isinstance(node, Var):
         return _VAR_PARTS[node.name]
     if isinstance(node, Power):
-        base, n = _fold(node.base, order), node.exponent
-        if type(base) is not tuple:
-            return base
-        return ratio_power(base[0], n), base[1] * n % order, base[2] * n, base[3] * n
+        stop, n = _fold(node.base, order), node.exponent
+        if type(stop) is tuple:
+            return ratio_power(stop[0], n), stop[1] * n % order, stop[2] * n, stop[3] * n
     if isinstance(node, Product):
         r, e, p, q = 1, 0, 0, 0
         for item in node.items:
-            part = _fold(item, order)
-            if type(part) is tuple:
-                r, e, p, q = r * part[0], (e + part[1]) % order, p + part[2], q + part[3]
-            elif series is None:
+            part = _fold(item, order, series)
+            if type(part) is not tuple:
                 return part
-            else:
-                series.append(item)
+            r, e, p, q = r * part[0], (e + part[1]) % order, p + part[2], q + part[3]
         return r, e, p, q
     if isinstance(node, RootOfUnity):
         check_divides(node.order, order)
         return 1, node.exponent * (order // node.order) % order, 0, 0
     if isinstance(node, RationalConst):
         v = node.value  # an int ratio unless the constant is not an integer
-        return (v.numerator if v.denominator == 1 else v, 0, 0, 0) if v else node
+        if v:
+            return v.numerator if v.denominator == 1 else v, 0, 0, 0
     if isinstance(node, Negate):
-        item = _fold(node.item, order)
+        item = _fold(node.item, order, series)
         return (-item[0],) + item[1:] if type(item) is tuple else item
-    return node
+    if series is None:
+        return stop
+    series.append(node)
+    return 1, 0, 0, 0
 
 
 def _scaled(parts: tuple, order: int) -> ScaledMonomial:
@@ -121,24 +126,12 @@ def evaluate(node: Expr, degree: int, order: int) -> LaurentSeries:
     the result's validity field carries the honest bound either way."""
     if isinstance(node, Sum):
         return LaurentSeries.sum([evaluate(item, degree, order) for item in node.items])
-    if isinstance(node, Product):
-        # the items that fold form one monomial prefix; the rest are series
-        series_items = []
-        prefix = _fold(node, order, series_items)
-        if not series_items:
-            return _monomial_series(_scaled(prefix, order), degree)
-        result = LaurentSeries.product([evaluate(item, degree, order) for item in series_items])
-        if prefix != (1, 0, 0, 0):
-            result = result.scale(_scaled(prefix, order))
-        return result
     if isinstance(node, ThetaCall):
         args = ThetaArgs(
             fold_scaled_monomial(node.first, order),
             fold_scaled_monomial(node.second, order),
         )
         return theta_expand(args, degree)
-    if isinstance(node, Negate):
-        return -evaluate(node.item, degree, order)
     if isinstance(node, (RealPart, ImagPart)):
         check_divides(4, order)  # i = zeta_L^(L/4)
         x = evaluate(node.item, degree, order)
@@ -151,20 +144,26 @@ def evaluate(node: Expr, degree: int, order: int) -> LaurentSeries:
             ScaledMonomial(Fraction(1, 2), exponent, order, Monomial(0, 0)))
     if isinstance(node, SpecializeQ):
         return evaluate(b_as_q(node.item), degree, order)
-    # one fold serves the nodes that can be monomials: Var, RootOfUnity, RationalConst, Power
-    folded = _fold(node, order)
-    if type(folded) is tuple:
-        return _monomial_series(_scaled(folded, order), degree)
-    if isinstance(node, RationalConst):  # zero
-        return LaurentSeries.zero(degree, order)
-    if not isinstance(node, Power):
-        raise TypeError("not an expression node: %r" % (node,))
-    # a power of a series, a zero constant's included
-    if node.exponent < 0:
-        raise NonInvertible("negative power needs a monomial base")
-    if node.exponent == 0:
-        return LaurentSeries.one(degree, order)
-    return evaluate(node.base, degree, order).power(node.exponent)
+    # every other node is a scaled-monomial prefix times the series it cannot fold
+    series = []
+    prefix = _fold(node, order, series)
+    if not series:
+        return _monomial_series(_scaled(prefix, order), degree)
+    if series[0] is node:  # the node does not fold and has no factor that does
+        if isinstance(node, RationalConst):  # zero
+            return LaurentSeries.zero(degree, order)
+        if not isinstance(node, Power):
+            raise TypeError("not an expression node: %r" % (node,))
+        # a power of a series, a zero constant's included
+        if node.exponent < 0:
+            raise NonInvertible("negative power needs a monomial base")
+        if node.exponent == 0:
+            return LaurentSeries.one(degree, order)
+        return evaluate(node.base, degree, order).power(node.exponent)
+    result = LaurentSeries.product([evaluate(item, degree, order) for item in series])
+    if prefix != (1, 0, 0, 0):
+        result = result.scale(_scaled(prefix, order))
+    return result
 
 
 # -- identities and reports ----------------------------------------------------

@@ -151,6 +151,19 @@ def test_foreign_root_raises_incompatible_orders_on_either_side_of_a_product():
         fold_scaled_monomial(parse_expr("f(a,b)*zeta(3,1)")[0], 4)
 
 
+def test_the_fold_splits_a_node_into_a_prefix_and_the_series_it_cannot_fold():
+    # the negation and the monomial factors form the prefix -2*a; the theta
+    # call and the power of a sum are collected, the power whole
+    series = []
+    assert catalog._fold(parse_expr("-2*a*f(a,b)*(a+b)^2")[0], 1, series) == (-2, 0, 1, 0)
+    assert series == [F_AB, Power(Sum((A, B)), 2)]
+    # a node that does not fold and has no factor that does is its own series
+    for node in (F_AB, RationalConst(Fraction(0))):
+        series = []
+        assert catalog._fold(node, 1, series) == (1, 0, 0, 0)
+        assert len(series) == 1 and series[0] is node
+
+
 @pytest.mark.parametrize("call, m, order", [
     (lambda: catalog._fold(OMEGA, 4), 3, 4),
     (lambda: zeta_power(3, 1).embed(4), 3, 4),

@@ -1,6 +1,6 @@
-"""CLI outputs against golden files in tests/golden/: the stdout and exit code
-of catalog, dissect, expand and verify stay byte-identical, apart from the
-`millis` timings, which are masked.
+"""CLI outputs against golden files in tests/golden/: the stdout, stderr and
+exit code of catalog, dissect, expand and verify stay byte-identical, apart
+from the `millis` timings, which are masked.
 
 The files hold what the code printed when they were written. After an
 intended change of output, write them again from the source tree under test
@@ -97,15 +97,47 @@ CASES.update({
         "verify", "Re(f(i*a, i*b)) + i*Im(f(i*a, i*b)) = f(i*a, i*b)", "--degree", "16"],
 })
 
+# evaluation's product rule at its edges: a negation inside a product, a
+# negated power of a series, powers of a negated series and of zero, zero
+# factors, and the nodes that stop a theta argument or a negative power. The
+# two verify calls are true identities refused with ValidityExceeded, because
+# a monomial factor below degree 0 lowers the bound the comparison needs
+_PRODUCT_RULE = {
+    "negated-factor": "2*-f(a,b)*a",
+    "negated-power": "-(a+b)^2*f(a,b)",
+    "zero-factor": "0*f(a,b)",
+    "zero-power-factor": "f(a,b)*0^2",
+    "series-power-zero": "(a+b)^0",
+    "negated-negative-exponents": "-(a^-1 - b^-1)*f(a,b)",
+    "zero-negative-power": "0^-1",
+    "series-negative-power": "(a+b)^-1",
+    "sum-argument": "f((a+b)^2, b)",
+    "zero-argument": "f(0^2, b)",
+}
+CASES.update({"expand-product-" + name: ["expand", expr, "--degree", "6"]
+              for name, expr in _PRODUCT_RULE.items()})
+CASES.update({
+    "expand-product-power-of-negated": [
+        "expand", "(-f(a,b))^2", "--degree", "6", "--format", "json"],
+    "verify-error-negative-monomial-factor": [
+        "verify", "a^-1*f(a,b) = a^-1*f(a,b)", "--degree", "5"],
+    "verify-error-negative-monomial-sum-factor": [
+        "verify", "(a^-3+1)*(f(a,b)-1) = 0", "--degree", "0"],
+})
+
 _MILLIS = re.compile(r'"millis": [-+.0-9eE]+')
 
 
 def run(argv) -> str:
-    """Exit code and stdout of one CLI call, millis masked."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    """Exit code and stdout of one CLI call, millis masked, then stderr after
+    a `stderr:` line when there is any."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    return "exit %d\n%s" % (code, _MILLIS.sub('"millis": "*"', out.getvalue()))
+    text = "exit %d\n%s" % (code, _MILLIS.sub('"millis": "*"', out.getvalue()))
+    if err.getvalue():
+        text += "stderr:\n" + err.getvalue()
+    return text
 
 
 def golden_path(name: str) -> str:
