@@ -18,10 +18,13 @@ Precedence: "^" > unary "-" > "*" > binary "+"/"-". "^" is non-associative
 syntax error, because "ab" vs "a*b" is the classic q-series notation trap.
 Reserved meanings: i = zeta(4,1), omega = zeta(3,1).
 
-The text is read once, left to right: the tokenizer yields each token when
-the parser asks for it. So a parse error is the first in reading order: it
-names the token that breaks the grammar, the token kinds expected there when
-the grammar allows only some, and its offset. The parser also reports the
+Each text is scanned once, then parsed left to right through the list of its
+tokens: one regular expression finds those of ASCII text, a character loop
+with the same str.isdigit, isalpha and isspace rules those of any other. A
+character no token starts with is a token of its own, reported only when the
+parser reaches it, so a parse error is the first in reading order: it names
+the token that breaks the grammar, the token kinds expected there when the
+grammar allows only some, and its offset. The parser also reports the
 working order the text needs: the lcm of every root order it names
 (zeta(m,e) needs m, i needs 4, omega 3), made a multiple of 4 by Re or Im.
 parse_expr returns (expr, order), parse_identity (lhs, rhs, order).
@@ -29,6 +32,7 @@ parse_expr returns (expr, order), parse_identity (lhs, rhs, order).
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
@@ -48,6 +52,7 @@ _SYMBOLS = {
     ")": "rparen",
     ",": "comma",
     "=": "equals",
+    "": "end",  # the text _scan gives the end of input
 }
 
 
@@ -57,38 +62,60 @@ class Token(NamedTuple):
     offset: int
 
 
-def tokenize(text: str) -> Iterator[Token]:
-    """Yield the tokens of text left to right, each when it is asked for, then
-    an end token; a character no token starts with raises when it is reached."""
-    # tuple.__new__ skips the Python-level __new__ that NamedTuple generates
-    new = tuple.__new__
-    i = 0
-    n = len(text)
+# The tokens of ASCII text, as the character loop of _spans reads them: a run
+# of digits, a letter and the letters, digits and '_' after it, or any other
+# character but white space. Without re.ASCII, \s is str.isspace, which also
+# takes the separators U+001C-U+001F.
+_TOKEN = re.compile(r"[0-9]+|[A-Za-z][A-Za-z0-9_]*|\S")
+
+
+def _spans(text: str) -> Iterator[tuple[int, str]]:
+    """(offset, text) of every token of text, left to right; a character no
+    token starts with is a token of its own."""
+    if text.isascii():
+        yield from ((m.start(), m.group()) for m in _TOKEN.finditer(text))
+        return
+    i, n = 0, len(text)
     while i < n:
-        ch = text[i]
-        if ch in _SYMBOLS:
-            yield new(Token, (_SYMBOLS[ch], ch, i))
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i + 1
+        j = i + 1
+        if text[i].isdigit():
             while j < n and text[j].isdigit():
                 j += 1
-            yield new(Token, ("integer", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i + 1
+        elif text[i].isalpha():
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            yield new(Token, ("ident", text[i:j], i))
+        elif text[i].isspace():
             i = j
             continue
-        raise ParseError("unexpected character %r" % ch, i)
-    yield Token("end", "", n)
+        yield i, text[i:j]
+        i = j
+
+
+def _scan(text: str) -> list[str]:
+    """The text of every token of text, then "", the end of input."""
+    tokens = _TOKEN.findall(text) if text.isascii() else [tok for _, tok in _spans(text)]
+    tokens.append("")
+    return tokens
+
+
+def _kind(tok: str) -> str | None:
+    """The kind of a token's text, None for a character no token starts with."""
+    if tok.isdigit():
+        return "integer"
+    if tok[:1].isalpha():
+        return "ident"
+    return _SYMBOLS.get(tok)
+
+
+def tokenize(text: str) -> Iterator[Token]:
+    """Yield the tokens of text left to right, then an end token; a character
+    no token starts with raises when it is reached."""
+    for offset, tok in _spans(text):
+        kind = _kind(tok)
+        if kind is None:
+            raise ParseError("unexpected character %r" % tok, offset)
+        yield Token(kind, tok, offset)
+    yield Token("end", "", len(text))
 
 
 # every named leaf, shared by all the trees that name it
@@ -107,165 +134,152 @@ MAX_NESTING = 100
 
 
 class _Parser:
+    """Reads the token texts of one _scan by index. A check on a token compares
+    its text; an offset is worked out only for an error."""
+
     def __init__(self, text: str):
-        self.tokens = tokenize(text)
-        self.tok = None  # the lookahead, read only when asked for: errors come in reading order
+        self.text = text
+        self.tokens = _scan(text)
+        self.pos = 0  # index of the lookahead
         self.depth = 0
         self.order = 1  # lcm of the root orders read so far
 
-    def peek(self) -> Token:
-        if self.tok is None:
-            self.tok = next(self.tokens)
-        return self.tok
+    def offset(self, index: int) -> int:
+        """The offset of token index, from a second scan: only an error needs it."""
+        return [*(i for i, _ in _spans(self.text)), len(self.text)][index]
 
-    def advance(self) -> Token:
-        tok = self.peek()
-        if tok.kind != "end":
-            self.tok = None
-        return tok
+    def fail(self, message: str, expected=()):
+        """Raise message about the lookahead, which fills its {}; a lookahead
+        no token starts with is the first error in reading order instead."""
+        tok = self.tokens[self.pos]
+        kind = _kind(tok)
+        if kind is None:
+            raise ParseError("unexpected character %r" % tok, self.offset(self.pos))
+        raise ParseError(message.format(_describe(kind, tok)), self.offset(self.pos), expected)
 
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError("unexpected %s" % _describe(tok), tok.offset, {kind})
-        return self.advance()
+    def take(self, symbol: str) -> None:
+        if self.tokens[self.pos] != symbol:
+            self.fail("unexpected {}", {_SYMBOLS[symbol]})
+        self.pos += 1
+
+    def integer(self, message: str = "unexpected {}") -> int:
+        tok = self.tokens[self.pos]
+        if not tok.isdigit():
+            self.fail(message, {"integer"})
+        self.pos += 1
+        # the scan takes every str.isdigit() character, some of which int()
+        # rejects (such as "²"), and int() rejects more than
+        # sys.get_int_max_str_digits() digits
+        try:
+            return int(tok)
+        except ValueError:
+            what = "has too many digits" if tok.isdecimal() else "is not decimal"
+            raise ParseError("integer literal %s" % what, self.offset(self.pos - 1)) from None
 
     def whole(self, stop: str) -> Expr:
-        """An expr, then the token of kind stop that must end it."""
+        """An expr, then the token stop that must end it."""
         node = self.expr()
-        trailing = self.advance()
-        if trailing.kind != stop:
-            raise ParseError("unexpected %s after expression" % _describe(trailing),
-                             trailing.offset, {stop})
+        if self.tokens[self.pos] != stop:
+            self.fail("unexpected {} after expression", {_SYMBOLS[stop]})
+        self.pos += 1
         return node
 
     # expr := term (("+"|"-") term)*
     def expr(self) -> Expr:
         if self.depth > MAX_NESTING:
-            raise ParseError("expression nested more than %d levels deep" % MAX_NESTING,
-                             self.peek().offset)
+            self.fail("expression nested more than %d levels deep" % MAX_NESTING)
         self.depth += 1
         items = [self.term()]
-        while self.peek().kind in ("plus", "minus"):
-            op = self.advance()
+        tokens = self.tokens
+        while (op := tokens[self.pos]) == "+" or op == "-":
+            self.pos += 1
             t = self.term()
-            items.append(t if op.kind == "plus" else _negate(t))
+            items.append(t if op == "+" else _negate(t))
         self.depth -= 1
         return sum_of(items)
 
     # term := factor ("*" factor)*
     def term(self) -> Expr:
         items = [self.factor()]
-        while self.peek().kind == "star":
-            self.advance()
+        while self.tokens[self.pos] == "*":
+            self.pos += 1
             items.append(self.factor())
         return product_of(items)
 
     # factor := ("-")? atom ("^" signed_integer)?
     def factor(self) -> Expr:
-        negated = False
-        if self.peek().kind == "minus":
-            self.advance()
-            negated = True
+        negated = self.tokens[self.pos] == "-"
+        if negated:
+            self.pos += 1
         node = self.atom()
-        if self.peek().kind == "caret":
-            self.advance()
-            node = Power(node, self.signed_integer())
-            nxt = self.peek()
-            if nxt.kind == "caret":
-                raise ParseError("'^' is non-associative; parenthesize", nxt.offset)
+        if self.tokens[self.pos] == "^":
+            self.pos += 1
+            sign = 1
+            if self.tokens[self.pos] == "-":
+                self.pos += 1
+                sign = -1
+            node = Power(node, sign * self.integer("exponent must be a literal integer, got {}"))
+            if self.tokens[self.pos] == "^":
+                self.fail("'^' is non-associative; parenthesize")
         return _negate(node) if negated else node
 
-    def signed_integer(self) -> int:
-        sign = 1
-        tok = self.peek()
-        if tok.kind == "minus":
-            self.advance()
-            sign = -1
-            tok = self.peek()
-        if tok.kind != "integer":
-            raise ParseError(
-                "exponent must be a literal integer, got %s" % _describe(tok),
-                tok.offset,
-                {"integer"},
-            )
-        self.advance()
-        return sign * _int(tok)
-
     def atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "integer":
-            self.advance()
-            num = _int(tok)
-            if self.peek().kind == "slash":
-                self.advance()
-                den_tok = self.expect("integer")
-                den = _int(den_tok)
-                if den == 0:
-                    raise ParseError("zero denominator", den_tok.offset)
-                return RationalConst(Fraction(num, den))
-            return RationalConst(Fraction(num))
-        if tok.kind == "lparen":
-            self.advance()
+        tok = self.tokens[self.pos]
+        if tok.isdigit():
+            num = self.integer()
+            if self.tokens[self.pos] != "/":
+                return RationalConst(Fraction(num))
+            self.pos += 1
+            den = self.integer()
+            if den == 0:
+                raise ParseError("zero denominator", self.offset(self.pos - 1))
+            return RationalConst(Fraction(num, den))
+        if tok == "(":
+            self.pos += 1
             inner = self.expr()
-            self.expect("rparen")
+            self.take(")")
             return inner
-        if tok.kind == "ident":
-            return self.named_atom()
-        raise ParseError(
-            "unexpected %s" % _describe(tok), tok.offset, {"integer", "ident", "lparen"}
-        )
+        if tok[:1].isalpha():
+            return self.named_atom(tok)
+        self.fail("unexpected {}", {"integer", "ident", "lparen"})
 
-    def named_atom(self) -> Expr:
-        tok = self.advance()
-        name = tok.text
+    def named_atom(self, name: str) -> Expr:
+        self.pos += 1
         if name in _NEEDS:
             self.order = math.lcm(self.order, _NEEDS[name])
         if name in _LEAVES:
             return _LEAVES[name]
         if name == "zeta":
-            self.expect("lparen")
-            m_tok = self.expect("integer")
-            m = _int(m_tok)
+            self.take("(")
+            m = self.integer()
             if m < 1:
-                raise ParseError("root order must be >= 1", m_tok.offset)
-            self.expect("comma")
-            e = _int(self.expect("integer"))
-            self.expect("rparen")
+                raise ParseError("root order must be >= 1", self.offset(self.pos - 1))
+            self.take(",")
+            e = self.integer()
+            self.take(")")
             self.order = math.lcm(self.order, m)
             return RootOfUnity(m, e)
         if name == "f":
-            self.expect("lparen")
+            self.take("(")
             first = self.expr()
-            self.expect("comma")
+            self.take(",")
             second = self.expr()
-            self.expect("rparen")
+            self.take(")")
             return ThetaCall(first, second)
         if name in _CALLS:
-            self.expect("lparen")
+            self.take("(")
             inner = self.expr()
-            self.expect("rparen")
+            self.take(")")
             return _CALLS[name](inner)
         raise ParseError(
             "unknown name %r" % name,
-            tok.offset,
+            self.offset(self.pos - 1),
             {*_LEAVES, "zeta", "f", *_CALLS},
         )
 
 
-def _int(tok: Token) -> int:
-    # the tokenizer takes every str.isdigit() character, some of which int()
-    # rejects (such as "²"), and int() rejects more than
-    # sys.get_int_max_str_digits() digits
-    try:
-        return int(tok.text)
-    except ValueError:
-        what = "has too many digits" if tok.text.isdecimal() else "is not decimal"
-        raise ParseError("integer literal %s" % what, tok.offset) from None
-
-
-def _describe(tok: Token) -> str:
-    return "end of input" if tok.kind == "end" else "%s %r" % (tok.kind, tok.text)
+def _describe(kind: str, tok: str) -> str:
+    return "end of input" if kind == "end" else "%s %r" % (kind, tok)
 
 
 def _negate(node: Expr) -> Expr:
@@ -278,14 +292,14 @@ def parse_expr(text: str) -> tuple[Expr, int]:
     """Parse a single expression (no '=' allowed); return it with the
     working order it needs."""
     parser = _Parser(text)
-    return parser.whole("end"), parser.order
+    return parser.whole(""), parser.order
 
 
 def parse_identity(text: str) -> tuple[Expr, Expr, int]:
     """Parse both sides of the unique '=' in one pass; return them with the
     working order they need."""
     parser = _Parser(text)
-    return parser.whole("equals"), parser.whole("end"), parser.order
+    return parser.whole("="), parser.whole(""), parser.order
 
 
 # -- printing -----------------------------------------------------------------

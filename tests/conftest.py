@@ -23,9 +23,12 @@ from thetadissect.dissect import closed_form_parts  # noqa: E402
 from thetadissect.cyclotomic import CycloNum, euler_phi  # noqa: E402
 from thetadissect.errors import IncompatibleOrders, NonMonomialArgument, ParseError  # noqa: E402
 from thetadissect.expr import (  # noqa: E402
-    ImagPart, Negate, Power, Product, RationalConst, RealPart, RootOfUnity, Var, sum_of,
+    ImagPart, Negate, Power, Product, RationalConst, RealPart, RootOfUnity, ThetaCall, Var,
+    product_of, sum_of,
 )
-from thetadissect.exprlang import _SYMBOLS  # noqa: E402
+from thetadissect.exprlang import (  # noqa: E402
+    _CALLS, _LEAVES, _NEEDS, _SYMBOLS, MAX_NESTING, Token, _negate,
+)
 from thetadissect.laurent import LaurentSeries, Monomial, ScaledMonomial  # noqa: E402
 from thetadissect.theta import ThetaArgs  # noqa: E402
 
@@ -307,6 +310,200 @@ def reference_tokenize(text):
         raise ParseError("unexpected character %r" % ch, i)
     tokens.append(("end", "", n))
     return tokens
+
+
+def _lazy_tokens(text):
+    """The tokenizer the parser used when it read each token as it asked for
+    it: the character loop as a generator of Tokens, then an end token."""
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch in _SYMBOLS:
+            yield Token(_SYMBOLS[ch], ch, i)
+            i += 1
+            continue
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i + 1
+            while j < n and text[j].isdigit():
+                j += 1
+            yield Token("integer", text[i:j], i)
+            i = j
+            continue
+        if ch.isalpha():
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            yield Token("ident", text[i:j], i)
+            i = j
+            continue
+        raise ParseError("unexpected character %r" % ch, i)
+    yield Token("end", "", n)
+
+
+def _reference_int(tok):
+    try:
+        return int(tok.text)
+    except ValueError:
+        what = "has too many digits" if tok.text.isdecimal() else "is not decimal"
+        raise ParseError("integer literal %s" % what, tok.offset) from None
+
+
+def _reference_describe(tok):
+    return "end of input" if tok.kind == "end" else "%s %r" % (tok.kind, tok.text)
+
+
+class _ReferenceParser:
+    """The recursive-descent parser as it was when it pulled each token from
+    _lazy_tokens only when it looked at it, kept as the reference for the
+    parser that scans the whole text first: a parse error is the first in
+    reading order by construction here."""
+
+    def __init__(self, text):
+        self.tokens = _lazy_tokens(text)
+        self.tok = None
+        self.depth = 0
+        self.order = 1
+
+    def peek(self):
+        if self.tok is None:
+            self.tok = next(self.tokens)
+        return self.tok
+
+    def advance(self):
+        tok = self.peek()
+        if tok.kind != "end":
+            self.tok = None
+        return tok
+
+    def expect(self, kind):
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ParseError("unexpected %s" % _reference_describe(tok), tok.offset, {kind})
+        return self.advance()
+
+    def whole(self, stop):
+        node = self.expr()
+        trailing = self.advance()
+        if trailing.kind != stop:
+            raise ParseError("unexpected %s after expression" % _reference_describe(trailing),
+                             trailing.offset, {stop})
+        return node
+
+    def expr(self):
+        if self.depth > MAX_NESTING:
+            raise ParseError("expression nested more than %d levels deep" % MAX_NESTING,
+                             self.peek().offset)
+        self.depth += 1
+        items = [self.term()]
+        while self.peek().kind in ("plus", "minus"):
+            op = self.advance()
+            t = self.term()
+            items.append(t if op.kind == "plus" else _negate(t))
+        self.depth -= 1
+        return sum_of(items)
+
+    def term(self):
+        items = [self.factor()]
+        while self.peek().kind == "star":
+            self.advance()
+            items.append(self.factor())
+        return product_of(items)
+
+    def factor(self):
+        negated = False
+        if self.peek().kind == "minus":
+            self.advance()
+            negated = True
+        node = self.atom()
+        if self.peek().kind == "caret":
+            self.advance()
+            node = Power(node, self.signed_integer())
+            nxt = self.peek()
+            if nxt.kind == "caret":
+                raise ParseError("'^' is non-associative; parenthesize", nxt.offset)
+        return _negate(node) if negated else node
+
+    def signed_integer(self):
+        sign = 1
+        tok = self.peek()
+        if tok.kind == "minus":
+            self.advance()
+            sign = -1
+            tok = self.peek()
+        if tok.kind != "integer":
+            raise ParseError("exponent must be a literal integer, got %s"
+                             % _reference_describe(tok), tok.offset, {"integer"})
+        self.advance()
+        return sign * _reference_int(tok)
+
+    def atom(self):
+        tok = self.peek()
+        if tok.kind == "integer":
+            self.advance()
+            num = _reference_int(tok)
+            if self.peek().kind == "slash":
+                self.advance()
+                den_tok = self.expect("integer")
+                den = _reference_int(den_tok)
+                if den == 0:
+                    raise ParseError("zero denominator", den_tok.offset)
+                return RationalConst(Fraction(num, den))
+            return RationalConst(Fraction(num))
+        if tok.kind == "lparen":
+            self.advance()
+            inner = self.expr()
+            self.expect("rparen")
+            return inner
+        if tok.kind == "ident":
+            return self.named_atom()
+        raise ParseError("unexpected %s" % _reference_describe(tok), tok.offset,
+                         {"integer", "ident", "lparen"})
+
+    def named_atom(self):
+        tok = self.advance()
+        name = tok.text
+        if name in _NEEDS:
+            self.order = math.lcm(self.order, _NEEDS[name])
+        if name in _LEAVES:
+            return _LEAVES[name]
+        if name == "zeta":
+            self.expect("lparen")
+            m_tok = self.expect("integer")
+            m = _reference_int(m_tok)
+            if m < 1:
+                raise ParseError("root order must be >= 1", m_tok.offset)
+            self.expect("comma")
+            e = _reference_int(self.expect("integer"))
+            self.expect("rparen")
+            self.order = math.lcm(self.order, m)
+            return RootOfUnity(m, e)
+        if name == "f":
+            self.expect("lparen")
+            first = self.expr()
+            self.expect("comma")
+            second = self.expr()
+            self.expect("rparen")
+            return ThetaCall(first, second)
+        if name in _CALLS:
+            self.expect("lparen")
+            inner = self.expr()
+            self.expect("rparen")
+            return _CALLS[name](inner)
+        raise ParseError("unknown name %r" % name, tok.offset, {*_LEAVES, "zeta", "f", *_CALLS})
+
+
+def reference_parse_expr(text):
+    parser = _ReferenceParser(text)
+    return parser.whole("end"), parser.order
+
+
+def reference_parse_identity(text):
+    parser = _ReferenceParser(text)
+    return parser.whole("equals"), parser.whole("end"), parser.order
 
 
 def reference_transformation_text(m, e=1):

@@ -521,8 +521,12 @@ def test_transformation_identity_does_not_tokenize(monkeypatch):
     parsed = [parse_identity(reference_transformation_text(m)) for m in range(1, 13)]
 
     def refuse(text):
-        raise AssertionError("tokenize called on %r" % text[:40])
-    monkeypatch.setattr(exprlang, "tokenize", refuse)
+        raise AssertionError("text scanned: %r" % text[:40])
+    # the parser's one scan of its text; tokenize shares its character loop
+    monkeypatch.setattr(exprlang, "_scan", refuse)
+    monkeypatch.setattr(exprlang, "_spans", refuse)
+    with pytest.raises(AssertionError, match="^text scanned"):
+        parse_identity("f(a,b) = f(b,a)")
     for m in range(1, 13):
         identity = transformation_identity(m)
         assert (identity.lhs, identity.rhs, m) == parsed[m - 1]

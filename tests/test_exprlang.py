@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import reference_tokenize
+from conftest import reference_parse_expr, reference_parse_identity, reference_tokenize
 from thetadissect.catalog import builtin_catalog
 from thetadissect.errors import ParseError
 from thetadissect.expr import (
@@ -12,7 +12,7 @@ from thetadissect.expr import (
     SpecializeQ, Sum, ThetaCall, Var,
 )
 from thetadissect.exprlang import (
-    Token, parse_expr, parse_identity, print_expr, print_identity, tokenize,
+    MAX_NESTING, Token, parse_expr, parse_identity, print_expr, print_identity, tokenize,
 )
 
 A, B, Q = Var("a"), Var("b"), Var("q")
@@ -280,6 +280,57 @@ def test_an_identity_is_two_expressions_around_one_equals_sign(text):
     else:
         (lhs, lhs_order), (rhs, rhs_order) = sides
         assert parse_identity(text) == (lhs, rhs, math.lcm(lhs_order, rhs_order))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc), exc.offset, exc.expected
+
+
+def _assert_as_the_reference(text):
+    assert _outcome(parse_expr, text) == _outcome(reference_parse_expr, text)
+    assert _outcome(parse_identity, text) == _outcome(reference_parse_identity, text)
+
+
+@given(st.one_of(st.text(max_size=40), _GRAMMAR_TEXT, _SCANNER_TEXT, _EQUATIONS))
+@settings(max_examples=400, deadline=None)
+def test_the_parser_matches_the_parser_that_reads_each_token_when_it_asks(text):
+    # the reference pulls each token from a lazy character loop, so its
+    # errors are the first in reading order by construction
+    _assert_as_the_reference(text)
+
+
+@pytest.mark.parametrize("text", [
+    "a^2^!", "a^-!", "zeta(3,1", "zeta(\u00b2!", "f(a,b) = f(b,a) !", "a\u00a0=\u3000b\u001c",
+])
+def test_the_parser_matches_the_reference_at_the_edges(text):
+    _assert_as_the_reference(text)
+
+
+@pytest.mark.parametrize("tail", ["a", "!", "\u00e9", " = !", "a" + ")" * MAX_NESTING],
+                         ids=["letter", "bad", "non-ascii", "bad-right-side", "closed"])
+def test_the_nesting_cap_matches_the_reference(tail):
+    # the cap is checked before the lookahead is read, which here may be a
+    # character no token starts with
+    for depth in (MAX_NESTING, MAX_NESTING + 1):
+        _assert_as_the_reference("(" * depth + tail)
+
+
+# A check on a token already read, with a character no token starts with
+# after it: the whole text is scanned before the parser starts, but the error
+# is still the first in reading order.
+@pytest.mark.parametrize("text, message", [
+    ("zeta(0,1)!*a", "root order must be >= 1 at offset 5"),
+    ("1/0!", "zero denominator at offset 2"),
+    ("a^\u00b2", "integer literal is not decimal at offset 2"),
+    ("zeta(3,1)*a $", "unexpected character '$' at offset 12"),
+])
+def test_a_parse_error_is_the_first_in_reading_order(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_expr(text)
+    assert str(err.value) == message
 
 
 def test_tokens_are_named_triples():
