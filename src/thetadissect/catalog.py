@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Optional
@@ -48,6 +47,7 @@ from .expr import (
 )
 from .exprlang import parse_identity
 from .laurent import LaurentSeries, Mismatch, Monomial, ScaledMonomial, ratio_power
+from .record import Record, set_field
 from .theta import ThetaArgs, theta_expand
 
 _VAR_PARTS = {"a": (1, 0, 1, 0), "b": (1, 0, 0, 1), "q": (1, 0, 1, 0)}
@@ -169,33 +169,46 @@ def evaluate(node: Expr, degree: int, order: int) -> LaurentSeries:
 # -- identities and reports ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Identity:
-    name: str
-    lhs: Expr
-    rhs: Expr
-    required_root_order: int
-    paper_ref: str
+class Identity(Record):
+    __slots__ = ("name", "lhs", "rhs", "required_root_order", "paper_ref")
+
+    def __init__(self, name: str, lhs: Expr, rhs: Expr, required_root_order: int,
+                 paper_ref: str):
+        set_field(self, "name", name)
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
+        set_field(self, "required_root_order", required_root_order)
+        set_field(self, "paper_ref", paper_ref)
 
 
-@dataclass(frozen=True)
-class Report:
-    """Outcome of one verification, spelled by to_dict and to_line. The two
-    evaluated series (None on error) and the EngineError of an error status,
-    its traceback dropped, are neither serialized nor compared."""
+class Report(Record):
+    """Outcome of one verification, spelled by to_dict and to_line; status is
+    verified, failed or error. The two evaluated series (None on error) and
+    the EngineError of an error status, its traceback dropped, are neither
+    serialized, compared nor printed by repr: they are slots outside
+    `_fields`."""
 
-    name: str
-    paper_ref: str
-    degree: int
-    status: str  # verified | failed | error
-    first_mismatch: Optional[Mismatch]
-    lhs_terms: int
-    rhs_terms: int
-    millis: float
-    error: Optional[str] = None
-    lhs: Optional[LaurentSeries] = field(default=None, compare=False, repr=False)
-    rhs: Optional[LaurentSeries] = field(default=None, compare=False, repr=False)
-    exception: Optional[EngineError] = field(default=None, compare=False, repr=False)
+    __slots__ = ("name", "paper_ref", "degree", "status", "first_mismatch", "lhs_terms",
+                 "rhs_terms", "millis", "error", "lhs", "rhs", "exception")
+    _fields = __slots__[:9]
+
+    def __init__(self, name: str, paper_ref: str, degree: int, status: str,
+                 first_mismatch: Optional[Mismatch], lhs_terms: int, rhs_terms: int,
+                 millis: float, error: Optional[str] = None,
+                 lhs: Optional[LaurentSeries] = None, rhs: Optional[LaurentSeries] = None,
+                 exception: Optional[EngineError] = None):
+        set_field(self, "name", name)
+        set_field(self, "paper_ref", paper_ref)
+        set_field(self, "degree", degree)
+        set_field(self, "status", status)
+        set_field(self, "first_mismatch", first_mismatch)
+        set_field(self, "lhs_terms", lhs_terms)
+        set_field(self, "rhs_terms", rhs_terms)
+        set_field(self, "millis", millis)
+        set_field(self, "error", error)
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
+        set_field(self, "exception", exception)
 
     def to_dict(self) -> dict:
         doc = {

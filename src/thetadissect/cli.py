@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
+from _json import encode_basestring_ascii as _quote
 
 from . import catalog as cat
 from .cyclotomic import _digits, euler_phi
@@ -92,6 +92,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def json_text(value, indent: str = "\n") -> str:
+    """The bytes json.dumps(value, indent=2) gives for dicts with str keys,
+    lists, strings, ints, floats, bools and None, without loading the json
+    package: strings go through its C escaper, and ints are spelled by
+    _digits, so they print in full past the 4300-digit int-to-str limit.
+    `indent` is the line break and indent of the enclosing level."""
+    if isinstance(value, str):
+        return _quote(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return "{%s%s}" % (",".join(inner + _quote(key) + ": " + json_text(item, inner)
+                                    for key, item in value.items()), indent)
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        return "[%s%s]" % (",".join(inner + json_text(item, inner) for item in value), indent)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return _digits(value)
+    if isinstance(value, float):
+        return repr(value)
+    raise TypeError("%s is not JSON serializable" % type(value).__name__)
+
+
 def _emit(text: str, args):
     if args.out:
         with open(args.out, "w") as handle:
@@ -123,16 +154,13 @@ def _cmd_expand(args) -> int:
             "expr": print_expr(ast),
             "degree": args.degree,
             "order": order,
-            "validity": None,
+            "validity": series.validity,
             "terms": [
                 {"monomial": mono.render(), "coeff": str(coeff)}
                 for mono, coeff in series.sorted_terms()
             ],
         }
-        # json.dumps spells an int with int.__repr__, which refuses past
-        # CPython's 4300-digit limit, so the validity is spelled as in text
-        _emit(json.dumps(doc, indent=2).replace(
-            '"validity": null', '"validity": ' + _digits(series.validity), 1), args)
+        _emit(json_text(doc), args)
     else:
         _emit("%s\nvalidity: %s" % (series.render(), _digits(series.validity)), args)
     return 0
@@ -144,7 +172,7 @@ def _cmd_verify(args) -> int:
     identity = cat.Identity("user", lhs, rhs, order, "user-supplied identity")
     report = cat.verify_identity(identity, args.degree)
     if args.format == "json":
-        _emit(json.dumps(report.to_dict(), indent=2), args)
+        _emit(json_text(report.to_dict()), args)
     else:
         _emit(report.to_line(), args)
     if report.exception is not None:
@@ -163,7 +191,7 @@ def _cmd_catalog(args) -> int:
             "reports": [r.to_dict() for r in reports],
             "summary": cat.summarize(reports),
         }
-        _emit(json.dumps(doc, indent=2), args)
+        _emit(json_text(doc), args)
     else:
         lines = []
         show_series = not run_all
@@ -220,7 +248,7 @@ def _cmd_dissect(args) -> int:
     if mode == "both":
         doc["all_agree"] = all_agree
         lines.append("all agree" if all_agree else "disagreement found")
-    _emit(json.dumps(doc, indent=2) if args.format == "json" else "\n".join(lines), args)
+    _emit(json_text(doc) if args.format == "json" else "\n".join(lines), args)
     return 0 if all_agree else 1
 
 

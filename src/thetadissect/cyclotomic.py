@@ -19,10 +19,10 @@ from __future__ import annotations
 import decimal
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import check_divides, check_orders
+from .record import Record, set_field
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -107,29 +107,38 @@ def reduce_powers(order: int, values, step: int = 1, shift: int = 0) -> list[int
     return out
 
 
-@dataclass(frozen=True)
-class CycloNum:
+class CycloNum(Record):
     """An element of Q(zeta_order) in the power basis: integer numerators
     nums, of length phi(order), over one denominator den.
 
     Construction puts every value in lowest terms with den > 0 (zero is all
-    zeros over 1), so dataclass equality and hashing are exact in the field.
+    zeros over 1), so record equality and hashing (order, nums, den) are
+    exact in the field.
     """
 
-    order: int
-    nums: tuple[int, ...]
-    den: int = 1
+    __slots__ = ("order", "nums", "den")
 
-    def __post_init__(self):
-        if len(self.nums) != euler_phi(self.order):
+    def __init__(self, order: int, nums: tuple[int, ...], den: int = 1):
+        if len(nums) != euler_phi(order):
             raise ValueError("numerator vector length must equal phi(order)")
-        den = self.den
         if den == 0:
             raise ZeroDivisionError("CycloNum denominator is zero")
-        g = math.gcd(den, *self.nums) if den > 0 else -math.gcd(den, *self.nums)
+        g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
         if g != 1:
-            object.__setattr__(self, "nums", tuple([x // g for x in self.nums]))
-            object.__setattr__(self, "den", den // g)
+            nums = tuple([x // g for x in nums])
+            den //= g
+        set_field(self, "order", order)
+        set_field(self, "nums", nums)
+        set_field(self, "den", den)
+
+    def __eq__(self, other):
+        # the record rule, spelled out for speed: comparing series compares
+        # every stored coefficient
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.nums == other.nums and self.den == other.den and self.order == other.order
+
+    __hash__ = Record.__hash__
 
     # -- constructors -------------------------------------------------------
 

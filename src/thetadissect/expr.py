@@ -1,15 +1,18 @@
 """AST for the identity language.
 
-Nodes are frozen dataclasses, so structural equality is ==. Sums and products
-are n-ary (n >= 2 when built through the helpers below); Power exponents are
-plain Python ints and may be negative. The working order an expression
-needs is reported by the parser (exprlang), not computed here.
+Nodes are read-only records (record.py), so structural equality is ==, and
+nodes of one field layout but different kinds (Negate and RealPart, Sum and
+Product) are never equal. Sums and products are n-ary (n >= 2 when built
+through the helpers below); Power exponents are plain Python ints and may be
+negative. The working order an expression needs is reported by the parser
+(exprlang), not computed here.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
+
+from .record import Record, set_field
 
 Expr = Union[
     "Sum", "Product", "Power", "ThetaCall", "Var", "RootOfUnity",
@@ -17,82 +20,88 @@ Expr = Union[
 ]
 
 
-@dataclass(frozen=True)
-class Sum:
-    items: tuple
+class Sum(Record):
+    __slots__ = ("items",)
 
-    def __post_init__(self):
-        if len(self.items) < 2:
+    def __init__(self, items: tuple):
+        if len(items) < 2:
             raise ValueError("Sum needs at least two items; use sum_of()")
+        set_field(self, "items", items)
 
 
-@dataclass(frozen=True)
-class Product:
-    items: tuple
+class Product(Record):
+    __slots__ = ("items",)
 
-    def __post_init__(self):
-        if len(self.items) < 2:
+    def __init__(self, items: tuple):
+        if len(items) < 2:
             raise ValueError("Product needs at least two items; use product_of()")
+        set_field(self, "items", items)
 
 
-@dataclass(frozen=True)
-class Power:
-    base: Expr
-    exponent: int
+class Power(Record):
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: Expr, exponent: int):
+        set_field(self, "base", base)
+        set_field(self, "exponent", exponent)
 
 
-@dataclass(frozen=True)
-class ThetaCall:
-    first: Expr
-    second: Expr
+class ThetaCall(Record):
+    __slots__ = ("first", "second")
+
+    def __init__(self, first: Expr, second: Expr):
+        set_field(self, "first", first)
+        set_field(self, "second", second)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Record):
+    __slots__ = ("name",)
 
-    def __post_init__(self):
-        if self.name not in ("a", "b", "q"):
+    def __init__(self, name: str):
+        if name not in ("a", "b", "q"):
             raise ValueError("variable must be one of a, b, q")
+        set_field(self, "name", name)
 
 
-@dataclass(frozen=True)
-class RootOfUnity:
-    order: int
-    exponent: int
+class RootOfUnity(Record):
+    __slots__ = ("order", "exponent")
 
-    def __post_init__(self):
-        if self.order < 1:
+    def __init__(self, order: int, exponent: int):
+        if order < 1:
             raise ValueError("root order must be >= 1")
-        object.__setattr__(self, "exponent", self.exponent % self.order)
+        set_field(self, "order", order)
+        set_field(self, "exponent", exponent % order)
 
 
-@dataclass(frozen=True)
-class RationalConst:
-    value: Fraction
+class RationalConst(Record):
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
-
-
-@dataclass(frozen=True)
-class Negate:
-    item: Expr
+    def __init__(self, value: Fraction):
+        set_field(self, "value", Fraction(value))
 
 
-@dataclass(frozen=True)
-class RealPart:
-    item: Expr
+class _Unary(Record):
+    """A node of one item: the field layout of the four kinds below."""
+    __slots__ = ("item",)
+
+    def __init__(self, item: Expr):
+        set_field(self, "item", item)
 
 
-@dataclass(frozen=True)
-class ImagPart:
-    item: Expr
+class Negate(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SpecializeQ:
-    item: Expr
+class RealPart(_Unary):
+    __slots__ = ()
+
+
+class ImagPart(_Unary):
+    __slots__ = ()
+
+
+class SpecializeQ(_Unary):
+    __slots__ = ()
 
 
 def sum_of(items) -> Expr:
@@ -124,6 +133,6 @@ def b_as_q(node: Expr) -> Expr:
         return Power(b_as_q(node.base), node.exponent)
     if isinstance(node, ThetaCall):
         return ThetaCall(b_as_q(node.first), b_as_q(node.second))
-    if isinstance(node, (Negate, RealPart, ImagPart, SpecializeQ)):
+    if isinstance(node, _Unary):
         return type(node)(b_as_q(node.item))
     return node

@@ -35,12 +35,12 @@ item is converted once and coefficients are built once, at the root.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .cyclotomic import CycloNum, _digits, join_signed, reduce_powers, zeta_power
 from .errors import RequestTooLarge, ValidityExceeded, check_orders
+from .record import Record, set_field
 
 # r^n for a ratio r other than +-1 has about |n| times the bits of r; a constant
 # power, or the estimated power of a series' least-degree part, past this many bits is refused
@@ -96,8 +96,7 @@ def _term_key(mono: Monomial) -> tuple[int, int]:
     return (mono.total_degree, -mono.p)
 
 
-@dataclass(frozen=True)
-class ScaledMonomial:
+class ScaledMonomial(Record):
     """r * zeta_order^e * a^p * b^q with r a nonzero rational: the only legal
     theta argument. r is kept as given: an int unless rational input or a
     negative power makes it a Fraction, which compares and hashes as the int
@@ -107,18 +106,18 @@ class ScaledMonomial:
     (0 <= e < order, and r > 0 when order is even, since -1 =
     zeta^(order/2)), so equal values compare equal."""
 
-    ratio: int | Fraction
-    exponent: int
-    order: int
-    mono: Monomial
+    __slots__ = ("ratio", "exponent", "order", "mono")
 
-    def __post_init__(self):
-        if self.ratio == 0:
+    def __init__(self, ratio: int | Fraction, exponent: int, order: int, mono: Monomial):
+        if ratio == 0:
             raise ValueError("scaled monomial coefficient must be nonzero")
-        half = self.order // 2 if self.ratio < 0 and self.order % 2 == 0 else 0
+        half = order // 2 if ratio < 0 and order % 2 == 0 else 0
         if half:
-            object.__setattr__(self, "ratio", -self.ratio)
-        object.__setattr__(self, "exponent", (self.exponent + half) % self.order)
+            ratio = -ratio
+        set_field(self, "ratio", ratio)
+        set_field(self, "exponent", (exponent + half) % order)
+        set_field(self, "order", order)
+        set_field(self, "mono", mono)
 
     @staticmethod
     def make(ratio, p: int, q: int, order: int = 1) -> "ScaledMonomial":
@@ -160,17 +159,20 @@ class Mismatch(NamedTuple):
         return {"monomial": self.monomial.render(), left: str(self.left), right: str(self.right)}
 
 
-@dataclass(frozen=True)
-class LaurentSeries:
+class LaurentSeries(Record):
     """Finite map Monomial -> CycloNum, exact through total degree `validity`.
 
     Construct via the classmethods or module operations; the raw constructor
-    trusts its input. Instances are treated as immutable.
+    trusts its input. The fields are read-only, and the terms dict is treated
+    as immutable.
     """
 
-    terms: dict
-    validity: int
-    order: int
+    __slots__ = ("terms", "validity", "order")
+
+    def __init__(self, terms: dict, validity: int, order: int):
+        set_field(self, "terms", terms)
+        set_field(self, "validity", validity)
+        set_field(self, "order", order)
 
     @staticmethod
     def make(entries: Iterable[tuple[Monomial, CycloNum]], validity: int, order: int) -> "LaurentSeries":
@@ -184,7 +186,7 @@ class LaurentSeries:
                 continue
             if mono in acc:
                 coeff = acc.pop(mono) + coeff
-            if not coeff.is_zero():
+            if any(coeff.nums):
                 acc[mono] = coeff
         return LaurentSeries(acc, validity, order)
 

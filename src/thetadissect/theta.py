@@ -22,11 +22,11 @@ check_index_cap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .cyclotomic import CycloNum, _digits, _zeta_powers
 from .errors import NonConvergent, RequestTooLarge, check_orders
 from .laurent import LaurentSeries, Monomial, ScaledMonomial, ratio_bits
+from .record import Record, set_field
 
 # a theta sum, a Pochhammer ladder, a dissection filter or a whole dissection
 # run with more indices than this is refused before its first term is built
@@ -47,18 +47,18 @@ def check_index_cap(what: str, indices: range) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class ThetaArgs:
-    first: ScaledMonomial
-    second: ScaledMonomial
+class ThetaArgs(Record):
+    __slots__ = ("first", "second")
 
-    def __post_init__(self):
-        check_orders("theta argument", self.first.order, self.second.order)
-        if self.first.total_degree + self.second.total_degree <= 0:
+    def __init__(self, first: ScaledMonomial, second: ScaledMonomial):
+        check_orders("theta argument", first.order, second.order)
+        if first.total_degree + second.total_degree <= 0:
             raise NonConvergent(
                 "theta argument degrees d1=%d, d2=%d need d1+d2 > 0"
-                % (self.first.total_degree, self.second.total_degree)
+                % (first.total_degree, second.total_degree)
             )
+        set_field(self, "first", first)
+        set_field(self, "second", second)
 
     @property
     def order(self) -> int:

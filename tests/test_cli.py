@@ -524,6 +524,35 @@ def test_expand_json_writes_a_validity_past_the_int_digit_limit(capsys):
     assert doc["terms"] == [{"monomial": "a^%s" % full_digits(10 * n), "coeff": "1"}]
 
 
+# JSON documents as the CLI builds them, with strings of every code point
+# (control characters, non-ASCII, lone surrogates) and ints and floats of
+# any size JSON can spell
+_JSON_STRINGS = st.text(st.characters(exclude_categories=()), max_size=8)
+_JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | _JSON_STRINGS
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_STRINGS, inner, max_size=4),
+    max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON_DOCS)
+def test_json_text_writes_the_bytes_of_json_dumps(doc):
+    assert cli.json_text(doc) == json.dumps(doc, indent=2)
+
+
+def test_json_text_spells_an_int_past_the_int_digit_limit():
+    n = -(10 ** 5000 - 1)  # 5000 nines
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = json.dumps({"validity": n, "terms": [n]}, indent=2)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert cli.json_text({"validity": n, "terms": [n]}) == expected
+    assert expected.count("9" * 5000) == 2
+
+
 _TOO_LARGE = ("evaluation error: RequestTooLarge: power 9999999999 of a ratio with 3"
               " numerator and denominator bits exceeds the 1048576-bit cap\n")
 

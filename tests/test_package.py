@@ -24,6 +24,16 @@ print(code, " ".join(sorted(names - set(sys.stdlib_module_names))))
 """
 
 
+# imports the CLI and prints the loaded modules among those that dataclasses
+# and json brought in
+_IMPORT_SCRIPT = """
+import sys
+import thetadissect.cli
+print(" ".join(name for name in ("dataclasses", "inspect", "ast", "dis", "json")
+               if name in sys.modules))
+"""
+
+
 # imports the oracles and prints every loaded module of the package
 _ORACLES_ALONE_SCRIPT = """
 import sys
@@ -46,6 +56,16 @@ def test_runtime_imports_only_the_standard_library():
                             env=dict(os.environ, PYTHONPATH=src),
                             capture_output=True, text=True, check=True)
     assert result.stdout.split() == ["0", "__main__", "thetadissect"]
+
+
+def test_the_cli_loads_neither_dataclasses_nor_json():
+    # both come with modules (inspect, ast, dis) that every CLI call would
+    # pay to import; -S leaves out site, which may import them itself
+    src = os.path.dirname(os.path.dirname(os.path.abspath(thetadissect.__file__)))
+    result = subprocess.run([sys.executable, "-S", "-c", _IMPORT_SCRIPT],
+                            env=dict(os.environ, PYTHONPATH=src),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.split() == []
 
 
 def test_oracles_import_nothing_from_the_engine():
