@@ -14,7 +14,7 @@ from .expr import (
     ImagPart, Negate, Power, Product, RationalConst, RealPart, RootOfUnity,
     SpecializeQ, Sum, ThetaCall, Var, product_of, sum_of,
 )
-from .exprlang import parse_expr, parse_identity, print_expr, print_identity, tokenize
+from .exprlang import parse_expr, parse_identity, print_expr, print_identity
 from .catalog import (
     Identity,
     Report,
@@ -43,7 +43,7 @@ __all__ = [
     "Sum", "Product", "Power", "ThetaCall", "Var", "RootOfUnity",
     "RationalConst", "Negate", "RealPart", "ImagPart", "SpecializeQ",
     "sum_of", "product_of",
-    "parse_expr", "parse_identity", "print_expr", "print_identity", "tokenize",
+    "parse_expr", "parse_identity", "print_expr", "print_identity",
     # catalog
     "Identity", "Report", "builtin_catalog", "catalog_by_name", "evaluate",
     "fold_scaled_monomial", "get_identity", "summarize",

@@ -6,7 +6,8 @@ contract, and `main` alone turns exceptions into them and writes to stderr;
 `verify` prints its report of an evaluation error first, then re-raises it:
 
   0  success / verified / all agree
-  1  an identity failed (or a catalog/dissection run had failures)
+  1  an identity failed (or a catalog/dissection run had failures; catalog
+     reports an entry's evaluation error in the run, not as exit 3)
   2  parse or usage errors (bad flags, unknown catalog names, bad m/k,
      m above MAX_MODULUS, an --out path that cannot be written): a
      UsageError or an OSError

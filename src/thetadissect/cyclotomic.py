@@ -152,9 +152,6 @@ class CycloNum(Record):
 
     # -- predicates ----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not any(self.nums)
-
     def as_rational(self) -> Fraction:
         if any(self.nums[1:]):
             raise ValueError("%s is not rational" % self)

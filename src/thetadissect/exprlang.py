@@ -1,4 +1,4 @@
-"""Surface syntax for identities: tokenizer, recursive-descent parser, printer.
+"""Surface syntax for identities: recursive-descent parser and printer.
 
 Grammar (the public, versioned surface syntax):
 
@@ -19,8 +19,9 @@ syntax error, because "ab" vs "a*b" is the classic q-series notation trap.
 Reserved meanings: i = zeta(4,1), omega = zeta(3,1).
 
 Each text is scanned once, then parsed left to right through the list of its
-tokens: one regular expression finds those of ASCII text, a character loop
-with the same str.isdigit, isalpha and isspace rules those of any other. A
+tokens: one regular expression finds those of ASCII text, and a character loop
+with the same str.isdigit, isalpha and isspace rules finds those of any other
+text and the offset of every token, which only a parse error needs. A
 character no token starts with is a token of its own, reported only when the
 parser reaches it, so a parse error is the first in reading order: it names
 the token that breaks the grammar, the token kinds expected there when the
@@ -34,7 +35,6 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterator, NamedTuple
 
 from .errors import ParseError
 from .expr import (
@@ -56,12 +56,6 @@ _SYMBOLS = {
 }
 
 
-class Token(NamedTuple):
-    kind: str  # ident | integer | slash | plus | minus | star | caret | lparen | rparen | comma | equals | end
-    text: str
-    offset: int
-
-
 # The tokens of ASCII text, as the character loop of _spans reads them: a run
 # of digits, a letter and the letters, digits and '_' after it, or any other
 # character but white space. Without re.ASCII, \s is str.isspace, which also
@@ -69,12 +63,10 @@ class Token(NamedTuple):
 _TOKEN = re.compile(r"[0-9]+|[A-Za-z][A-Za-z0-9_]*|\S")
 
 
-def _spans(text: str) -> Iterator[tuple[int, str]]:
-    """(offset, text) of every token of text, left to right; a character no
-    token starts with is a token of its own."""
-    if text.isascii():
-        yield from ((m.start(), m.group()) for m in _TOKEN.finditer(text))
-        return
+def _spans(text: str):
+    """Yield (offset, text) of every token of text, left to right; a character
+    no token starts with is a token of its own. This loop defines the token
+    rules: _TOKEN reads ASCII text as it does."""
     i, n = 0, len(text)
     while i < n:
         j = i + 1
@@ -105,17 +97,6 @@ def _kind(tok: str) -> str | None:
     if tok[:1].isalpha():
         return "ident"
     return _SYMBOLS.get(tok)
-
-
-def tokenize(text: str) -> Iterator[Token]:
-    """Yield the tokens of text left to right, then an end token; a character
-    no token starts with raises when it is reached."""
-    for offset, tok in _spans(text):
-        kind = _kind(tok)
-        if kind is None:
-            raise ParseError("unexpected character %r" % tok, offset)
-        yield Token(kind, tok, offset)
-    yield Token("end", "", len(text))
 
 
 # every named leaf, shared by all the trees that name it

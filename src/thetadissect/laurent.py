@@ -58,9 +58,6 @@ class Monomial(NamedTuple):
     def __mul__(self, other: "Monomial") -> "Monomial":
         return Monomial(self.p + other.p, self.q + other.q)
 
-    def __pow__(self, n: int) -> "Monomial":
-        return Monomial(self.p * n, self.q * n)
-
     def render(self) -> str:
         parts = []
         for sym, e in (("a", self.p), ("b", self.q)):
@@ -100,9 +97,9 @@ class ScaledMonomial(Record):
     """r * zeta_order^e * a^p * b^q with r a nonzero rational: the only legal
     theta argument. r is kept as given: an int unless rational input or a
     negative power makes it a Fraction, which compares and hashes as the int
-    of its value does. Products, powers and negation are rational and
-    exponent arithmetic; a power whose ratio would pass MAX_POWER_BITS raises
-    RequestTooLarge before it is taken (`ratio_power`). The form is canonical
+    of its value does. Products and negation are rational and exponent
+    arithmetic; the fold of a power node takes its ratio by `ratio_power`,
+    which raises RequestTooLarge past MAX_POWER_BITS. The form is canonical
     (0 <= e < order, and r > 0 when order is even, since -1 =
     zeta^(order/2)), so equal values compare equal."""
 
@@ -139,10 +136,6 @@ class ScaledMonomial(Record):
         check_orders("scaled monomial", self.order, other.order)
         return ScaledMonomial(self.ratio * other.ratio, self.exponent + other.exponent,
                               self.order, self.mono * other.mono)
-
-    def __pow__(self, n: int) -> "ScaledMonomial":
-        return ScaledMonomial(ratio_power(self.ratio, n), self.exponent * n, self.order,
-                              self.mono ** n)
 
     def __neg__(self) -> "ScaledMonomial":
         return ScaledMonomial(-self.ratio, self.exponent, self.order, self.mono)

@@ -1,6 +1,7 @@
 import math
 import os
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ if ORACLES_DIR not in sys.path:
     sys.path.insert(0, ORACLES_DIR)
 
 import oracles as orc  # noqa: E402
-from thetadissect.catalog import evaluate  # noqa: E402
+from thetadissect.catalog import evaluate, fold_scaled_monomial  # noqa: E402
 from thetadissect.dissect import closed_form_parts  # noqa: E402
 from thetadissect.cyclotomic import CycloNum, euler_phi  # noqa: E402
 from thetadissect.errors import IncompatibleOrders, NonMonomialArgument, ParseError  # noqa: E402
@@ -27,7 +28,7 @@ from thetadissect.expr import (  # noqa: E402
     product_of, sum_of,
 )
 from thetadissect.exprlang import (  # noqa: E402
-    _CALLS, _LEAVES, _NEEDS, _SYMBOLS, MAX_NESTING, Token, _negate,
+    _CALLS, _LEAVES, _NEEDS, _SYMBOLS, MAX_NESTING, _negate,
 )
 from thetadissect.laurent import LaurentSeries, Monomial, ScaledMonomial  # noqa: E402
 from thetadissect.theta import ThetaArgs  # noqa: E402
@@ -206,7 +207,7 @@ def schoolbook_terms(x, y, validity):
                 continue
             prod = c1 * c2
             acc[mono] = acc[mono] + prod if mono in acc else prod
-    return {m: c for m, c in acc.items() if not c.is_zero()}
+    return {m: c for m, c in acc.items() if any(c.nums)}
 
 
 def known_min_degree(s):
@@ -272,10 +273,21 @@ def reference_fold(node, order):
             result = result * reference_fold(item, order)
         return result
     if isinstance(node, Power):
-        return reference_fold(node.base, order) ** node.exponent
+        base, n = reference_fold(node.base, order), node.exponent
+        ratio = Fraction(base.ratio) ** n if n < 0 else base.ratio ** n
+        return ScaledMonomial(ratio, base.exponent * n, order,
+                              Monomial(base.mono.p * n, base.mono.q * n))
     raise NonMonomialArgument(
         "%s does not fold to a scaled monomial" % type(node).__name__
     )
+
+
+def power_by_fold(s, n):
+    """s ** n by the program's one power rule: the fold of Power(node, n) for
+    a node that folds to the scaled monomial s."""
+    node = Product((RationalConst(Fraction(s.ratio)), RootOfUnity(s.order, s.exponent),
+                    Power(Var("a"), s.mono.p), Power(Var("b"), s.mono.q)))
+    return fold_scaled_monomial(Power(node, n), s.order)
 
 
 def reference_tokenize(text):
@@ -312,15 +324,19 @@ def reference_tokenize(text):
     return tokens
 
 
+_Token = namedtuple("_Token", "kind text offset")
+
+
 def _lazy_tokens(text):
     """The tokenizer the parser used when it read each token as it asked for
-    it: the character loop as a generator of Tokens, then an end token."""
+    it: the character loop as a generator of (kind, text, offset) triples,
+    then an end token."""
     i = 0
     n = len(text)
     while i < n:
         ch = text[i]
         if ch in _SYMBOLS:
-            yield Token(_SYMBOLS[ch], ch, i)
+            yield _Token(_SYMBOLS[ch], ch, i)
             i += 1
             continue
         if ch.isspace():
@@ -330,18 +346,18 @@ def _lazy_tokens(text):
             j = i + 1
             while j < n and text[j].isdigit():
                 j += 1
-            yield Token("integer", text[i:j], i)
+            yield _Token("integer", text[i:j], i)
             i = j
             continue
         if ch.isalpha():
             j = i + 1
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            yield Token("ident", text[i:j], i)
+            yield _Token("ident", text[i:j], i)
             i = j
             continue
         raise ParseError("unexpected character %r" % ch, i)
-    yield Token("end", "", n)
+    yield _Token("end", "", n)
 
 
 def _reference_int(tok):

@@ -127,7 +127,7 @@ def test_criterion_7_cyclotomic_property_suites():
         value = CycloNum.zero(order)
         for j, c in enumerate(cyclotomic_polynomial(order)):
             value = value + zeta_power(order, j) * rational_coeff(c, order)
-        ok = ok and value.is_zero()
+        ok = ok and not any(value.nums)
         for _ in range(SAMPLES):
             x = rand_cyclo(rng, order, span=5)
             y = rand_cyclo(rng, order, span=5)

@@ -105,7 +105,7 @@ def test_re_im_of_series_match_the_fraction_reference(series):
     assert re.validity == im.validity == series.validity
     for part in (re, im):
         assert part.terms.keys() <= series.terms.keys()
-        assert not any(c.is_zero() for c in part.terms.values())
+        assert all(any(c.nums) for c in part.terms.values())
         assert part.map_coeffs(CycloNum.conjugate) == part
     for mono, x in series.terms.items():
         got = (FractionCyclo.of(re.coefficient(mono)), FractionCyclo.of(im.coefficient(mono)))
@@ -530,7 +530,7 @@ def test_transformation_identity_does_not_tokenize(monkeypatch):
 
     def refuse(text):
         raise AssertionError("text scanned: %r" % text[:40])
-    # the parser's one scan of its text; tokenize shares its character loop
+    # the parser's one scan of its text, and the loop that gives error offsets
     monkeypatch.setattr(exprlang, "_scan", refuse)
     monkeypatch.setattr(exprlang, "_spans", refuse)
     with pytest.raises(AssertionError, match="^text scanned"):

@@ -12,19 +12,12 @@ from thetadissect.expr import (
     SpecializeQ, Sum, ThetaCall, Var,
 )
 from thetadissect.exprlang import (
-    MAX_NESTING, Token, parse_expr, parse_identity, print_expr, print_identity, tokenize,
+    MAX_NESTING, _kind, _scan, _spans, parse_expr, parse_identity, print_expr, print_identity,
 )
 
 A, B, Q = Var("a"), Var("b"), Var("q")
 I = RootOfUnity(4, 1)
 OMEGA = RootOfUnity(3, 1)
-
-
-def test_tokenizer_offsets_strictly_increase():
-    toks = tokenize("f(omega*a, 1/2) = b^-3")
-    offsets = [t.offset for t in toks]
-    assert offsets == sorted(offsets)
-    assert len(set(offsets)) == len(offsets)
 
 
 def test_parse_theta_with_i():
@@ -221,7 +214,7 @@ def test_required_order_is_lcm_of_orders(lhs, rhs):
 # --- arbitrary text -------------------------------------------------------------
 
 # The grammar's own characters, digits int() does not read, and a few others,
-# so that generated text often gets past the tokenizer.
+# so that generated text often gets past the scanner.
 _GRAMMAR_TEXT = st.text(
     alphabet="ab qfiomegztRIspc()=,+-*/^0123456789\u00b2\u0663\u00e9\t", max_size=40)
 
@@ -245,17 +238,24 @@ _SCANNER_TEXT = st.text(
     max_size=40)
 
 
-def _scan(tokenizer, text):
-    try:
-        return [tuple(token) for token in tokenizer(text)]
-    except ParseError as exc:
-        return str(exc), exc.offset
-
-
 @given(st.one_of(st.text(max_size=40), _SCANNER_TEXT))
 @settings(max_examples=400, deadline=None)
-def test_tokenizer_matches_the_character_loop(text):
-    assert _scan(tokenize, text) == _scan(reference_tokenize, text)
+def test_the_scan_and_its_offsets_match_the_character_loop(text):
+    spans = list(_spans(text))
+    # the regular expression the parser reads ASCII text with, against the loop
+    assert _scan(text) == [tok for _, tok in spans] + [""]
+    tokens = [(_kind(tok), tok, offset) for offset, tok in spans + [(len(text), "")]]
+    try:
+        expected = reference_tokenize(text)
+    except ParseError as exc:
+        # the reference stops at the first character no token starts with
+        index = next(k for k, (kind, _, _) in enumerate(tokens) if kind is None)
+        _, tok, offset = tokens[index]
+        assert (str(exc), exc.offset) == (
+            "unexpected character %r at offset %d" % (tok, offset), offset)
+        assert tokens[:index] + [("end", "", offset)] == reference_tokenize(text[:offset])
+    else:
+        assert tokens == expected
 
 
 def _parsed(parse, text):
@@ -331,12 +331,6 @@ def test_a_parse_error_is_the_first_in_reading_order(text, message):
     with pytest.raises(ParseError) as err:
         parse_expr(text)
     assert str(err.value) == message
-
-
-def test_tokens_are_named_triples():
-    token = next(tokenize("zeta"))
-    assert isinstance(token, Token)
-    assert (token.kind, token.text, token.offset) == ("ident", "zeta", 0) == token
 
 
 @pytest.mark.parametrize("text, offset", [

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import (KERNEL_ORDERS, FractionCyclo, cyclo_from_pairs, denominators,
                       fraction_terms, full_digits, known_min_degree, make_series, numerators,
-                      orc, rational_coeff, schoolbook_fold, schoolbook_terms, schoolbook_tree,
-                      series_expr)
+                      orc, power_by_fold, rational_coeff, schoolbook_fold, schoolbook_terms,
+                      schoolbook_tree, series_expr)
 from thetadissect import laurent
 from thetadissect.catalog import evaluate
 from thetadissect.cyclotomic import CycloNum, euler_phi, zeta_power
@@ -57,7 +57,7 @@ def test_make_sums_drops_zeros_and_cuts_in_one_pass():
     for mono, coeff in entries:
         if mono.total_degree <= 2:
             reference[mono] = reference.get(mono, CycloNum.zero(3)) + coeff
-    reference = {m: c for m, c in reference.items() if not c.is_zero()}
+    reference = {m: c for m, c in reference.items() if any(c.nums)}
     series = LaurentSeries.make(entries, 2, 3)
     assert series.terms == reference
     assert series.terms == {Monomial(1, 0): z + half, Monomial(0, 2): half + half}
@@ -258,7 +258,7 @@ def test_ring_laws_through_shared_validity(x, y, z):
 @settings(max_examples=80, deadline=None)
 def test_no_zero_coefficients_and_no_terms_above_validity(x, y):
     for s in (x + y, x * y, x + -y, x.specialize_q()):
-        assert all(not c.is_zero() for c in s.terms.values())
+        assert all(any(c.nums) for c in s.terms.values())
         assert all(m.total_degree <= s.validity for m in s.terms)
 
 
@@ -484,12 +484,14 @@ def test_power_of_a_scaled_root_is_refused_exactly_where_its_ratio_power_is(rati
     bits = laurent.ratio_bits(s.ratio)
     if not bits:  # a +-root of unity: no cap
         n = 10 ** 30 + 1
-        assert x.power(n) == LaurentSeries({(s ** n).mono: (s ** n).coeff}, n, order)
+        power = power_by_fold(s, n)
+        assert x.power(n) == LaurentSeries({power.mono: power.coeff}, n, order)
         return
     edge = laurent.MAX_POWER_BITS // bits
-    assert x.power(edge) == LaurentSeries({(s ** edge).mono: (s ** edge).coeff}, edge, order)
+    power = power_by_fold(s, edge)
+    assert x.power(edge) == LaurentSeries({power.mono: power.coeff}, edge, order)
     with pytest.raises(RequestTooLarge):
-        s ** (edge + 1)
+        power_by_fold(s, edge + 1)
     with pytest.raises(RequestTooLarge, match="1-term least-degree part"):
         x.power(edge + 1)
 
