@@ -20,6 +20,15 @@ I = RootOfUnity(4, 1)
 OMEGA = RootOfUnity(3, 1)
 
 
+def test_tokenizer_offsets_strictly_increase():
+    text = "f(omega*a, 1/2) = b^-3"
+    spans = list(_spans(text))
+    offsets = [offset for offset, _ in spans]
+    assert offsets == sorted(offsets)
+    assert len(set(offsets)) == len(offsets)
+    assert all(text[offset:].startswith(tok) for offset, tok in spans)
+
+
 def test_parse_theta_with_i():
     ast = parse_expr("f(i*a, i*b)")[0]
     assert ast == ThetaCall(Product((I, A)), Product((I, B)))
@@ -240,7 +249,7 @@ _SCANNER_TEXT = st.text(
 
 @given(st.one_of(st.text(max_size=40), _SCANNER_TEXT))
 @settings(max_examples=400, deadline=None)
-def test_the_scan_and_its_offsets_match_the_character_loop(text):
+def test_tokenizer_matches_the_character_loop(text):
     spans = list(_spans(text))
     # the regular expression the parser reads ASCII text with, against the loop
     assert _scan(text) == [tok for _, tok in spans] + [""]
