@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import functools
 import time
+from collections.abc import Mapping
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, Optional
 
 from .cyclotomic import CycloNum
 from .dissect import closed_form_parts
@@ -53,7 +53,7 @@ from .theta import ThetaArgs, theta_expand
 _VAR_PARTS = {"a": (1, 0, 1, 0), "b": (1, 0, 0, 1), "q": (1, 0, 1, 0)}
 
 
-def _fold(node: Expr, order: int, series: Optional[list] = None):
+def _fold(node: Expr, order: int, series: list | None = None):
     """(r, e, p, q) for the r * zeta_order^e * a^p * b^q that node folds to,
     e reduced mod order at each step. A node that does not fold is a zero
     RationalConst, a node that is not a monomial, or a power of either.
@@ -193,10 +193,10 @@ class Report(Record):
     _fields = __slots__[:9]
 
     def __init__(self, name: str, paper_ref: str, degree: int, status: str,
-                 first_mismatch: Optional[Mismatch], lhs_terms: int, rhs_terms: int,
-                 millis: float, error: Optional[str] = None,
-                 lhs: Optional[LaurentSeries] = None, rhs: Optional[LaurentSeries] = None,
-                 exception: Optional[EngineError] = None):
+                 first_mismatch: Mismatch | None, lhs_terms: int, rhs_terms: int,
+                 millis: float, error: str | None = None,
+                 lhs: LaurentSeries | None = None, rhs: LaurentSeries | None = None,
+                 exception: EngineError | None = None):
         set_field(self, "name", name)
         set_field(self, "paper_ref", paper_ref)
         set_field(self, "degree", degree)

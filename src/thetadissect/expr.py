@@ -2,40 +2,39 @@
 
 Nodes are read-only records (record.py), so structural equality is ==, and
 nodes of one field layout but different kinds (Negate and RealPart, Sum and
-Product) are never equal. Sums and products are n-ary (n >= 2 when built
-through the helpers below); Power exponents are plain Python ints and may be
-negative. The working order an expression needs is reported by the parser
-(exprlang), not computed here.
+Product) are never equal. `Expr`, the type of a node in annotations, is
+`Record` itself: every node is one. Sums and products hold two or more
+items (sum_of and product_of take any number); Power exponents are plain
+Python ints and may be negative. The working order an expression needs is
+reported by the parser (exprlang), not computed here.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
 
 from .record import Record, set_field
 
-Expr = Union[
-    "Sum", "Product", "Power", "ThetaCall", "Var", "RootOfUnity",
-    "RationalConst", "Negate", "RealPart", "ImagPart", "SpecializeQ",
-]
+Expr = Record
 
 
-class Sum(Record):
+class _Nary(Record):
+    """A node of two or more items: the field layout of Sum and Product."""
     __slots__ = ("items",)
 
     def __init__(self, items: tuple):
         if len(items) < 2:
-            raise ValueError("Sum needs at least two items; use sum_of()")
+            raise ValueError(self._too_few)
         set_field(self, "items", items)
 
 
-class Product(Record):
-    __slots__ = ("items",)
+class Sum(_Nary):
+    __slots__ = ()
+    _too_few = "Sum needs at least two items; use sum_of()"
 
-    def __init__(self, items: tuple):
-        if len(items) < 2:
-            raise ValueError("Product needs at least two items; use product_of()")
-        set_field(self, "items", items)
+
+class Product(_Nary):
+    __slots__ = ()
+    _too_few = "Product needs at least two items; use product_of()"
 
 
 class Power(Record):
@@ -127,7 +126,7 @@ def b_as_q(node: Expr) -> Expr:
     homomorphism that keeps the total degree of every term."""
     if isinstance(node, Var):
         return Var("q") if node.name == "b" else node
-    if isinstance(node, (Sum, Product)):
+    if isinstance(node, _Nary):
         return type(node)(tuple(b_as_q(item) for item in node.items))
     if isinstance(node, Power):
         return Power(b_as_q(node.base), node.exponent)

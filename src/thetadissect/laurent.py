@@ -35,8 +35,9 @@ item is converted once and coefficients are built once, at the root.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .cyclotomic import CycloNum, _digits, join_signed, reduce_powers, zeta_power
 from .errors import RequestTooLarge, ValidityExceeded, check_orders
@@ -47,9 +48,9 @@ from .record import Record, set_field
 MAX_POWER_BITS = 1 << 20
 
 
-class Monomial(NamedTuple):
-    p: int  # exponent of a
-    q: int  # exponent of b
+class Monomial(namedtuple("Monomial", "p q")):
+    """a^p * b^q, a tuple: as a series dict key it hashes and compares in C."""
+    __slots__ = ()
 
     @property
     def total_degree(self) -> int:
@@ -141,10 +142,8 @@ class ScaledMonomial(Record):
         return ScaledMonomial(-self.ratio, self.exponent, self.order, self.mono)
 
 
-class Mismatch(NamedTuple):
-    monomial: Monomial
-    left: CycloNum
-    right: CycloNum
+class Mismatch(namedtuple("Mismatch", "monomial left right")):
+    __slots__ = ()
 
     def to_dict(self, left: str, right: str) -> dict:
         """{"monomial": ..., left: ..., right: ...}, the sides named by the
@@ -295,7 +294,7 @@ class LaurentSeries(Record):
 
     # -- comparison and specialization ------------------------------------------
 
-    def first_mismatch(self, other: "LaurentSeries", through: int) -> Optional[Mismatch]:
+    def first_mismatch(self, other: "LaurentSeries", through: int) -> Mismatch | None:
         """Least differing monomial (term order) of total degree <= through, or None."""
         check_orders("series", self.order, other.order)
         if through > min(self.validity, other.validity):

@@ -1,5 +1,6 @@
 """The one base of the engine's immutable values: AST nodes, coefficients,
-scaled monomials, series, theta arguments, identities and reports.
+scaled monomials, series, theta arguments, identities and reports. The rest
+are laurent.py's two named tuples, Monomial and Mismatch.
 
 A record keeps its fields in __slots__, in the order its __init__ takes
 them, and is read-only: assignment and deletion raise AttributeError, so each

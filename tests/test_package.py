@@ -29,7 +29,7 @@ print(code, " ".join(sorted(names - set(sys.stdlib_module_names))))
 _IMPORT_SCRIPT = """
 import sys
 import thetadissect.cli
-print(" ".join(name for name in ("dataclasses", "inspect", "ast", "dis", "json")
+print(" ".join(name for name in ("dataclasses", "inspect", "ast", "dis", "json", "typing")
                if name in sys.modules))
 """
 
@@ -58,9 +58,9 @@ def test_runtime_imports_only_the_standard_library():
     assert result.stdout.split() == ["0", "__main__", "thetadissect"]
 
 
-def test_the_cli_loads_neither_dataclasses_nor_json():
-    # both come with modules (inspect, ast, dis) that every CLI call would
-    # pay to import; -S leaves out site, which may import them itself
+def test_the_cli_loads_no_dataclasses_json_or_typing():
+    # each is a module (dataclasses brings inspect, ast and dis) that every
+    # CLI call would pay to import; -S leaves out site, which may import them itself
     src = os.path.dirname(os.path.dirname(os.path.abspath(thetadissect.__file__)))
     result = subprocess.run([sys.executable, "-S", "-c", _IMPORT_SCRIPT],
                             env=dict(os.environ, PYTHONPATH=src),

@@ -123,6 +123,31 @@ def test_construction_keeps_each_class_s_checks(build, error):
         build()
 
 
+@pytest.mark.parametrize("kind, message", [
+    (Sum, "Sum needs at least two items; use sum_of()"),
+    (Product, "Product needs at least two items; use product_of()"),
+])
+@pytest.mark.parametrize("count", [0, 1])
+def test_an_n_ary_node_refuses_fewer_than_two_items(kind, message, count):
+    with pytest.raises(ValueError) as raised:
+        kind((A,) * count)
+    assert str(raised.value) == message
+
+
+def test_monomial_and_mismatch_stay_named_tuples():
+    # tuple equality and hash keep a Monomial a C-speed dict key
+    mono = Monomial(1, -2)
+    mismatch = Mismatch(mono, CycloNum(1, (1,)), CycloNum(1, (2,)))
+    assert mono == (1, -2) and hash(mono) == hash((1, -2)) and (mono.p, mono.q) == (1, -2)
+    assert repr(mono) == "Monomial(p=1, q=-2)"
+    assert repr(mismatch) == ("Mismatch(monomial=Monomial(p=1, q=-2),"
+                              " left=CycloNum(order=1, nums=(1,), den=1),"
+                              " right=CycloNum(order=1, nums=(2,), den=1))")
+    for value in (mono, mismatch):
+        twin = pickle.loads(pickle.dumps(value))
+        assert twin == value and type(twin) is type(value) and isinstance(value, tuple)
+
+
 def test_repr_spells_every_compared_field_as_before():
     assert repr(Var("a")) == "Var(name='a')"
     assert repr(Negate(Var("a"))) == "Negate(item=Var(name='a'))"
