@@ -23,7 +23,7 @@ import sys
 from _json import encode_basestring_ascii as _quote
 
 from . import catalog as cat
-from .cyclotomic import _digits, euler_phi
+from .cyclotomic import _digits, check_root_table
 from .dissect import check_run_size, dissect_closed, dissect_filter
 from .errors import EngineError, ParseError, RequestTooLarge, UsageError, describe
 from .exprlang import parse_expr, parse_identity, print_expr
@@ -31,9 +31,6 @@ from .exprlang import parse_expr, parse_identity, print_expr
 DEFAULT_DEGREE = 60
 # dissect runs one filter and one closed form per residue class, so m is capped
 MAX_MODULUS = 100_000
-# an order L builds an L x phi(L) table of root powers: 17.7 M integers at
-# L = 9240 (0.45 s and 153 MB on CPython 3.11), 173 M at L = 30030
-MAX_ROOT_TABLE = 1 << 25
 
 
 def _add_common(sp: argparse.ArgumentParser, order: bool = False):
@@ -139,10 +136,7 @@ def _resolve_order(requested, needed: int) -> int:
             "--order %d is not a positive multiple of the required order %s"
             % (requested, _digits(needed))
         )
-    # L first, so that phi is never factored for an astronomic lcm
-    if order > MAX_ROOT_TABLE or order * euler_phi(order) > MAX_ROOT_TABLE:
-        raise RequestTooLarge("working order %s needs a table of L x phi(L) root powers"
-                              " past the %d-entry cap" % (_digits(order), MAX_ROOT_TABLE))
+    check_root_table(order)
     return order
 
 

@@ -18,17 +18,16 @@ Precedence: "^" > unary "-" > "*" > binary "+"/"-". "^" is non-associative
 syntax error, because "ab" vs "a*b" is the classic q-series notation trap.
 Reserved meanings: i = zeta(4,1), omega = zeta(3,1).
 
-Each text is scanned once, then parsed left to right through the list of its
-tokens: one regular expression finds those of ASCII text, and a character loop
-with the same str.isdigit, isalpha and isspace rules finds those of any other
-text and the offset of every token, which only a parse error needs. A
-character no token starts with is a token of its own, reported only when the
-parser reaches it, so a parse error is the first in reading order: it names
-the token that breaks the grammar, the token kinds expected there when the
-grammar allows only some, and its offset. The parser also reports the
-working order the text needs: the lcm of every root order it names
-(zeta(m,e) needs m, i needs 4, omega 3), made a multiple of 4 by Re or Im.
-parse_expr returns (expr, order), parse_identity (lhs, rhs, order).
+Each text is scanned once by one regular expression, then parsed left to
+right through the list of its tokens; only a parse error scans it again, with
+the same pattern, for the offset of a token. A character no token starts with
+is a token of its own, reported only when the parser reaches it, so a parse
+error is the first in reading order: it names the token that breaks the
+grammar, the token kinds expected there when the grammar allows only some,
+and its offset. The parser also reports the working order the text needs:
+the lcm of every root order it names (zeta(m,e) needs m, i needs 4, omega 3),
+made a multiple of 4 by Re or Im. parse_expr returns (expr, order),
+parse_identity (lhs, rhs, order).
 """
 from __future__ import annotations
 
@@ -56,42 +55,22 @@ _SYMBOLS = {
 }
 
 
-# The tokens of ASCII text, as the character loop of _spans reads them: a run
-# of digits, a letter and the letters, digits and '_' after it, or any other
-# character but white space. Without re.ASCII, \s is str.isspace, which also
-# takes the separators U+001C-U+001F.
-_TOKEN = re.compile(r"[0-9]+|[A-Za-z][A-Za-z0-9_]*|\S")
-
-
-def _spans(text: str):
-    """Yield (offset, text) of every token of text, left to right; a character
-    no token starts with is a token of its own. This loop defines the token
-    rules: _TOKEN reads ASCII text as it does."""
-    i, n = 0, len(text)
-    while i < n:
-        j = i + 1
-        if text[i].isdigit():
-            while j < n and text[j].isdigit():
-                j += 1
-        elif text[i].isalpha():
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-        elif text[i].isspace():
-            i = j
-            continue
-        yield i, text[i:j]
-        i = j
+# A run of str.isdecimal digits (those int() reads), a word that starts with
+# any other str.isalnum character and goes on with isalnum and '_', or any
+# other character but str.isspace: \d, \w and \s without re.ASCII. The
+# symbols, ASCII digits and ASCII letters are tried first only for speed.
+_TOKEN = re.compile(r"[-+*/^(),=]|[0-9]\d*|[A-Za-z]\w*|\d+|[^\W\d_]\w*|\S")
 
 
 def _scan(text: str) -> list[str]:
     """The text of every token of text, then "", the end of input."""
-    tokens = _TOKEN.findall(text) if text.isascii() else [tok for _, tok in _spans(text)]
+    tokens = _TOKEN.findall(text)
     tokens.append("")
     return tokens
 
 
 def _kind(tok: str) -> str | None:
-    """The kind of a token's text, None for a character no token starts with."""
+    """The kind of a token's text, None for one of no kind the grammar reads."""
     if tok.isdigit():
         return "integer"
     if tok[:1].isalpha():
@@ -127,7 +106,7 @@ class _Parser:
 
     def offset(self, index: int) -> int:
         """The offset of token index, from a second scan: only an error needs it."""
-        return [*(i for i, _ in _spans(self.text)), len(self.text)][index]
+        return [*(m.start() for m in _TOKEN.finditer(self.text)), len(self.text)][index]
 
     def fail(self, message: str, expected=()):
         """Raise message about the lookahead, which fills its {}; a lookahead
@@ -148,9 +127,8 @@ class _Parser:
         if not tok.isdigit():
             self.fail(message, {"integer"})
         self.pos += 1
-        # the scan takes every str.isdigit() character, some of which int()
-        # rejects (such as "²"), and int() rejects more than
-        # sys.get_int_max_str_digits() digits
+        # int() rejects a word of str.isdigit() characters such as "²", and a
+        # run of more than sys.get_int_max_str_digits() digits
         try:
             return int(tok)
         except ValueError:

@@ -290,47 +290,54 @@ def power_by_fold(s, n):
     return fold_scaled_monomial(Power(node, n), s.order)
 
 
-def reference_tokenize(text):
-    """The character loop the tokenizer used when tokens were frozen
-    dataclasses, kept as the reference: (kind, text, offset) triples."""
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _SYMBOLS:
-            tokens.append((_SYMBOLS[ch], ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("integer", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], i))
-            i = j
-            continue
-        raise ParseError("unexpected character %r" % ch, i)
-    tokens.append(("end", "", n))
-    return tokens
-
-
 _Token = namedtuple("_Token", "kind text offset")
 
 
-def _lazy_tokens(text):
-    """The tokenizer the parser used when it read each token as it asked for
-    it: the character loop as a generator of (kind, text, offset) triples,
-    then an end token."""
+def reference_spans(text):
+    """(offset, text) of every token, by the token rule of the parser written
+    as a character loop: a run of str.isdecimal characters, a word that starts
+    with any other str.isalnum character and goes on with isalnum characters
+    and '_', or any other character but white space (str.isspace)."""
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        j = i + 1
+        if ch.isspace():
+            i = j
+            continue
+        if ch.isdecimal():
+            while j < n and text[j].isdecimal():
+                j += 1
+        elif ch.isalnum():
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+        yield i, text[i:j]
+        i = j
+
+
+def decimal_rule_tokens(text):
+    """The tokens of reference_spans as (kind, text, offset) triples, then an
+    end token; a token of no kind raises a ParseError when it is reached. A
+    word of str.isdigit characters (such as '²') is an integer."""
+    for i, tok in reference_spans(text):
+        if tok.isdigit():
+            yield _Token("integer", tok, i)
+        elif tok[0].isalpha():
+            yield _Token("ident", tok, i)
+        elif tok in _SYMBOLS:
+            yield _Token(_SYMBOLS[tok], tok, i)
+        else:
+            raise ParseError("unexpected character %r" % tok, i)
+    yield _Token("end", "", len(text))
+
+
+def isdigit_rule_tokens(text):
+    """The token rule the parser read with before it scanned every text with
+    one regular expression, as the character loop it used when it read each
+    token as it asked for it: a run of str.isdigit characters, a str.isalpha
+    letter and the isalnum characters and '_' after it, or a symbol, as
+    (kind, text, offset) triples, then an end token; any other character but
+    white space raises a ParseError when it is reached."""
     i = 0
     n = len(text)
     while i < n:
@@ -374,12 +381,12 @@ def _reference_describe(tok):
 
 class _ReferenceParser:
     """The recursive-descent parser as it was when it pulled each token from
-    _lazy_tokens only when it looked at it, kept as the reference for the
-    parser that scans the whole text first: a parse error is the first in
-    reading order by construction here."""
+    a lazy character loop only when it looked at it, kept as the reference
+    for the parser that scans the whole text first: a parse error is the
+    first in reading order by construction here."""
 
-    def __init__(self, text):
-        self.tokens = _lazy_tokens(text)
+    def __init__(self, text, tokens):
+        self.tokens = tokens(text)
         self.tok = None
         self.depth = 0
         self.order = 1
@@ -512,13 +519,13 @@ class _ReferenceParser:
         raise ParseError("unknown name %r" % name, tok.offset, {*_LEAVES, "zeta", "f", *_CALLS})
 
 
-def reference_parse_expr(text):
-    parser = _ReferenceParser(text)
+def reference_parse_expr(text, tokens=decimal_rule_tokens):
+    parser = _ReferenceParser(text, tokens)
     return parser.whole("end"), parser.order
 
 
-def reference_parse_identity(text):
-    parser = _ReferenceParser(text)
+def reference_parse_identity(text, tokens=decimal_rule_tokens):
+    parser = _ReferenceParser(text, tokens)
     return parser.whole("equals"), parser.whole("end"), parser.order
 
 

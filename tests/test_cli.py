@@ -603,7 +603,7 @@ def test_an_order_past_the_root_table_cap_is_refused_before_any_table(capsys, ar
 
 
 def test_an_order_within_the_root_table_cap_still_answers(capsys):
-    assert cli.MAX_ROOT_TABLE == 1 << 25
+    assert cyclotomic.MAX_ROOT_TABLE == 1 << 25
     assert main(["expand", "zeta(9240,1)*a", "--degree", "1"]) == 0
     assert capsys.readouterr() == ("zeta9240*a\nvalidity: 1\n", "")
     # a non-multiple --order stays a usage error, whatever its size
@@ -851,12 +851,12 @@ def test_verify_refuses_a_series_power_past_the_bit_cap(capsys):
 
 # Atoms of the identity language; every zeta atom of one call shares its order
 # n. A working order whose L x phi(L) table of root powers passes
-# cli.MAX_ROOT_TABLE is refused before it is built, so n is drawn either from
-# 0..24 or from a few orders past that cap; an order between 25 and the cap
-# still builds its table, up to half a second an example. A theta sum past
-# theta.MAX_THETA_TERMS indices is refused before its first term, so the
-# degree is drawn from 0..8 or from 10^20 and 10^40, and one atom is a theta
-# call whose index parabola dips to about -10^7 at any degree. A constant
+# cyclotomic.MAX_ROOT_TABLE is refused before it is built, so n is drawn
+# either from 0..24 or from a few orders past that cap; an order between 25
+# and the cap still builds its table, up to half a second an example. A theta
+# sum past theta.MAX_THETA_TERMS indices is refused before its first term, so
+# the degree is drawn from 0..8 or from 10^20 and 10^40, and one atom is a
+# theta call whose index parabola dips to about -10^7 at any degree. A constant
 # power is capped before it is taken, and so is the least-degree part P of a
 # series power X^N: X^N keeps P^N whole, and a P^N estimated past
 # laurent.MAX_POWER_BITS is refused before the first product. What lies

@@ -10,10 +10,12 @@ from conftest import (
     KERNEL_ORDERS, FractionCyclo, constant_parts, denominators, full_digits, numerators, orc,
     rand_cyclo, rational_coeff,
 )
+from thetadissect.catalog import evaluate
 from thetadissect.cyclotomic import (
-    CycloNum, cyclotomic_polynomial, euler_phi, zeta_power,
+    CycloNum, _zeta_powers, cyclotomic_polynomial, euler_phi, zeta_power,
 )
-from thetadissect.errors import IncompatibleOrders, OrderMismatch
+from thetadissect.errors import IncompatibleOrders, OrderMismatch, RequestTooLarge
+from thetadissect.exprlang import parse_expr
 from thetadissect.laurent import LaurentSeries, Monomial, ScaledMonomial
 
 ORDERS = [1, 2, 3, 4, 6, 8, 12]
@@ -289,3 +291,27 @@ def test_scaled_matches_the_fraction_reference(case):
     got = x.scaled(num, den, shift)
     assert FractionCyclo.of(got) == FractionCyclo.of(x) * root * Fraction(num, den)
     assert_canonical(got)
+
+
+def _root_table_refusal(order):
+    return ("working order %d needs a table of L x phi(L) root powers past the"
+            " 33554432-entry cap" % order)
+
+
+def test_a_root_table_past_the_cap_is_refused_before_it_is_built():
+    # 30030 = 2*3*5*7*11*13 would build 30030 rows of phi = 5760 integers
+    tables = _zeta_powers.cache_info().currsize
+    with pytest.raises(RequestTooLarge) as err:
+        zeta_power(30030, 1)
+    assert str(err.value) == _root_table_refusal(30030)
+    with pytest.raises(RequestTooLarge) as err:
+        evaluate(parse_expr("zeta(30030,1)*a")[0], 2, 30030)
+    assert str(err.value) == _root_table_refusal(30030)
+    assert _zeta_powers.cache_info().currsize == tables
+
+
+def test_an_order_past_the_cap_is_refused_before_phi_is_factored():
+    # 2^61 - 1 is a prime that trial division would take minutes to factor
+    with pytest.raises(RequestTooLarge) as err:
+        zeta_power(2 ** 61 - 1, 1)
+    assert str(err.value) == _root_table_refusal(2 ** 61 - 1)

@@ -4,7 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import reference_parse_expr, reference_parse_identity, reference_tokenize
+from conftest import (
+    decimal_rule_tokens, isdigit_rule_tokens, reference_parse_expr, reference_parse_identity,
+    reference_spans,
+)
 from thetadissect.catalog import builtin_catalog
 from thetadissect.errors import ParseError
 from thetadissect.expr import (
@@ -12,7 +15,7 @@ from thetadissect.expr import (
     SpecializeQ, Sum, ThetaCall, Var,
 )
 from thetadissect.exprlang import (
-    MAX_NESTING, _kind, _scan, _spans, parse_expr, parse_identity, print_expr, print_identity,
+    _TOKEN, MAX_NESTING, _kind, _scan, parse_expr, parse_identity, print_expr, print_identity,
 )
 
 A, B, Q = Var("a"), Var("b"), Var("q")
@@ -22,7 +25,7 @@ OMEGA = RootOfUnity(3, 1)
 
 def test_tokenizer_offsets_strictly_increase():
     text = "f(omega*a, 1/2) = b^-3"
-    spans = list(_spans(text))
+    spans = [(match.start(), match.group()) for match in _TOKEN.finditer(text)]
     offsets = [offset for offset, _ in spans]
     assert offsets == sorted(offsets)
     assert len(set(offsets)) == len(offsets)
@@ -247,24 +250,34 @@ _SCANNER_TEXT = st.text(
     max_size=40)
 
 
-@given(st.one_of(st.text(max_size=40), _SCANNER_TEXT))
-@settings(max_examples=400, deadline=None)
-def test_tokenizer_matches_the_character_loop(text):
-    spans = list(_spans(text))
-    # the regular expression the parser reads ASCII text with, against the loop
-    assert _scan(text) == [tok for _, tok in spans] + [""]
-    tokens = [(_kind(tok), tok, offset) for offset, tok in spans + [(len(text), "")]]
+def _assert_tokens_by(rule, tokens, text):
+    """tokens, the (kind, text, offset) triples of text and then its end, are
+    those of rule; where rule raises, they are up to the first token of no
+    kind, whose message and offset it gives."""
     try:
-        expected = reference_tokenize(text)
+        expected = list(rule(text))
     except ParseError as exc:
-        # the reference stops at the first character no token starts with
         index = next(k for k, (kind, _, _) in enumerate(tokens) if kind is None)
         _, tok, offset = tokens[index]
         assert (str(exc), exc.offset) == (
             "unexpected character %r at offset %d" % (tok, offset), offset)
-        assert tokens[:index] + [("end", "", offset)] == reference_tokenize(text[:offset])
+        assert tokens[:index] + [("end", "", offset)] == list(rule(text[:offset]))
     else:
         assert tokens == expected
+
+
+@given(st.one_of(st.text(max_size=40), _SCANNER_TEXT))
+@settings(max_examples=400, deadline=None)
+def test_tokenizer_matches_the_character_loop(text):
+    spans = list(reference_spans(text))
+    assert [(match.start(), match.group()) for match in _TOKEN.finditer(text)] == spans
+    assert _scan(text) == [tok for _, tok in spans] + [""]
+    tokens = [(_kind(tok), tok, offset) for offset, tok in spans + [(len(text), "")]]
+    _assert_tokens_by(decimal_rule_tokens, tokens, text)
+    # the str.isdigit loop the parser once read with splits text otherwise
+    # only at a numeric character that is not decimal, such as '²' or '½'
+    if not any(ch.isnumeric() and not ch.isdecimal() for ch in text):
+        _assert_tokens_by(isdigit_rule_tokens, tokens, text)
 
 
 def _parsed(parse, text):
@@ -309,6 +322,54 @@ def test_the_parser_matches_the_parser_that_reads_each_token_when_it_asks(text):
     # the reference pulls each token from a lazy character loop, so its
     # errors are the first in reading order by construction
     _assert_as_the_reference(text)
+
+
+# Printed expressions in other scripts: an ASCII digit may become the
+# Arabic-Indic or fullwidth digit of the same value, and up to three spaces,
+# superscript twos, vulgar halves, Roman numeral eights or letters outside
+# ASCII go in anywhere.
+_DIGITS = {str(d): st.sampled_from((str(d), chr(0x660 + d), chr(0xFF10 + d))) for d in range(10)}
+_INSERTS = st.lists(st.tuples(st.integers(0, 200), st.sampled_from(
+    " \u00a0\u3000\u00b2\u00bd\u2167\u00e9")), max_size=3)
+
+
+@st.composite
+def _unicode_text(draw):
+    chars = [draw(_DIGITS.get(ch, st.just(ch))) for ch in draw(_EQUATIONS)]
+    for index, ch in draw(_INSERTS):
+        chars.insert(index, ch)
+    return "".join(chars)
+
+
+@given(st.one_of(st.text(max_size=40), _GRAMMAR_TEXT, _SCANNER_TEXT, _EQUATIONS, _unicode_text()))
+@settings(max_examples=400, deadline=None)
+def test_the_language_is_the_one_the_isdigit_loop_read(text):
+    # the parser read each token from the str.isdigit loop before it read
+    # every text with one regular expression: only the wording or offset of
+    # some parse errors on a numeric character that is not decimal changed
+    for parse, reference in ((parse_expr, reference_parse_expr),
+                             (parse_identity, reference_parse_identity)):
+        expected = _parsed(lambda t: reference(t, isdigit_rule_tokens), text)
+        if expected is None:
+            with pytest.raises(ParseError):
+                parse(text)
+        else:
+            assert parse(text) == expected
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1\u00b2*a", "unexpected integer '\u00b2' after expression (expected: end) at offset 1"),
+    ("\u00b2a", "unexpected character '\u00b2a' at offset 0"),
+    ("\u00bda", "unexpected character '\u00bda' at offset 0"),
+    ("a 12\u00b2", "unexpected integer '12' after expression (expected: end) at offset 2"),
+])
+def test_parse_errors_at_a_numeric_character_that_is_not_decimal(text, message):
+    # the str.isdigit loop read "1²" and "²a" as one integer that is not
+    # decimal, "½a" as the character '½' before the name 'a', and "12²" as one
+    # integer
+    with pytest.raises(ParseError) as err:
+        parse_expr(text)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("text", [
