@@ -135,13 +135,10 @@ def evaluate(node: Expr, degree: int, order: int) -> LaurentSeries:
     if isinstance(node, (RealPart, ImagPart)):
         check_divides(4, order)  # i = zeta_L^(L/4)
         x = evaluate(node.item, degree, order)
-        conj = x.map_coeffs(CycloNum.conjugate)
-        if isinstance(node, RealPart):
-            parts, exponent = (x, conj), 0
-        else:
-            parts, exponent = (conj, -x), order // 4
-        return LaurentSeries.sum(parts).scale(
-            ScaledMonomial(Fraction(1, 2), exponent, order, Monomial(0, 0)))
+        if isinstance(node, ImagPart):  # Im x = Re(-i*x), and -i = zeta_L^(3L/4)
+            x = x.scale(ScaledMonomial(1, 3 * order // 4, order, Monomial(0, 0)))
+        return LaurentSeries.sum((x, x.map_coeffs(CycloNum.conjugate))).scale(
+            ScaledMonomial(Fraction(1, 2), 0, order, Monomial(0, 0)))
     if isinstance(node, SpecializeQ):
         return evaluate(b_as_q(node.item), degree, order)
     # every other node is a scaled-monomial prefix times the series it cannot fold

@@ -25,7 +25,7 @@ from _json import encode_basestring_ascii as _quote
 from . import catalog as cat
 from .cyclotomic import _digits, check_root_table
 from .dissect import check_run_size, dissect_closed, dissect_filter
-from .errors import EngineError, ParseError, RequestTooLarge, UsageError, describe
+from .errors import EngineError, ParseError, UsageError, describe
 from .exprlang import parse_expr, parse_identity, print_expr
 
 DEFAULT_DEGREE = 60
@@ -33,12 +33,9 @@ DEFAULT_DEGREE = 60
 MAX_MODULUS = 100_000
 
 
-def _add_common(sp: argparse.ArgumentParser, order: bool = False):
+def _add_common(sp: argparse.ArgumentParser):
     sp.add_argument("--degree", type=int, default=DEFAULT_DEGREE,
                     help="truncation total degree (default %d)" % DEFAULT_DEGREE)
-    if order:
-        sp.add_argument("--order", type=int, default=None,
-                        help="override the cyclotomic working order L")
     sp.add_argument("--format", choices=("text", "json"), default="text",
                     help="output format (default text)")
     sp.add_argument("--out", default=None, help="write output to this path instead of stdout")
@@ -65,12 +62,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("expand", help="expand an expression as a truncated series")
     sp.add_argument("expr", help="expression in the identity language")
-    _add_common(sp, order=True)
+    _add_common(sp)
     sp.set_defaults(run=_cmd_expand)
 
     sp = sub.add_parser("verify", help="verify an identity 'lhs = rhs'")
     sp.add_argument("identity", help="identity in the identity language")
-    _add_common(sp, order=True)
+    _add_common(sp)
     sp.set_defaults(run=_cmd_verify)
 
     sp = sub.add_parser("catalog", help="verify built-in identities")
@@ -129,20 +126,9 @@ def _emit(text: str, args):
         print(text)
 
 
-def _resolve_order(requested, needed: int) -> int:
-    order = needed if requested is None else requested
-    if order < 1 or order % needed != 0:
-        raise UsageError(
-            "--order %d is not a positive multiple of the required order %s"
-            % (requested, _digits(needed))
-        )
-    check_root_table(order)
-    return order
-
-
 def _cmd_expand(args) -> int:
-    ast, needed = parse_expr(args.expr)
-    order = _resolve_order(args.order, needed)
+    ast, order = parse_expr(args.expr)
+    check_root_table(order)  # evaluate may allocate phi(L) entries and build no table
     series = cat.evaluate(ast, args.degree, order)
     if args.format == "json":
         doc = {
@@ -162,8 +148,8 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    lhs, rhs, needed = parse_identity(args.identity)
-    order = _resolve_order(args.order, needed)
+    lhs, rhs, order = parse_identity(args.identity)
+    check_root_table(order)
     identity = cat.Identity("user", lhs, rhs, order, "user-supplied identity")
     report = cat.verify_identity(identity, args.degree)
     if args.format == "json":

@@ -113,8 +113,8 @@ class _Parser:
         no token starts with is the first error in reading order instead."""
         tok = self.tokens[self.pos]
         kind = _kind(tok)
-        if kind is None:
-            raise ParseError("unexpected character %r" % tok, self.offset(self.pos))
+        if kind is None:  # its first character is the one of no kind
+            raise ParseError("unexpected character %r" % tok[0], self.offset(self.pos))
         raise ParseError(message.format(_describe(kind, tok)), self.offset(self.pos), expected)
 
     def take(self, symbol: str) -> None:

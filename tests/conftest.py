@@ -327,7 +327,7 @@ def decimal_rule_tokens(text):
         elif tok in _SYMBOLS:
             yield _Token(_SYMBOLS[tok], tok, i)
         else:
-            raise ParseError("unexpected character %r" % tok, i)
+            raise ParseError("unexpected character %r" % tok[0], i)
     yield _Token("end", "", len(text))
 
 

@@ -257,17 +257,16 @@ def test_catalog_series_lines_match_expand(capsys):
     for identity in builtin_catalog():
         assert main(["catalog", identity.name, "--degree", degree]) == 0
         lines = capsys.readouterr().out.splitlines()
-        order = str(identity.required_root_order)
+        prefix = "zeta(%d,0)*" % identity.required_root_order  # 1, at the entry's order
         for line, label, side in ((lines[1], "lhs", identity.lhs), (lines[2], "rhs", identity.rhs)):
-            assert main(["expand", print_expr(side), "--degree", degree, "--order", order]) == 0
+            assert main(["expand", prefix + print_expr(side), "--degree", degree]) == 0
             expanded = capsys.readouterr().out.splitlines()[0]
             assert line == "  %s: %s" % (label, expanded), (identity.name, label)
 
 
 def test_order_override_must_be_multiple():
-    proc = run_cli("expand", "f(i*a, i*b)", "--order", "6")
-    assert proc.returncode == 2
-    ok = run_cli("expand", "f(i*a, i*b)", "--order", "12", "--degree", "4")
+    # zeta(12,0) = 1 raises the working order 4 of the rest to its multiple 12
+    ok = run_cli("expand", "zeta(12,0)*f(i*a, i*b)", "--degree", "4")
     assert ok.returncode == 0
     assert "zeta12^3" in ok.stdout
 
@@ -294,7 +293,8 @@ def test_verify_identity_with_leading_minus(capsys):
 
 
 def test_order_is_rejected_where_it_is_not_read():
-    for args in (("catalog", "entry7", "--order", "5"), ("dissect", "--m", "2", "--order", "7")):
+    for args in (("catalog", "entry7", "--order", "5"), ("dissect", "--m", "2", "--order", "7"),
+                 ("expand", "a", "--order", "12"), ("verify", "a = a", "--order", "12")):
         proc = run_cli(*args)
         assert proc.returncode == 2, args
         assert proc.stdout == ""
@@ -587,8 +587,8 @@ def _order_too_large(order):
     (["expand", "zeta(100000,1)*a"], 100000),
     (["expand", "zeta(30030,1)"], 30030),
     (["expand", "zeta(4999,1)*zeta(4993,1)"], 4999 * 4993),
-    (["expand", "a", "--order", "1000000"], 1000000),
-    (["expand", "f(a,b)^0", "--order", "1000000000000"], 10 ** 12),
+    (["expand", "zeta(1000000,0)*a"], 1000000),
+    (["expand", "zeta(1000000000000,0)*f(a,b)^0"], 10 ** 12),
     (["verify", "zeta(100000,1)*a = a"], 100000),
     # an lcm of two literals of 3000 and 1432 digits, 4431 digits long
     pytest.param(["expand", "zeta(%s,1)*zeta(%s,2)" % (10 ** 2999, 3 ** 3000)],
@@ -606,16 +606,6 @@ def test_an_order_within_the_root_table_cap_still_answers(capsys):
     assert cyclotomic.MAX_ROOT_TABLE == 1 << 25
     assert main(["expand", "zeta(9240,1)*a", "--degree", "1"]) == 0
     assert capsys.readouterr() == ("zeta9240*a\nvalidity: 1\n", "")
-    # a non-multiple --order stays a usage error, whatever its size
-    assert main(["expand", "zeta(4,1)*a", "--order", "1000002"]) == 2
-    assert capsys.readouterr() == (
-        "", "--order 1000002 is not a positive multiple of the required order 4\n")
-    # and names a required order past the 4300-digit int-to-str limit in full
-    needed = 10 ** 2999 * 3 ** 3000
-    assert main(["expand", "zeta(%s,1)*zeta(%s,2)" % (10 ** 2999, 3 ** 3000), "--order", "4"]) == 2
-    assert capsys.readouterr() == (
-        "", "--order 4 is not a positive multiple of the required order %s\n"
-        % full_digits(needed))
 
 
 def test_a_power_of_minus_one_is_not_capped(capsys):
@@ -919,11 +909,11 @@ def cli_calls(draw):
         text = draw(_sides(zeta_order))
     else:
         text = "%s = %s" % (draw(_sides(zeta_order)), draw(_sides(zeta_order)))
+    if draw(st.booleans()):  # zeta(L,0) = 1 raises the working order to a multiple of L
+        text = "zeta(%d,0)*%s" % (draw(st.sampled_from((4, 12, 24, 30030, 10 ** 6))), text)
     degree = draw(st.one_of(st.integers(0, 8), st.sampled_from((10 ** 20, 10 ** 40))))
     argv = [command, text, "--degree", str(degree),
             "--format", draw(st.sampled_from(("text", "json")))]
-    if draw(st.booleans()):
-        argv += ["--order", str(draw(st.sampled_from((4, 12, 24, 30030, 10 ** 6))))]
     return argv
 
 

@@ -253,14 +253,14 @@ _SCANNER_TEXT = st.text(
 def _assert_tokens_by(rule, tokens, text):
     """tokens, the (kind, text, offset) triples of text and then its end, are
     those of rule; where rule raises, they are up to the first token of no
-    kind, whose message and offset it gives."""
+    kind, whose offset it gives and whose first character its message names."""
     try:
         expected = list(rule(text))
     except ParseError as exc:
         index = next(k for k, (kind, _, _) in enumerate(tokens) if kind is None)
         _, tok, offset = tokens[index]
         assert (str(exc), exc.offset) == (
-            "unexpected character %r at offset %d" % (tok, offset), offset)
+            "unexpected character %r at offset %d" % (tok[0], offset), offset)
         assert tokens[:index] + [("end", "", offset)] == list(rule(text[:offset]))
     else:
         assert tokens == expected
@@ -359,14 +359,16 @@ def test_the_language_is_the_one_the_isdigit_loop_read(text):
 
 @pytest.mark.parametrize("text, message", [
     ("1\u00b2*a", "unexpected integer '\u00b2' after expression (expected: end) at offset 1"),
-    ("\u00b2a", "unexpected character '\u00b2a' at offset 0"),
-    ("\u00bda", "unexpected character '\u00bda' at offset 0"),
+    ("\u00b2a", "unexpected character '\u00b2' at offset 0"),
+    ("\u00bda", "unexpected character '\u00bd' at offset 0"),
+    ("\u2167x", "unexpected character '\u2167' at offset 0"),
     ("a 12\u00b2", "unexpected integer '12' after expression (expected: end) at offset 2"),
 ])
 def test_parse_errors_at_a_numeric_character_that_is_not_decimal(text, message):
     # the str.isdigit loop read "1²" and "²a" as one integer that is not
     # decimal, "½a" as the character '½' before the name 'a', and "12²" as one
-    # integer
+    # integer; a word that starts with a character of no kind is named by
+    # that character alone
     with pytest.raises(ParseError) as err:
         parse_expr(text)
     assert str(err.value) == message
