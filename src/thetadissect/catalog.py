@@ -8,9 +8,13 @@ a Fraction, and builds one ScaledMonomial per folded node. A subtree that
 does not fold is a zero constant, a node that is not a monomial, or a power
 of one. Under f(,) the fold stops at the first such node, a
 NonMonomialArgument named in the message. Every node that is not a sum,
-theta call, Re, Im or specq is split by the same fold into a scaled-monomial
-prefix (a negation gives -1) and the largest subtrees that do not fold, each
-evaluated as a series, so no exception steers evaluation. Re and Im are
+Re, Im or specq is split by the same fold into a scaled-monomial prefix (a
+negation gives -1) and the largest subtrees that do not fold, so no
+exception steers evaluation. When those are one theta call, a bare call
+being the prefix 1 times itself, the prefix goes to theta_expand, which
+builds each term's coefficient with it: for the modulus-m transformation,
+zeta^(k^2) times a root-table row is another row. Otherwise each subtree is
+evaluated as a series and their product is scaled by the prefix. Re and Im are
 identities between series: with conj x the coefficientwise conjugate,
 Re x = (x + conj x)/2 and Im x = (conj x - x)*i/2, i = zeta_L^(L/4), so 4
 must divide L, or IncompatibleOrders is raised as for any root whose order
@@ -126,12 +130,6 @@ def evaluate(node: Expr, degree: int, order: int) -> LaurentSeries:
     the result's validity field carries the honest bound either way."""
     if isinstance(node, Sum):
         return LaurentSeries.sum([evaluate(item, degree, order) for item in node.items])
-    if isinstance(node, ThetaCall):
-        args = ThetaArgs(
-            fold_scaled_monomial(node.first, order),
-            fold_scaled_monomial(node.second, order),
-        )
-        return theta_expand(args, degree)
     if isinstance(node, (RealPart, ImagPart)):
         check_divides(4, order)  # i = zeta_L^(L/4)
         x = evaluate(node.item, degree, order)
@@ -146,6 +144,15 @@ def evaluate(node: Expr, degree: int, order: int) -> LaurentSeries:
     prefix = _fold(node, order, series)
     if not series:
         return _monomial_series(_scaled(prefix, order), degree)
+    if len(series) == 1 and isinstance(series[0], ThetaCall):
+        # the prefix times one theta call, a bare call being 1 times itself:
+        # the prefix enters each term's coefficient as the call expands
+        theta = series[0]
+        args = ThetaArgs(
+            fold_scaled_monomial(theta.first, order),
+            fold_scaled_monomial(theta.second, order),
+        )
+        return theta_expand(args, degree, _scaled(prefix, order))
     if series[0] is node:  # the node does not fold and has no factor that does
         if isinstance(node, RationalConst):  # zero
             return LaurentSeries.zero(degree, order)

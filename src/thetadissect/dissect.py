@@ -83,9 +83,9 @@ def dissect_filter(m: int, k: int, bound: int) -> LaurentSeries:
 
 
 def dissect_closed(m: int, k: int, bound: int) -> LaurentSeries:
-    """Closed-form path. The theta call runs with budget bound - k^2, and the
-    prefix raises every degree and the validity by exactly k^2, so the scaled
+    """Closed-form path. The theta call runs with budget bound - k^2 and
+    multiplies its prefix a^T(k) b^T(-k) into each term as it expands; the
+    prefix raises every degree and the validity by exactly k^2, so the
     result is exact through the requested bound and stores nothing above it."""
     prefix, args = closed_form_parts(m, k)
-    inner = theta_expand(args, bound - prefix.total_degree)
-    return inner.scale(ScaledMonomial(1, 0, 1, prefix))
+    return theta_expand(args, bound - prefix.total_degree, ScaledMonomial(1, 0, 1, prefix))

@@ -280,7 +280,10 @@ class LaurentSeries(Record):
     def scale(self, s: ScaledMonomial) -> "LaurentSeries":
         """Multiply by a single scaled monomial r * zeta^e * a^p * b^q;
         validity rises with its degree. Each coefficient is built once by
-        CycloNum.scaled. A nonzero factor keeps every (nonzero) term nonzero."""
+        CycloNum.scaled. A nonzero factor keeps every (nonzero) term nonzero.
+        A factor of one theta call does not come here: theta_expand takes
+        it. The callers are Re and Im (the factors -i and 1/2) and a prefix
+        times any other series: a sum, a power, a product of two or more."""
         check_orders("scalar and series", s.order, self.order)
         exponent, mono = s.exponent, s.mono
         num, den = s.ratio.numerator, s.ratio.denominator

@@ -83,34 +83,46 @@ def theta_index_range(args: ThetaArgs, bound: int) -> range:
     return range(-((r + t) // (2 * s)), (r - t) // (2 * s) + 1)
 
 
-def theta_expand(args: ThetaArgs, bound: int) -> LaurentSeries:
-    """Expand f(first, second) including exactly the indices of total degree
-    <= bound; the result is exact through that bound.
+def theta_expand(args: ThetaArgs, bound: int,
+                 scale: ScaledMonomial | None = None) -> LaurentSeries:
+    """Expand s * f(first, second) including exactly the indices of f whose
+    total degree is <= bound; s is `scale`, 1 when it is None. The result is
+    exact through bound + deg(s), its validity, and equals
+    theta_expand(args, bound).scale(s) term for term and in term order.
 
     Negative bounds are legal: the parabola can dip below zero when one
     argument has negative degree, and dissection budgets exploit that.
 
-    For x = r1 zeta^e1 a^p1 b^q1 and y = r2 zeta^e2 a^p2 b^q2 the index-n term
-    is r1^t r2^u zeta^(e1 t + e2 u) a^(p1 t + p2 u) b^(q1 t + q2 u) with
-    t = T(n), u = T(-n): integer arithmetic on exponents, a row of the shared
-    table of root powers, and, for ratios other than 1, their numerators and
-    denominators raised to t and u. Each term's coefficient is built once.
-    Two indices meet on one monomial only for proportional arguments, such as
-    f(a, 1) or f(q, -q); LaurentSeries.make sums their coefficients and drops
-    the zeros.
+    For s = r0 zeta^e0 a^p0 b^q0, x = r1 zeta^e1 a^p1 b^q1 and
+    y = r2 zeta^e2 a^p2 b^q2 the index-n term is
+    r0 r1^t r2^u zeta^(e0 + e1 t + e2 u) a^(p0 + p1 t + p2 u) b^(q0 + q1 t + q2 u)
+    with t = T(n), u = T(-n): integer arithmetic on exponents, a row of the
+    shared table of root powers, and, for ratios other than 1, their
+    numerators and denominators raised to t and u. Each term's coefficient
+    is built once, with the factor s in it. Two indices meet on one monomial
+    only for proportional arguments, such as f(a, 1) or f(q, -q);
+    LaurentSeries.make sums their coefficients and drops the zeros.
 
-    Before any term, the index count must be at most MAX_THETA_TERMS and the
-    count times the bits of the largest ratio power at most MAX_THETA_BITS,
-    or RequestTooLarge is raised. T(n) and T(-n) peak at the range's ends,
-    and a ratio of +-1 costs no bits (laurent.ratio_bits).
+    A factor s of another order raises OrderMismatch, as
+    LaurentSeries.scale does. Before any term, the index count must be at
+    most MAX_THETA_TERMS and the count times the bits of the largest ratio
+    power of x and y at most MAX_THETA_BITS, or RequestTooLarge is raised.
+    T(n) and T(-n) peak at the range's ends, and a ratio of +-1 costs no
+    bits (laurent.ratio_bits).
     """
     order = args.order
     x, y = args.first, args.second
+    if scale is None:
+        n0, d0, e0, p0, q0 = 1, 1, 0, 0, 0
+    else:
+        check_orders("scalar and series", scale.order, order)
+        n0, d0 = scale.ratio.numerator, scale.ratio.denominator
+        e0, (p0, q0) = scale.exponent, scale.mono
     (p1, q1), (p2, q2) = x.mono, y.mono
     e1, e2 = x.exponent, y.exponent
     n1, d1 = x.ratio.numerator, x.ratio.denominator
     n2, d2 = y.ratio.numerator, y.ratio.denominator
-    rational = n1 != 1 or d1 != 1 or n2 != 1 or d2 != 1
+    rational = n0 != 1 or d0 != 1 or n1 != 1 or d1 != 1 or n2 != 1 or d2 != 1
     indices = theta_index_range(args, bound)
     count = check_index_cap("theta sum", indices)
     b1, b2 = ratio_bits(x.ratio), ratio_bits(y.ratio)
@@ -125,11 +137,11 @@ def theta_expand(args: ThetaArgs, bound: int) -> LaurentSeries:
     for n in indices:
         t = n * (n + 1) // 2
         u = t - n  # T(-n) = n(n-1)/2
-        coeff = powers[(e1 * t + e2 * u) % order]
+        coeff = powers[(e0 + e1 * t + e2 * u) % order]
         if rational:
-            coeff = coeff.scaled(n1 ** t * n2 ** u, d1 ** t * d2 ** u)
-        entries.append((Monomial(p1 * t + p2 * u, q1 * t + q2 * u), coeff))
-    return LaurentSeries.make(entries, bound, order)
+            coeff = coeff.scaled(n0 * n1 ** t * n2 ** u, d0 * d1 ** t * d2 ** u)
+        entries.append((Monomial(p0 + p1 * t + p2 * u, q0 + q1 * t + q2 * u), coeff))
+    return LaurentSeries.make(entries, bound + p0 + q0, order)
 
 
 def pochhammer_expand(x: ScaledMonomial, qq: ScaledMonomial, bound: int) -> LaurentSeries:

@@ -9,7 +9,7 @@ from conftest import (
     FractionCyclo, collapse_q, cyclo_from_pairs, denominators, evaluated_parts, make_series,
     numerators, rational_coeff, reference_fold, reference_transformation_text, series_expr,
 )
-from thetadissect import catalog, exprlang
+from thetadissect import catalog, cyclotomic, exprlang, laurent
 from thetadissect.catalog import (
     _NOTEBOOK_ENTRIES, Identity, Report, builtin_catalog, catalog_by_name, evaluate,
     fold_scaled_monomial, get_identity, summarize, transformation_identity,
@@ -455,9 +455,9 @@ def test_specq_validity_rises_where_a_equals_b_cancels(text, degree, terms, vali
 def test_no_theta_call_under_specq_sees_b(monkeypatch):
     seen = []
 
-    def recording(args, bound):
+    def recording(args, bound, scale=None):
         seen.append(args)
-        return theta_expand(args, bound)
+        return theta_expand(args, bound, scale)
 
     monkeypatch.setattr(catalog, "theta_expand", recording)
     sides = [(side, identity.required_root_order)
@@ -550,6 +550,23 @@ def test_transformation_at_a_large_modulus():
     assert report.status == "failed"
     assert report.first_mismatch.monomial == Monomial(1, 0)
     assert report.first_mismatch.right == zeta_power(2310, 2)
+
+
+@pytest.mark.parametrize("m, e", [(5, 2), (12, 5), (30, 17)])
+def test_a_transformation_reduces_no_power_of_zeta(monkeypatch, m, e):
+    # each piece zeta^(k^2) a^T(k) b^T(-k) f(...) takes its prefix into the
+    # theta call, so every coefficient is a row of the table of root powers,
+    # scaled by no ratio here, and none is reduced modulo Phi_m
+    calls, reduce_powers = [], cyclotomic.reduce_powers
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return reduce_powers(*args, **kwargs)
+    # the name CycloNum looks up, and the one the product kernel imported
+    monkeypatch.setattr(cyclotomic, "reduce_powers", counting)
+    monkeypatch.setattr(laurent, "reduce_powers", counting)
+    assert verify_identity(transformation_identity(m, e), 200).status == "verified"
+    assert calls == []
 
 
 def test_generated_transform_identity_renders_as_expected():

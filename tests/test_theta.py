@@ -137,6 +137,8 @@ _ORDER_3, _ORDER_4 = LaurentSeries.one(3, 3), LaurentSeries.one(3, 4)
     (lambda: LaurentSeries.product([_ORDER_3, _ORDER_4]), "series orders differ: 3 vs 4"),
     (lambda: _ORDER_3.scale(ScaledMonomial.make(1, 0, 0, 4)),
      "scalar and series orders differ: 4 vs 3"),
+    (lambda: theta_expand(args_of(1, 1, 0, 1, 0, 1, order=3), 3, ScaledMonomial.make(1, 1, 0, 4)),
+     "scalar and series orders differ: 4 vs 3"),
     (lambda: _ORDER_3.first_mismatch(_ORDER_4, 3), "series orders differ: 3 vs 4"),
     (lambda: ThetaArgs(ScaledMonomial.make(1, 1, 0, 3), ScaledMonomial.make(1, 0, 1, 4)),
      "theta argument orders differ: 3 vs 4"),
@@ -144,7 +146,8 @@ _ORDER_3, _ORDER_4 = LaurentSeries.one(3, 3), LaurentSeries.one(3, 4)
                                ScaledMonomial.make(1, 0, 1, 4), 5),
      "Pochhammer orders differ: 3 vs 4"),
 ], ids=["coefficient-sum", "coefficient-product", "scaled-monomial-product", "make", "sum",
-        "product", "scale", "first_mismatch", "ThetaArgs", "pochhammer_expand"])
+        "product", "scale", "theta_expand-prefix", "first_mismatch", "ThetaArgs",
+        "pochhammer_expand"])
 def test_every_order_mismatch_names_both_orders(call, message):
     with pytest.raises(OrderMismatch) as info:
         call()
@@ -241,9 +244,10 @@ RATIOS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 3), Fraction(3, 2
 @st.composite
 def kernel_cases(draw):
     """Theta arguments over a kernel order, any ratio in RATIOS and any root
-    exponent, with monomials of either sign of degree, and a bound that may
-    be negative. Half the time the second monomial is a multiple of the
-    first (0 gives f(x, 1), 1 gives f(x, +-x)), where indices meet."""
+    exponent, with monomials of either sign of degree, a bound that may be
+    negative, and a factor of the same kind. Half the time the second
+    monomial is a multiple of the first (0 gives f(x, 1), 1 gives f(x, +-x)),
+    where indices meet."""
     order = draw(st.sampled_from(KERNEL_ORDERS))
     exps = st.integers(-4, 6)
     p1, q1 = draw(exps), draw(exps)
@@ -253,10 +257,10 @@ def kernel_cases(draw):
     else:
         p2, q2 = draw(exps), draw(exps)
     assume(p1 + q1 + p2 + q2 > 0)
-    first, second = (ScaledMonomial(draw(st.sampled_from(RATIOS)), draw(st.integers(-40, 40)),
-                                    order, mono)
-                     for mono in (Monomial(p1, q1), Monomial(p2, q2)))
-    return ThetaArgs(first, second), draw(st.integers(-30, 60))
+    first, second, factor = (
+        ScaledMonomial(draw(st.sampled_from(RATIOS)), draw(st.integers(-40, 40)), order, mono)
+        for mono in (Monomial(p1, q1), Monomial(p2, q2), Monomial(draw(exps), draw(exps))))
+    return ThetaArgs(first, second), draw(st.integers(-30, 60)), factor
 
 
 def index_order(x, y, bound):
@@ -281,13 +285,18 @@ def index_order(x, y, bound):
 @given(kernel_cases())
 @settings(max_examples=400, deadline=None)
 def test_theta_expand_matches_the_fraction_power_reference(case):
-    args, bound = case
+    args, bound, factor = case
     x, y = ((s.ratio, s.exponent, *s.mono) for s in (args.first, args.second))
     got, expected = theta_expand(args, bound), orc.theta_direct(x, y, bound, args.order)
     assert (got.validity, got.order) == (bound, args.order)
     assert fraction_terms(got) == expected
     # terms stand in index order; a monomial two indices meet on stands at the last
     assert list(got.terms) == [m for m in index_order(x, y, bound) if m in expected]
+    # a factor taken into the expansion gives the scaled series, in its term order
+    scaled, reference = theta_expand(args, bound, factor), got.scale(factor)
+    assert (scaled.validity, scaled.order) == (reference.validity, reference.order)
+    assert scaled.terms == reference.terms
+    assert list(scaled.terms) == list(reference.terms)
 
 
 @pytest.mark.parametrize("order", [1, 2, 4])
