@@ -15,10 +15,11 @@ being the prefix 1 times itself, the prefix goes to theta_expand, which
 builds each term's coefficient with it: for the modulus-m transformation,
 zeta^(k^2) times a root-table row is another row. Otherwise each subtree is
 evaluated as a series and their product is scaled by the prefix. Re and Im are
-identities between series: with conj x the coefficientwise conjugate,
-Re x = (x + conj x)/2 and Im x = (conj x - x)*i/2, i = zeta_L^(L/4), so 4
-must divide L, or IncompatibleOrders is raised as for any root whose order
-does not divide L.
+one coefficient map each: with conj the complex conjugation of Q(zeta_L),
+Re maps c to (c + conj c)/2 and Im maps c to (c' + conj c')/2 for
+c' = -i*c, which is (conj c - c)*i/2, i = zeta_L^(L/4), so 4 must divide
+L, or IncompatibleOrders is raised as for any root whose order does not
+divide L. A coefficient whose part is zero drops its term.
 specq(E) is evaluated as E with every b read as q, a one-variable series
 from the leaves up: a, b -> q is a ring homomorphism that keeps total
 degrees, which are all the validity calculus reads, so the result is the
@@ -37,7 +38,6 @@ from __future__ import annotations
 import functools
 import time
 from collections.abc import Mapping
-from fractions import Fraction
 from types import MappingProxyType
 
 from .cyclotomic import CycloNum
@@ -132,11 +132,14 @@ def evaluate(node: Expr, degree: int, order: int) -> LaurentSeries:
         return LaurentSeries.sum([evaluate(item, degree, order) for item in node.items])
     if isinstance(node, (RealPart, ImagPart)):
         check_divides(4, order)  # i = zeta_L^(L/4)
-        x = evaluate(node.item, degree, order)
-        if isinstance(node, ImagPart):  # Im x = Re(-i*x), and -i = zeta_L^(3L/4)
-            x = x.scale(ScaledMonomial(1, 3 * order // 4, order, Monomial(0, 0)))
-        return LaurentSeries.sum((x, x.map_coeffs(CycloNum.conjugate))).scale(
-            ScaledMonomial(Fraction(1, 2), 0, order, Monomial(0, 0)))
+        # Im x = Re(-i*x), and -i = zeta_L^(3L/4)
+        shift = 3 * order // 4 if isinstance(node, ImagPart) else 0
+
+        def part(c: CycloNum) -> CycloNum:
+            c = c.scaled(1, 1, shift)
+            return (c + c.conjugate()).scaled(1, 2)
+
+        return evaluate(node.item, degree, order).map_coeffs(part)
     if isinstance(node, SpecializeQ):
         return evaluate(b_as_q(node.item), degree, order)
     # every other node is a scaled-monomial prefix times the series it cannot fold

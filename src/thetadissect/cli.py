@@ -27,6 +27,7 @@ from .cyclotomic import _digits, check_root_table
 from .dissect import check_run_size, dissect_closed, dissect_filter
 from .errors import EngineError, ParseError, UsageError, describe
 from .exprlang import parse_expr, parse_identity, print_expr
+from .laurent import per_value
 
 DEFAULT_DEGREE = 60
 # dissect runs one filter and one closed form per residue class, so m is capped
@@ -99,12 +100,14 @@ def json_text(value, indent: str = "\n") -> str:
     if isinstance(value, dict):
         if not value:
             return "{}"
-        return "{%s%s}" % (",".join(inner + _quote(key) + ": " + json_text(item, inner)
-                                    for key, item in value.items()), indent)
+        return "{%s%s}" % (",".join([
+            inner + _quote(key) + ": "
+            + (_quote(item) if type(item) is str else json_text(item, inner))
+            for key, item in value.items()]), indent)
     if isinstance(value, list):
         if not value:
             return "[]"
-        return "[%s%s]" % (",".join(inner + json_text(item, inner) for item in value), indent)
+        return "[%s%s]" % (",".join([inner + json_text(item, inner) for item in value]), indent)
     if value is None:
         return "null"
     if value is True:
@@ -131,13 +134,14 @@ def _cmd_expand(args) -> int:
     check_root_table(order)  # evaluate may allocate phi(L) entries and build no table
     series = cat.evaluate(ast, args.degree, order)
     if args.format == "json":
+        text = per_value(str)
         doc = {
             "expr": print_expr(ast),
             "degree": args.degree,
             "order": order,
             "validity": series.validity,
             "terms": [
-                {"monomial": mono.render(), "coeff": str(coeff)}
+                {"monomial": mono.render(), "coeff": text(coeff)}
                 for mono, coeff in series.sorted_terms()
             ],
         }

@@ -12,7 +12,11 @@ written: 1 + a + b + a^3*b + a*b^3 + ...
 
 Rendering adds only the monomials: the text of each coefficient and the
 joining of signed parts come from `cyclotomic.py`. A coefficient of one basis
-term carries the term's sign, one of several is parenthesized.
+term carries the term's sign, one of several is parenthesized. A series at
+order L holds few distinct coefficients (a root of unity times a small
+rational, in a theta sum), so `render` spells each distinct value once, and
+`scale` and `map_coeffs` compute each distinct image once, keyed on the
+value's (nums, den) for the length of one call.
 
 Products run on integers. Each operand becomes integer power-basis vectors
 over one positive common denominator, keeping only the terms that can reach
@@ -60,12 +64,25 @@ class Monomial(namedtuple("Monomial", "p q")):
         return Monomial(self.p + other.p, self.q + other.q)
 
     def render(self) -> str:
-        parts = []
-        for sym, e in (("a", self.p), ("b", self.q)):
-            if e == 0:
-                continue
-            parts.append(sym if e == 1 else "%s^%s" % (sym, _digits(e)))
-        return "*".join(parts) if parts else "1"
+        p, q = self
+        a = "" if not p else "a" if p == 1 else "a^" + _digits(p)
+        b = "" if not q else "b" if q == 1 else "b^" + _digits(q)
+        return a + "*" + b if a and b else a or b or "1"
+
+
+def per_value(fn: Callable[[CycloNum], object]) -> Callable[[CycloNum], object]:
+    """fn, called once per distinct coefficient value: the wrapper keeps each
+    image, keyed on (nums, den), for as long as it lives, one pass over the
+    terms of a series. Terms of one value then share one image."""
+    images = {}
+
+    def image(c: CycloNum):
+        key = c.nums, c.den
+        if key in images:
+            return images[key]
+        value = images[key] = fn(c)
+        return value
+    return image
 
 
 def ratio_bits(ratio: int | Fraction) -> int:
@@ -279,21 +296,27 @@ class LaurentSeries(Record):
 
     def scale(self, s: ScaledMonomial) -> "LaurentSeries":
         """Multiply by a single scaled monomial r * zeta^e * a^p * b^q;
-        validity rises with its degree. Each coefficient is built once by
-        CycloNum.scaled. A nonzero factor keeps every (nonzero) term nonzero.
-        A factor of one theta call does not come here: theta_expand takes
-        it. The callers are Re and Im (the factors -i and 1/2) and a prefix
-        times any other series: a sum, a power, a product of two or more."""
+        validity rises with its degree. CycloNum.scaled builds one product
+        per distinct coefficient, which the terms that hold that value
+        share. A nonzero factor keeps every (nonzero) term nonzero. A factor
+        of one theta call does not come here: theta_expand takes it. The
+        caller is a prefix times any other series: a sum, a power, a product
+        of two or more."""
         check_orders("scalar and series", s.order, self.order)
         exponent, mono = s.exponent, s.mono
         num, den = s.ratio.numerator, s.ratio.denominator
-        entries = {m * mono: c.scaled(num, den, exponent) for m, c in self.terms.items()}
+        image = per_value(lambda c: c.scaled(num, den, exponent))
+        entries = {m * mono: image(c) for m, c in self.terms.items()}
         return LaurentSeries(entries, self.validity + s.total_degree, self.order)
 
     def map_coeffs(self, fn: Callable[[CycloNum], CycloNum]) -> "LaurentSeries":
-        """Coefficientwise map by a field automorphism, such as conjugation: it
-        keeps the order, and every stored term stays nonzero, so none is pruned."""
-        return LaurentSeries({m: fn(c) for m, c in self.terms.items()}, self.validity, self.order)
+        """Coefficientwise map by fn, which must keep the order: fn is
+        called once per distinct coefficient, the terms that hold that value
+        share its image, and a term whose image is zero is dropped. Re and
+        Im are such maps."""
+        image = per_value(fn)
+        terms = {m: v for m, c in self.terms.items() if any((v := image(c)).nums)}
+        return LaurentSeries(terms, self.validity, self.order)
 
     # -- comparison and specialization ------------------------------------------
 
@@ -329,10 +352,27 @@ class LaurentSeries(Record):
     # -- rendering ----------------------------------------------------------------
 
     def render(self) -> str:
-        return join_signed([_render_term(mono, coeff) for mono, coeff in self.sorted_terms()])
+        """The terms in term order, each distinct coefficient spelled once by
+        `_coefficient_text`; before a monomial a body of 1 is left out."""
+        coefficient = per_value(_coefficient_text)
+        parts = []
+        for mono, c in self.sorted_terms():
+            body = coefficient(c)
+            if mono != (0, 0):
+                negative, text = body
+                body = negative, mono.render() if text == "1" else text + "*" + mono.render()
+            parts.append(body)
+        return join_signed(parts)
 
     def __str__(self) -> str:
         return self.render()
+
+
+def _coefficient_text(c: CycloNum) -> tuple[bool, str]:
+    """(negative, text) of a term's coefficient: one basis term carries the
+    sign, several are parenthesized."""
+    parts = c.signed_parts()
+    return parts[0] if len(parts) == 1 else (False, "(%s)" % join_signed(parts))
 
 
 def _factor_bits(rows: list, den: int, order: int) -> int:
@@ -383,8 +423,16 @@ def _operand(s: LaurentSeries) -> tuple[list, int, int, int]:
 
 
 def _from_operand(operand: tuple, order: int) -> LaurentSeries:
+    """The series of an operand: one CycloNum per distinct numerator row over
+    the operand's one denominator, shared by the terms that hold that row."""
     rows, den, validity, _ = operand
-    terms = {Monomial(p, q): CycloNum(order, v, den) for p, q, v in rows}
+    coeffs = {}
+    terms = {}
+    for p, q, v in rows:
+        c = coeffs.get(v)
+        if c is None:
+            c = coeffs[v] = CycloNum(order, v, den)
+        terms[Monomial(p, q)] = c
     return LaurentSeries(terms, validity, order)
 
 
@@ -539,15 +587,3 @@ def _reduced_rows(conv: dict, order: int) -> list:
             rows.append((p, q, tuple(vec)))
     return rows
 
-
-def _render_term(mono: Monomial, coeff: CycloNum) -> tuple[bool, str]:
-    """(negative, text) for one term: a coefficient of one basis term carries
-    the sign and drops a body of 1; one of several is parenthesized."""
-    parts = coeff.signed_parts()
-    if len(parts) == 1:
-        negative, body = parts[0]
-    else:
-        negative, body = False, "(%s)" % join_signed(parts)
-    if mono == (0, 0):
-        return negative, body
-    return negative, mono.render() if body == "1" else "%s*%s" % (body, mono.render())

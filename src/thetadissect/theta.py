@@ -13,7 +13,8 @@ climb in degree, so it additionally requires d1 > 0 and d2 > 0.
 The theta sum runs on integers, T(n) = n(n+1)/2 and T(-n) as exponents, a
 ratio read as its numerator and denominator: no Fraction is built. Its cost
 is read off the index range first, and a sum past MAX_THETA_TERMS indices
-or MAX_THETA_BITS bits of ratio powers raises RequestTooLarge. So does a
+or MAX_THETA_BITS bits of coefficient ratios (the prefix's ratio times
+powers of the arguments' ratios) raises RequestTooLarge. So does a
 Pochhammer ladder past MAX_THETA_TERMS factors, counted from the degrees.
 This module alone reads MAX_THETA_TERMS: theta sums, ladders and the
 dissection windows of dissect.py all hand their index range to
@@ -31,8 +32,8 @@ from .record import Record, set_field
 # a theta sum, a Pochhammer ladder, a dissection filter or a whole dissection
 # run with more indices than this is refused before its first term is built
 MAX_THETA_TERMS = 1 << 18
-# and so is a theta sum whose index count times the bits of its largest ratio
-# power passes this budget
+# and so is a theta sum whose index count times the bits of its largest
+# coefficient ratio, the prefix's ratio times the ratio powers, passes this budget
 MAX_THETA_BITS = 1 << 24
 
 
@@ -98,26 +99,27 @@ def theta_expand(args: ThetaArgs, bound: int,
     r0 r1^t r2^u zeta^(e0 + e1 t + e2 u) a^(p0 + p1 t + p2 u) b^(q0 + q1 t + q2 u)
     with t = T(n), u = T(-n): integer arithmetic on exponents, a row of the
     shared table of root powers, and, for ratios other than 1, their
-    numerators and denominators raised to t and u. Each term's coefficient
-    is built once, with the factor s in it. Two indices meet on one monomial
+    numerators and denominators raised to t and u. Each coefficient is built
+    once, with the factor s in it, and terms of one row, numerator and
+    denominator share it (f(-a, -b) builds two). Two indices meet on one monomial
     only for proportional arguments, such as f(a, 1) or f(q, -q);
     LaurentSeries.make sums their coefficients and drops the zeros.
 
     A factor s of another order raises OrderMismatch, as
     LaurentSeries.scale does. Before any term, the index count must be at
-    most MAX_THETA_TERMS and the count times the bits of the largest ratio
-    power of x and y at most MAX_THETA_BITS, or RequestTooLarge is raised.
-    T(n) and T(-n) peak at the range's ends, and a ratio of +-1 costs no
-    bits (laurent.ratio_bits).
+    most MAX_THETA_TERMS and the count times the bits of the largest
+    coefficient ratio, r0 times ratio powers of x and y, at most
+    MAX_THETA_BITS, or RequestTooLarge is raised. T(n) and T(-n) peak at
+    the range's ends, and a ratio of +-1 costs no bits (laurent.ratio_bits).
     """
     order = args.order
     x, y = args.first, args.second
     if scale is None:
-        n0, d0, e0, p0, q0 = 1, 1, 0, 0, 0
+        r0, e0, p0, q0 = 1, 0, 0, 0
     else:
         check_orders("scalar and series", scale.order, order)
-        n0, d0 = scale.ratio.numerator, scale.ratio.denominator
-        e0, (p0, q0) = scale.exponent, scale.mono
+        r0, e0, (p0, q0) = scale.ratio, scale.exponent, scale.mono
+    n0, d0 = r0.numerator, r0.denominator
     (p1, q1), (p2, q2) = x.mono, y.mono
     e1, e2 = x.exponent, y.exponent
     n1, d1 = x.ratio.numerator, x.ratio.denominator
@@ -126,20 +128,26 @@ def theta_expand(args: ThetaArgs, bound: int,
     indices = theta_index_range(args, bound)
     count = check_index_cap("theta sum", indices)
     b1, b2 = ratio_bits(x.ratio), ratio_bits(y.ratio)
-    bits = max((n * n + n) // 2 * b1 + (n * n - n) // 2 * b2
-               for n in (indices.start, indices.stop - 1))
+    bits = ratio_bits(r0) + max((n * n + n) // 2 * b1 + (n * n - n) // 2 * b2
+                                for n in (indices.start, indices.stop - 1))
     if count * bits > MAX_THETA_BITS:
         raise RequestTooLarge(
             "theta sum of %d indices with ratio powers of up to %d bits passes the"
             " %d-bit budget" % (count, bits, MAX_THETA_BITS))
     powers = _zeta_powers(order)
+    scaled = {}  # (row, numerator, denominator) -> the one coefficient they build
     entries = []
     for n in indices:
         t = n * (n + 1) // 2
         u = t - n  # T(-n) = n(n-1)/2
-        coeff = powers[(e0 + e1 * t + e2 * u) % order]
+        row = (e0 + e1 * t + e2 * u) % order
         if rational:
-            coeff = coeff.scaled(n0 * n1 ** t * n2 ** u, d0 * d1 ** t * d2 ** u)
+            key = row, n0 * n1 ** t * n2 ** u, d0 * d1 ** t * d2 ** u
+            coeff = scaled.get(key)
+            if coeff is None:
+                coeff = scaled[key] = powers[row].scaled(key[1], key[2])
+        else:
+            coeff = powers[row]
         entries.append((Monomial(p0 + p1 * t + p2 * u, q0 + q1 * t + q2 * u), coeff))
     return LaurentSeries.make(entries, bound + p0 + q0, order)
 

@@ -569,6 +569,22 @@ def test_a_transformation_reduces_no_power_of_zeta(monkeypatch, m, e):
     assert calls == []
 
 
+@pytest.mark.parametrize("name", ["remark_re", "remark_im"])
+def test_re_and_im_conjugate_each_distinct_coefficient_once(monkeypatch, name):
+    # f(i*a, i*b) at degree 2000 has 89 terms but at most 4 distinct
+    # coefficients, the powers of i; Re and Im map each value once
+    calls, conjugate = [], CycloNum.conjugate
+
+    def counting(self):
+        calls.append(self)
+        return conjugate(self)
+
+    monkeypatch.setattr(CycloNum, "conjugate", counting)
+    report = verify_identity(get_identity(name), 2000)
+    assert (report.status, report.lhs_terms) == ("verified", report.rhs_terms)
+    assert 0 < len(calls) <= 4
+
+
 def test_generated_transform_identity_renders_as_expected():
     thm2 = get_identity("thm_m2")
     assert print_identity(thm2.lhs, thm2.rhs) == (

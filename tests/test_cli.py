@@ -644,11 +644,22 @@ _DISSECT_HUGE = ["dissect", "--m", "3", "--degree", str(10 ** 20), "--mode"]
     # 1,549 indices, 2^299925 at each end
     (["expand", "f(2*a,b)", "--degree", "600000"], _bits_too_large(1549, 899775)),
     (["expand", "f(2*a^50000, a^-49999)", "--degree", "0"], _bits_too_large(100000, 14999550003)),
+    # a prefix's ratio is in every coefficient: 2,001 indices of 2^300000
+    (["expand", "2^300000*f(a,b)", "--degree", str(10 ** 6)], _bits_too_large(2001, 300002)),
 ])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_a_theta_sum_past_its_caps_is_refused(capsys, argv, err, fmt):
     assert main(argv + ["--format", fmt]) == 3
     assert capsys.readouterr() == ("", err)
+
+
+def test_a_prefix_within_the_bit_budget_answers(capsys):
+    # 2,001 indices times the 8002 bits of 2^8000 stay within 2^24
+    assert main(["expand", "2^8000*f(a,b)", "--degree", str(10 ** 6)]) == 0
+    series, validity = capsys.readouterr().out.splitlines()
+    two = full_digits(2 ** 8000)
+    assert series.startswith("%s + %s*a + %s*b + " % (two, two, two))
+    assert series.count(" + ") == 2000 and validity == "validity: 1000000"
 
 
 def test_verify_and_catalog_refuse_a_theta_sum_past_the_index_cap(capsys):

@@ -11,7 +11,7 @@ from conftest import (KERNEL_ORDERS, FractionCyclo, cyclo_from_pairs, denominato
                       schoolbook_tree, series_expr)
 from thetadissect import laurent
 from thetadissect.catalog import evaluate
-from thetadissect.cyclotomic import CycloNum, euler_phi, zeta_power
+from thetadissect.cyclotomic import CycloNum, euler_phi, join_signed, zeta_power
 from thetadissect.errors import OrderMismatch, RequestTooLarge, ValidityExceeded
 from thetadissect.expr import Power, RationalConst, Sum
 from thetadissect.laurent import LaurentSeries, Monomial, ScaledMonomial
@@ -141,6 +141,37 @@ def test_scale_by_one_keeps_the_coefficient_objects():
     assert [id(c) for c in scaled.terms.values()] == [id(c) for c in x.terms.values()]
 
 
+def test_scale_builds_one_product_per_distinct_coefficient(monkeypatch):
+    # five terms over Q(zeta_4) holding two values, each value a fresh object
+    # per term: equal values are found by value, not by identity
+    half_i = lambda: CycloNum(4, (1, 1), 2)  # noqa: E731
+    x = LaurentSeries({Monomial(0, 0): half_i(), Monomial(1, 0): zeta_power(4, 1),
+                       Monomial(0, 1): half_i(), Monomial(2, 1): CycloNum(4, (0, 1)),
+                       Monomial(1, 3): half_i()}, 6, 4)
+    calls, scaled = [], CycloNum.scaled
+
+    def counting(self, *args):
+        calls.append(self)
+        return scaled(self, *args)
+
+    monkeypatch.setattr(CycloNum, "scaled", counting)
+    s = ScaledMonomial(Fraction(-3, 2), 1, 4, Monomial(1, 0))
+    got = x.scale(s)
+    assert len(calls) == 2
+    assert got == LaurentSeries({m * s.mono: scaled(c, -3, 2, 1) for m, c in x.terms.items()},
+                                7, 4)
+    assert len({id(c) for c in got.terms.values()}) == 2
+
+
+def test_from_operand_shares_one_coefficient_per_row():
+    rows = [(0, 0, (1, 2)), (1, 0, (3, 0)), (2, 0, (1, 2)), (0, 2, (1, 2))]
+    got = laurent._from_operand((rows, 6, 5, 0), 3)
+    assert got == LaurentSeries({Monomial(p, q): CycloNum(3, v, 6) for p, q, v in rows}, 5, 3)
+    a1, a2 = got.coefficient(Monomial(0, 0)), got.coefficient(Monomial(2, 0))
+    assert a1 is a2 is got.coefficient(Monomial(0, 2))
+    assert got.coefficient(Monomial(1, 0)) == CycloNum(3, (1, 0), 2)
+
+
 @given(st.sampled_from(KERNEL_ORDERS), st.data())
 @settings(max_examples=100, deadline=None)
 def test_scale_by_a_scaled_root_matches_coefficient_products(order, data):
@@ -228,6 +259,84 @@ def test_scaled_monomial_rejects_zero_coeff():
 
 
 # --- property tests -----------------------------------------------------------
+
+
+def render_term(mono, coeff):
+    """(negative, text) for one term, spelled on its own: the reference for
+    `LaurentSeries.render`, which spells each distinct coefficient once. A
+    coefficient of one basis term carries the sign and drops a body of 1;
+    one of several is parenthesized."""
+    parts = coeff.signed_parts()
+    if len(parts) == 1:
+        negative, body = parts[0]
+    else:
+        negative, body = False, "(%s)" % join_signed(parts)
+    if mono == (0, 0):
+        return negative, body
+    return negative, mono.render() if body == "1" else "%s*%s" % (body, mono.render())
+
+
+@st.composite
+def shared_coefficient_series(draw):
+    """A series over Q(zeta_L) whose terms draw their coefficients from a
+    pool of one to three values (some of several basis terms) or, now and
+    then, a value of their own; the constant term is one of the monomials
+    as often as not."""
+    order = draw(st.sampled_from(KERNEL_ORDERS))
+    phi = euler_phi(order)
+    parts = st.lists(st.tuples(st.integers(-3, 3), st.sampled_from((1, 2, 3))),
+                     min_size=phi, max_size=phi)
+    drawn = [cyclo_from_pairs(order, draw(parts)) for _ in range(draw(st.integers(1, 3)))]
+    pool = [c for c in drawn if any(c.nums)] or [CycloNum.one(order)]
+    monos = draw(st.lists(_monos, min_size=1, max_size=10, unique=True))
+    terms = {}
+    for p, q in monos:
+        c = draw(st.sampled_from(pool)) if draw(st.integers(0, 4)) else cyclo_from_pairs(
+            order, draw(parts))
+        if any(c.nums):
+            # a fresh object per term, as sums and products build them
+            terms[Monomial(p, q)] = CycloNum(order, c.nums, c.den)
+    return LaurentSeries(terms, 8, order), pool
+
+
+_REPEATS = LaurentSeries({Monomial(0, 0): CycloNum(8, (1, 0, 2, 0), 3),
+                          Monomial(1, 0): CycloNum(8, (0, 0, -1, 0)),
+                          Monomial(0, 1): CycloNum(8, (1, 0, 2, 0), 3),
+                          Monomial(-1, 2): CycloNum(8, (0, 0, -1, 0)),
+                          Monomial(2, 2): CycloNum(8, (5, 0, 0, 0), 2)}, 6, 8)
+
+
+@given(shared_coefficient_series(), st.integers(0, 2))
+@example((_REPEATS, [CycloNum(8, (1, 0, 2, 0), 3)]), 0)
+@example((_REPEATS, [CycloNum(8, (0, 0, -1, 0))]), 2)
+@settings(max_examples=150, deadline=None)
+def test_map_coeffs_is_the_termwise_map_without_zeros(drawn, which):
+    x, pool = drawn
+    # zero one pooled value, conjugate, or take the real part, each value once
+    killed = pool[min(which, len(pool) - 1)]
+    maps = [lambda c: c + -killed, CycloNum.conjugate,
+            lambda c: (c + c.conjugate()).scaled(1, 2) if x.order % 4 == 0 else c]
+    fn = maps[which]
+    calls = []
+
+    def counting(c):
+        calls.append(c)
+        return fn(c)
+
+    got = x.map_coeffs(counting)
+    termwise = {m: fn(c) for m, c in x.terms.items()}
+    assert got.terms == {m: c for m, c in termwise.items() if any(c.nums)}
+    assert (got.validity, got.order) == (x.validity, x.order)
+    assert len(calls) == len({(c.nums, c.den) for c in x.terms.values()})
+
+
+@given(shared_coefficient_series())
+@example((_REPEATS, []))
+@example((LaurentSeries({Monomial(0, 0): CycloNum(4, (-1, 0))}, 0, 4), []))
+@settings(max_examples=150, deadline=None)
+def test_render_spells_each_term_as_the_termwise_reference(drawn):
+    x, _ = drawn
+    assert x.render() == join_signed([render_term(m, c) for m, c in x.sorted_terms()])
 
 _coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 _monos = st.tuples(st.integers(-3, 4), st.integers(-3, 4))

@@ -388,3 +388,40 @@ def test_the_bit_budget_holds_at_its_edge(monkeypatch):
     # a ratio of -1 costs no bits
     monkeypatch.setattr(theta, "MAX_THETA_BITS", 0)
     assert theta_expand(args_of(-1, 1, 0, -1, 0, 1), 30000).term_count == 347
+
+
+def test_the_bit_budget_counts_the_prefix_ratio(monkeypatch):
+    # 2^8000*f(a,b) at degree 10^6: 2001 indices, each coefficient 2^8000,
+    # of 8001 + 1 bits, within the real budget of 2^24 bits
+    prefix = ScaledMonomial(2 ** 8000, 0, 1, Monomial(0, 0))
+    args = plain_theta_args()
+    assert 2001 * 8002 <= theta.MAX_THETA_BITS
+    assert theta_expand(args, 10 ** 6, prefix).term_count == 2001
+    monkeypatch.setattr(theta, "MAX_THETA_BITS", 2001 * 8002 - 1)
+    with pytest.raises(RequestTooLarge, match="2001 indices with ratio powers of up to 8002 bits"):
+        theta_expand(args, 10 ** 6, prefix)
+    # the prefix's bits add to the arguments': f(2*a, b) at degree 30000
+    monkeypatch.setattr(theta, "MAX_THETA_BITS", 347 * (15051 * 3 + 8002))
+    assert theta_expand(args_of(2, 1, 0, 1, 0, 1), 30000, prefix).term_count == 347
+    monkeypatch.setattr(theta, "MAX_THETA_BITS", 347 * (15051 * 3 + 8002) - 1)
+    with pytest.raises(RequestTooLarge):
+        theta_expand(args_of(2, 1, 0, 1, 0, 1), 30000, prefix)
+    # a prefix of -1 costs no bits
+    monkeypatch.setattr(theta, "MAX_THETA_BITS", 0)
+    minus_one = ScaledMonomial(-1, 0, 1, Monomial(1, 0))
+    assert theta_expand(args, 10 ** 6, minus_one).term_count == 2001
+
+
+def test_a_sign_pattern_builds_one_coefficient_per_value(monkeypatch):
+    # f(-a, -b) at degree 2000: 89 terms of the signs (-1)^(T(n) + T(-n)) =
+    # (-1)^n, so the ratio branch builds two coefficients, -1 and 1
+    calls, scaled = [], CycloNum.scaled
+
+    def counting(self, *args):
+        calls.append(args)
+        return scaled(self, *args)
+
+    monkeypatch.setattr(CycloNum, "scaled", counting)
+    got = theta_expand(args_of(-1, 1, 0, -1, 0, 1), 2000)
+    assert got.term_count == 89 and sorted(calls) == [(-1, 1), (1, 1)]
+    assert {str(c) for c in got.terms.values()} == {"1", "-1"}
